@@ -8,8 +8,8 @@ from .fields import (NEG_INF, AResidue, Fq, Poly, PolyRing, ResidueRing, fq,
                      poly_to_tstring, polyring, residue_field_with_theta,
                      residue_ring, wp_valuation)
 from .series import SeriesRing, TruncSeries, newton_slopes
-from .tau import TauPoly
-from .carlitz import (CarlitzAction, carlitz_action, carlitz_cyclotomic,
+from .tau import DrinfeldAction, TauPoly
+from .carlitz import (carlitz_action, carlitz_cyclotomic,
                       carlitz_phi, carlitz_torsion_poly, check_eisenstein)
 from .modules import (DrinfeldRank2, WpFactorization, classify_reduction,
                       is_isogeny, is_morphism, wp_factorize)

@@ -11,50 +11,21 @@ import threading
 
 from .errors import DomainError, InternalConsistencyError
 from .fields import Poly, polyring, is_irreducible, wp_valuation
-from .tau import TauPoly
-
-
-class CarlitzAction:
-    """The rank-one Drinfeld module with Phi_t = theta + tau over a base ring.
-
-    The cache maps coefficient tuples of a in A to TauPoly values; inserts
-    are guarded by a lock so instances can be shared across threads.
-    """
-
-    def __init__(self, ring):
-        if getattr(ring, "theta", None) is None:
-            raise DomainError("Carlitz action needs a base ring with theta")
-        self.ring = ring
-        self.phi_t = TauPoly(ring, (ring.theta, ring.one))
-        self._cache = {}
-        self._lock = threading.Lock()
-
-    def phi(self, a):
-        """Phi^C_a by Horner recursion on the t-expansion of a."""
-        key = tuple(c.idx for c in a.coeffs)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ring = self.ring
-        acc = TauPoly.zero(ring)
-        for c in reversed(a.coeffs):
-            acc = acc * self.phi_t
-            if c:
-                acc = acc + TauPoly(ring, (ring.coerce(c),))
-        with self._lock:
-            self._cache.setdefault(key, acc)
-        return acc
-
+from .tau import DrinfeldAction, TauPoly
 
 _ACTIONS = {}
 _ACTIONS_LOCK = threading.Lock()
 
 
 def carlitz_action(ring):
+    """The rank-one Drinfeld module with Phi_t = theta + tau over a base ring,
+    one shared action per ring."""
     key = id(ring)
     with _ACTIONS_LOCK:
         if key not in _ACTIONS:
-            _ACTIONS[key] = CarlitzAction(ring)
+            if getattr(ring, "theta", None) is None:
+                raise DomainError("Carlitz action needs a base ring with theta")
+            _ACTIONS[key] = DrinfeldAction(TauPoly(ring, (ring.theta, ring.one)))
         return _ACTIONS[key]
 
 

@@ -329,21 +329,25 @@ def run_suite(params):
     _require(params, "manifest")
     with open(params["manifest"]) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise DomainError("a manifest must be a JSON object")
     jobs = manifest.get("jobs", [])
+    if not (isinstance(jobs, list) and all(isinstance(j, dict) for j in jobs)):
+        raise DomainError("manifest jobs must be a list of JSON objects")
     threads = int(params.get("threads", 1))
 
     def run_one(idx_job):
         idx, job = idx_job
         command = job.get("command")
-        handler = HANDLERS.get(command)
+        handler = HANDLERS.get(command) if isinstance(command, str) else None
         if handler is None:
             return {"index": idx, "ok": False, "code": 1,
-                    "error": "unknown command %r" % command}
+                    "error": "unknown command %r" % (command,)}
         try:
             return {"index": idx, "ok": True, "result": handler(job)}
         except InternalConsistencyError as exc:
             return {"index": idx, "ok": False, "code": 2, "error": str(exc)}
-        except DomainError as exc:
+        except (ValueError, TypeError) as exc:
             return {"index": idx, "ok": False, "code": 1, "error": str(exc)}
 
     if threads > 1:
@@ -435,27 +439,22 @@ def main(argv=None):
     params = {k: v for k, v in vars(ns).items() if v is not None}
     group = params.pop("group")
     if group == "suite":
-        try:
-            out = run_suite(params)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(json.dumps(out, sort_keys=True))
-        return out["exit_code"]
-    op = params.pop("op")
-    handler = HANDLERS["%s %s" % (group, op)]
+        handler = run_suite
+    else:
+        handler = HANDLERS["%s %s" % (group, params.pop("op"))]
     try:
         result = handler(params)
     except InternalConsistencyError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal-consistency"},
                          sort_keys=True), file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (ValueError, TypeError, OSError) as exc:
+        # DomainError and json.JSONDecodeError are ValueErrors
         print(json.dumps({"error": str(exc), "kind": "domain"},
                          sort_keys=True), file=sys.stderr)
         return 1
     print(json.dumps(result, sort_keys=True))
-    return 0
+    return result["exit_code"] if group == "suite" else 0
 
 
 if __name__ == "__main__":

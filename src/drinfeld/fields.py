@@ -16,22 +16,12 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
-import itertools
+import operator
+import re
 
 from .errors import DomainError
 
 NEG_INF = float("-inf")
-
-# Irreducible moduli over F_p for the built-in field table.  For prime q the
-# modulus u makes F_p[u]/(u) = F_p, so every field is handled uniformly.
-_DEFAULT_MODULI = {
-    (2, 1): (0, 1),
-    (3, 1): (0, 1),
-    (5, 1): (0, 1),
-    (2, 2): (1, 1, 1),     # u^2 + u + 1
-    (2, 3): (1, 1, 0, 1),  # u^3 + u + 1
-    (3, 2): (1, 0, 1),     # u^2 + 1
-}
 
 _MAX_TABLE_Q = 128
 
@@ -47,72 +37,36 @@ def _is_prime(n):
     return True
 
 
-# Polynomial helpers over F_p on plain int tuples, used only to bootstrap the
-# multiplication tables of Fq.
+def power(base, n, mul=operator.mul):
+    """base^n for n >= 1 by square-and-multiply.
 
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppow_mod(base, e, m, p):
-    result = (1,)
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
+    The result starts from the first factor, not from one, and the last
+    squaring (whose value is never used) is skipped, so a truncated series
+    loses no precision to either.  ``mul`` defaults to the ring product;
+    a modular product gives powers in a quotient.
+    """
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
     return result
 
 
-def _pirreducible(m, p):
-    """Degree-n m over F_p has no factor of degree <= n/2."""
-    n = len(m) - 1
-    if n < 1:
-        return False
-    u = (0, 1)
-    for i in range(1, n // 2 + 1):
-        h = _ppow_mod(u, p ** i, m, p)
-        diff = _ptrim(tuple((hi - ui) % p for hi, ui in
-                            itertools.zip_longest(h, u, fillvalue=0)))
-        if len(_pgcd(m, diff, p)) != 1:
-            return False
-    return True
+def horner(coeffs, x, zero):
+    """sum coeffs[i] * x^i by Horner's rule, accumulated from ``zero``.
+
+    x may live in a larger ring than the coefficients: the accumulator's
+    addition coerces each nonzero coefficient.
+    """
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x
+        if c:
+            acc = acc + c
+    return acc
 
 
 class FqElem:
@@ -149,14 +103,9 @@ class FqElem:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.ring.one
+        return power(self, n)
 
     def inv(self):
         j = self.ring._inv[self.idx]
@@ -205,36 +154,28 @@ class Fq:
         if q > _MAX_TABLE_Q:
             raise DomainError("field order %d too large for table arithmetic" % q)
         if modulus is None:
-            if e == 1:
-                modulus = (0, 1)
-            elif (p, e) in _DEFAULT_MODULI:
-                modulus = _DEFAULT_MODULI[(p, e)]
-            else:
-                modulus = self._find_modulus(p, e)
+            modulus = (0, 1) if e == 1 else self._find_modulus(p, e)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise DomainError("modulus must be monic of degree e")
-        if e > 1 and not _pirreducible(modulus, p):
-            raise DomainError("modulus is reducible over F_p")
+        m = None
+        if e > 1:
+            prime = fq(p)
+            m = Poly(prime, (prime.from_int(c) for c in modulus))
+            if not is_irreducible(m):
+                raise DomainError("modulus is reducible over F_p")
         self.p = p
         self.e = e
         self.q = q
         self.modulus = modulus
         self.theta = None
-        self._build_tables()
+        self._build_tables(m)
 
     @staticmethod
     def _find_modulus(p, e):
-        for k in range(p ** e):
-            coeffs = []
-            kk = k
-            for _ in range(e):
-                coeffs.append(kk % p)
-                kk //= p
-            m = tuple(coeffs) + (1,)
-            if _pirreducible(m, p):
-                return m
-        raise DomainError("no irreducible modulus found")  # pragma: no cover
+        """The first irreducible in the fixed order of monic_polys(e)."""
+        return next(tuple(c.idx for c in m.coeffs)
+                    for m in polyring(fq(p)).monic_polys(e) if is_irreducible(m))
 
     def _vec(self, idx):
         out = []
@@ -244,27 +185,22 @@ class Fq:
         return tuple(out)
 
     def _idx(self, vec):
-        out = 0
-        for c in reversed(vec):
-            out = out * self.p + (c % self.p)
-        return out
+        return horner(tuple(c % self.p for c in vec), self.p, 0)
 
-    def _build_tables(self):
+    def _build_tables(self, m):
+        """Tables of F_p[u]/(m); m is the modulus as a Poly over F_p, or None
+        for the prime field itself."""
         p, e, q = self.p, self.e, self.q
         vecs = [self._vec(i) for i in range(q)]
         self._add = [[self._idx(tuple((a + b) % p for a, b in zip(vecs[i], vecs[j])))
                       for j in range(q)] for i in range(q)]
         self._neg = [self._idx(tuple((-a) % p for a in vecs[i])) for i in range(q)]
-        mul = []
-        for i in range(q):
-            row = []
-            ai = _ptrim(vecs[i])
-            for j in range(q):
-                prod = _pmod(_pmul(ai, _ptrim(vecs[j]), p), self.modulus, p) \
-                    if e > 1 else _pmul(ai, _ptrim(vecs[j]), p)
-                prod = prod + (0,) * (e - len(prod))
-                row.append(self._idx(prod))
-            mul.append(row)
+        if m is None:
+            mul = [[(i * j) % p for j in range(q)] for i in range(q)]
+        else:
+            polys = [Poly(m.ring, (m.ring.from_int(c) for c in v)) for v in vecs]
+            mul = [[self._idx([c.idx for c in ((a * b) % m).coeffs])
+                    for b in polys] for a in polys]
         self._mul = mul
         inv = [None] * q
         for i in range(1, q):
@@ -304,20 +240,6 @@ class Fq:
     def order(self):
         return self.q
 
-    def el(self, spec):
-        """Element from an int (prime q), coefficient tuple, or u-string."""
-        if isinstance(spec, FqElem) and spec.ring is self:
-            return spec
-        if isinstance(spec, int):
-            if self.e == 1:
-                return self._els[spec % self.p]
-            return self._els[spec % self.q]
-        if isinstance(spec, (tuple, list)):
-            return self._els[self._idx(tuple(spec))]
-        if isinstance(spec, str):
-            return self.parse(spec)
-        raise DomainError("cannot build field element from %r" % (spec,))
-
     def to_str(self, a):
         if self.e == 1:
             return str(a.idx)
@@ -335,28 +257,14 @@ class Fq:
         return "+".join(terms) if terms else "0"
 
     def parse(self, s):
-        s = s.strip()
-        if self.e == 1:
-            return self._els[int(s) % self.p]
+        """Element from an integer (read mod p) or, for q = p^e, a u-string
+        such as '2*u^2+u+1'; malformed input raises DomainError."""
         vec = [0] * self.e
-        for term in s.replace("-", "+-").split("+"):
-            term = term.strip()
-            if not term:
-                continue
-            sign = 1
-            if term.startswith("-"):
-                sign, term = -1, term[1:]
-            if "u" not in term:
-                vec[0] = (vec[0] + sign * int(term)) % self.p
-                continue
-            c, _, rest = term.partition("u")
-            c = c.rstrip("*").strip()
-            coef = int(c) if c else 1
-            k = 1
-            if rest.startswith("^"):
-                k = int(rest[1:])
-            vec[k] = (vec[k] + sign * coef) % self.p
-        return self._els[self._idx(tuple(vec))]
+        for sign, coef, k in _terms(s, "u", r"\d+"):
+            if k >= self.e:
+                raise DomainError("u^%d is not reduced in F_%d" % (k, self.q))
+            vec[k] += sign * int(coef or 1)
+        return self._els[self._idx(vec)]
 
     def __repr__(self):
         return "F_%d" % self.q
@@ -486,14 +394,9 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        result = Poly(self.ring, (self.ring.one,), normalize=False)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return Poly(self.ring, (self.ring.one,), normalize=False)
+        return power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -557,21 +460,6 @@ class Poly:
     def map_coeffs(self, func, ring):
         return Poly(ring, tuple(func(c) for c in self.coeffs))
 
-    def __call__(self, x):
-        """Horner evaluation; x may live in a larger ring than the coefficients."""
-        if not self.coeffs:
-            try:
-                return x.ring.zero
-            except AttributeError:
-                return x * 0
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = x.ring.coerce(c) if hasattr(x, "ring") else c
-            else:
-                acc = acc * x + c
-        return acc
-
     def pth_power(self, k=1):
         """Freshman's-dream power: (sum a_i t^i)^(p^k) = sum a_i^(p^k) t^(i p^k)."""
         if k == 0 or not self.coeffs:
@@ -599,14 +487,9 @@ class Poly:
         return a * Poly(a.ring, (a.leading().inv(),))
 
     def pow_mod(self, n, modulus):
-        result = Poly(self.ring, (self.ring.one,), normalize=False)
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return result
+        if n == 0:
+            return Poly(self.ring, (self.ring.one,), normalize=False)
+        return power(self % modulus, n, lambda a, b: (a * b) % modulus)
 
     def __repr__(self):
         ring = self.ring
@@ -764,14 +647,9 @@ class AResidue:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.ring.one
+        return power(self, n)
 
     def inv(self):
         g, s = _half_xgcd(self.value, self.ring.modulus)
@@ -862,12 +740,7 @@ class ResidueRing:
         """The A-algebra map a -> a(theta)."""
         if not (isinstance(a, Poly) and a.ring is self.field):
             raise DomainError("structure map expects an element of A")
-        if not a.coeffs:
-            return self.zero
-        acc = self.zero
-        for c in reversed(a.coeffs):
-            acc = acc * self.theta + c
-        return acc
+        return horner(a.coeffs, self.theta, self.zero)
 
     def from_int(self, n):
         return AResidue(self, Poly(self.field, (self.field.from_int(n),)))
@@ -896,9 +769,6 @@ class ResidueRing:
         coeffs = r.value.coeffs
         return tuple(c.idx for c in coeffs) + (0,) * (self.degree - len(coeffs))
 
-    def is_field(self):
-        return is_irreducible(self.modulus)
-
     def __repr__(self):
         return "A/(%s)" % poly_to_tstring(self.modulus)
 
@@ -911,10 +781,7 @@ def residue_ring(modulus):
 def find_root(f, ring):
     """Smallest root of an A-polynomial in a finite residue ring, or None."""
     for cand in ring.elements():
-        acc = ring.zero
-        for c in reversed(f.coeffs):
-            acc = acc * cand + c
-        if not acc:
+        if not horner(f.coeffs, cand, ring.zero):
             return cand
     return None
 
@@ -963,11 +830,8 @@ def extension_with_embedding(k, m):
             if root is None:  # pragma: no cover
                 continue
 
-            def embed(r, _root=root, _K=K):
-                acc = _K.zero
-                for c in reversed(r.value.coeffs):
-                    acc = acc * _root + c
-                return acc
+            def embed(r):
+                return horner(r.value.coeffs, root, K.zero)
 
             K.theta = embed(k.theta)
             return K, embed
@@ -1021,8 +885,38 @@ def poly_to_bracket(a):
     return "[%s]" % ",".join(a.ring.to_str(c) for c in a.coeffs)
 
 
+def _terms(s, var, coef):
+    """The terms of a sum such as '2*t^3-t+1' in the variable var.
+
+    Returns (sign, coefficient or None, exponent) triples; the coefficient
+    matches the regex ``coef`` and a constant term has exponent 0.  Signs
+    split terms only outside parentheses, so a parenthesised coefficient may
+    hold a sum of its own.  Input that is not such a sum, in full, raises
+    DomainError.
+    """
+    term = re.compile(r"\s*([+-]?)\s*(?:(%s)(?:\s*\*?\s*(%s)(?:\s*\^\s*(\d+))?)?"
+                      r"|(%s)(?:\s*\^\s*(\d+))?)\s*" % (coef, var, var))
+    out = []
+    pos = 0
+    while pos < len(s) or not out:
+        m = term.match(s, pos)
+        if m is None or (pos and not m.group(1)):
+            raise DomainError("cannot parse %r as a polynomial in %s" % (s, var))
+        sign, c, v1, k1, v2, k2 = m.groups()
+        k = int(k1 or k2 or 1) if (v1 or v2) else 0
+        out.append((-1 if sign == "-" else 1, c, k))
+        pos = m.end()
+    return out
+
+
 def parse_apoly(ring, s):
-    """Parse an element of A from bracket form '[c0,c1,...]' or a t-string."""
+    """Parse an element of A from bracket form '[c0,c1,...]' or a t-string.
+
+    Bracket entries are field elements: integers, or u-strings when q is not
+    prime.  A t-string is a sum of terms c, c*t and c*t^k whose coefficients
+    are integers or parenthesised field elements, e.g. '2*t^2-t+1' or
+    '(u)*t^2+t+(u+1)'.  Malformed input raises DomainError.
+    """
     field = ring.base if isinstance(ring, PolyRing) else ring
     s = s.strip()
     if s.startswith("["):
@@ -1033,28 +927,16 @@ def parse_apoly(ring, s):
             return Poly(field, ())
         coeffs = [field.parse(part) for part in inner.split(",")]
         return Poly(field, tuple(coeffs))
-    # t-polynomial form with integer coefficients
     coeffs = {}
-    for term in s.replace("-", "+-").split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        if "t" not in term:
-            coeffs[0] = coeffs.get(0, 0) + sign * int(term)
-            continue
-        c, _, rest = term.partition("t")
-        c = c.rstrip("*").strip()
-        coef = int(c) if c else 1
-        k = 1
-        if rest.startswith("^"):
-            k = int(rest[1:])
-        coeffs[k] = coeffs.get(k, 0) + sign * coef
-    if not coeffs:
-        return Poly(field, ())
+    for sign, coef, k in _terms(s, "t", r"\d+|\([^()]*\)"):
+        if coef is None:
+            c = field.one
+        elif coef.startswith("("):
+            c = field.parse(coef[1:-1])
+        else:
+            c = field.from_int(int(coef))
+        coeffs[k] = coeffs.get(k, field.zero) + (c if sign > 0 else -c)
     out = [field.zero] * (max(coeffs) + 1)
     for k, c in coeffs.items():
-        out[k] = field.from_int(c)
+        out[k] = c
     return Poly(field, tuple(out))

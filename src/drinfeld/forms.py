@@ -45,7 +45,7 @@ class FormExpansion:
         else:
             out_series = self.series ** n
         return FormExpansion(self.weight * n, (self.type_m * n) % max(1, q - 1),
-                             out_series)
+                             out_series, self.wp_prec)
 
 
 def hasse_lift_expansion(field, wp, prec):

@@ -8,11 +8,10 @@ middle coefficient alpha_d decides ordinariness.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalConsistencyError
-from .tau import TauPoly
+from .tau import DrinfeldAction, TauPoly
 
 
 @dataclass(frozen=True)
@@ -20,36 +19,23 @@ class DrinfeldRank2:
     ring: object
     a1: object
     a2: object
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
-                                  compare=False)
+    _action: DrinfeldAction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
             self.a2.inv()
         except DomainError:
             raise DomainError("a2 must be a unit")
+        ring = self.ring
+        object.__setattr__(self, "_action", DrinfeldAction(
+            TauPoly(ring, (ring.theta, self.a1, self.a2))))
 
     def phi_t(self):
-        ring = self.ring
-        return TauPoly(ring, (ring.theta, self.a1, self.a2))
+        return self._action.phi_t
 
     def phi(self, a):
-        """Phi_a by Horner on the t-expansion; deg_tau = 2 deg a."""
-        key = tuple(c.idx for c in a.coeffs)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ring = self.ring
-        pt = self.phi_t()
-        acc = TauPoly.zero(ring)
-        for c in reversed(a.coeffs):
-            acc = acc * pt
-            if c:
-                acc = acc + TauPoly(ring, (ring.coerce(c),))
-        with self._lock:
-            self._cache.setdefault(key, acc)
-        return acc
+        """Phi_a = a(Phi_t); deg_tau = 2 deg a."""
+        return self._action.phi(a)
 
     def j_invariant(self):
         q = self.ring.q

@@ -17,6 +17,7 @@ val == prec.
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
+from .fields import power
 
 
 class TruncSeries:
@@ -63,10 +64,6 @@ class TruncSeries:
         if k >= prec:
             raise PrecisionError("x^%d is not visible at precision %d" % (k, prec))
         return TruncSeries(ring, k, (ring.one,), prec, normalize=False)
-
-    @staticmethod
-    def from_coeffs(ring, val, coeffs, prec):
-        return TruncSeries(ring, val, tuple(coeffs), prec)
 
     # -- queries ----------------------------------------------------------
 
@@ -213,15 +210,7 @@ class TruncSeries:
             return self.inv() ** (-n)
         if n == 0:
             return TruncSeries.one(self.ring, max(1, self.prec - self.val))
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n)
 
     def pth_power(self, k=1):
         """(sum c_i x^i)^(p^k) = sum c_i^(p^k) x^(i p^k); precision multiplies."""

@@ -59,8 +59,12 @@ class TateDrinfeld:
             raise DomainError("wp must be monic irreducible")
         if f.is_zero():
             raise DomainError("the lattice scale f must be nonzero")
-        if prec < 2:
-            raise PrecisionError("the Tate-Drinfeld engine needs precision >= 2")
+        # for f = 1 this is the x^(q-1) statement; nu_f multiplies it by q^deg(f)
+        self.a2_valuation = (field.q - 1) * field.q ** f.degree
+        if prec <= self.a2_valuation:
+            raise PrecisionError(
+                "the Tate-Drinfeld engine needs precision above the valuation "
+                "(q-1) q^deg(f) = %d of a2" % self.a2_valuation)
         self.field = field
         self.q = field.q
         self.wp = wp
@@ -155,10 +159,6 @@ class TateDrinfeld:
 
     # -- module coefficients -------------------------------------------------
 
-    def _theta_pow(self, k):
-        """theta^(q^k) as an exact element of A (theta = t)."""
-        return self.A.gen.frob(k)
-
     def _solve_coefficients(self):
         # coefficient of Z^(q^i) in Phi_t(e(Z)) - e(theta Z + Z^q):
         #   theta e_i + a1 e_(i-1)^q + a2 e_(i-2)^(q^2) - e_i theta^(q^i) - e_(i-1)
@@ -180,14 +180,11 @@ class TateDrinfeld:
             raise InternalConsistencyError("a1 is not in 1 + x A[[x]]")
         if (a1 - one).order() is not None and (a1 - one).order() < 1:
             raise InternalConsistencyError("a1 is not in 1 + x A[[x]]")
-        # for f = 1 this is the x^(q-1) statement; nu_f multiplies it by q^deg(f)
-        a2_val = (self.q - 1) * self.q ** self.f.degree
-        if a2.is_zero() or a2.order() != a2_val:
+        if a2.is_zero() or a2.order() != self.a2_valuation:
             raise InternalConsistencyError(
                 "a2 does not have valuation (q-1) q^deg(f)")
         if a2.leading().degree != 0:
             raise InternalConsistencyError("a2 is not a unit times a power of x")
-        self.a2_valuation = a2_val
         self.a1 = a1
         self.a2 = a2
         self.module = DrinfeldRank2(self.S, a1, a2)

@@ -9,8 +9,10 @@ coefficient, never q-th roots.
 
 from __future__ import annotations
 
+import threading
+
 from .errors import DomainError
-from .fields import NEG_INF
+from .fields import NEG_INF, horner, power
 
 
 class TauPoly:
@@ -113,14 +115,9 @@ class TauPoly:
     def __pow__(self, n):
         if n < 0:
             raise DomainError("negative power of a twisted polynomial")
-        result = TauPoly.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return TauPoly.one(self.ring)
+        return power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, TauPoly):
@@ -206,3 +203,26 @@ class TauPoly:
             if c:
                 parts.append("(%r)tau^%d" % (c, i))
         return " + ".join(parts)
+
+
+class DrinfeldAction:
+    """The A-action a -> Phi_a = a(Phi_t) of a Drinfeld module given by Phi_t.
+
+    Phi_a is found by Horner's rule in Phi_t and memoised under the
+    coefficient indices of a; inserts take a lock so one action can be
+    shared across threads.
+    """
+
+    def __init__(self, phi_t):
+        self.phi_t = phi_t
+        self._cache = {}
+        self._lock = threading.Lock()
+
+    def phi(self, a):
+        key = tuple(c.idx for c in a.coeffs)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        acc = horner(a.coeffs, self.phi_t, TauPoly.zero(self.phi_t.ring))
+        with self._lock:
+            return self._cache.setdefault(key, acc)

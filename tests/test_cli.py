@@ -122,6 +122,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "carlitz", "eisenstein", "--q", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("carlitz", "phi", "--q", "abc", "--a", "t"),
+        ("carlitz", "phi", "--q", "2", "--a", "t*t"),
+        ("carlitz", "phi", "--q", "2", "--a", "x^2"),
+        ("carlitz", "phi", "--q", "4", "--q-modulus", "1,x", "--a", "t"),
+    ])
+    def test_malformed_input_is_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "domain"
+
+    @pytest.mark.parametrize("q,f,prec", [(3, "1", 2), (4, "1", 3),
+                                          (2, "t", 2)])
+    def test_tate_precision_at_or_below_a2_valuation_is_1(self, capsys, q, f,
+                                                          prec):
+        code, _, err = run(capsys, "tate", "expand", "--q", str(q), "--wp",
+                           "t", "--f", f, "--prec", str(prec))
+        assert code == 1
+        assert json.loads(err)["kind"] == "domain"
+
+    def test_tate_precision_just_above_a2_valuation_is_0(self, capsys):
+        code, out, _ = run(capsys, "tate", "expand", "--q", "3", "--wp", "t",
+                           "--prec", "3")
+        assert code == 0
+        assert json.loads(out)["checks"]["functional_equation_ok"] is True
+
     def test_internal_error_is_2(self, capsys, monkeypatch):
         def broken(params):
             raise InternalConsistencyError("identity violated")
@@ -178,6 +204,27 @@ class TestSuite:
         doc = json.loads(out)
         assert doc["failed"] == 1
         assert doc["jobs"][0]["code"] == 1
+
+    def test_bad_job_isolated(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        jobs = {"jobs": [{"command": "carlitz phi", "q": "zz", "a": "t"},
+                         {"command": "carlitz phi", "q": 2, "a": "t"}]}
+        path.write_text(json.dumps(jobs))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["jobs"][0]["code"] == 1 and not doc["jobs"][0]["ok"]
+        assert doc["jobs"][1]["ok"]
+        assert doc["passed"] == 1 and doc["failed"] == 1
+
+    @pytest.mark.parametrize("text", ["[1,2]", '{"jobs": [1]}',
+                                      '{"jobs": {}}', "not json"])
+    def test_malformed_manifest_is_1(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "suite", "--manifest", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "domain"
 
     def test_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "manifest.json"

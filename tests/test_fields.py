@@ -249,3 +249,31 @@ class TestEncodings:
         s = poly_to_bracket(f)
         assert s == "[u,1]"
         assert parse_apoly(A, s) == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tstring_and_bracket_roundtrip(self, data):
+        field = fq(data.draw(st.sampled_from([2, 3, 4, 5])))
+        A = polyring(field)
+        f = Poly(field, data.draw(st.lists(st.sampled_from(field.elements()),
+                                           max_size=6)))
+        assert parse_apoly(A, poly_to_tstring(f)) == f
+        assert parse_apoly(A, poly_to_bracket(f)) == f
+
+    def test_parenthesised_coefficients(self):
+        F4 = fq(4)
+        A = polyring(F4)
+        u = F4.gen
+        assert parse_apoly(A, "t+(1)") == Poly(F4, (F4.one, F4.one))
+        assert parse_apoly(A, "(u)*t^2-t+(u+1)") == \
+            Poly(F4, (u + F4.one, F4.one, u))
+        assert F4.parse("u^1 + 1") == u + F4.one
+
+    @pytest.mark.parametrize("q,s", [
+        (2, "t*t"), (2, "x^2"), (2, "t^"), (2, "2 3"), (2, "t++1"),
+        (2, ""), (2, "(1"), (2, "[1,,1]"), (2, "[1"), (4, "[u^2]"),
+        (4, "(u)(1)"), (3, "[u]"), (2, "t2"),
+    ])
+    def test_malformed_input_rejected(self, q, s):
+        with pytest.raises(DomainError):
+            parse_apoly(polyring(fq(q)), s)

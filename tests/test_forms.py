@@ -215,3 +215,11 @@ class TestFormAlgebra:
         assert a.type_m == 0
         tagged = FormExpansion(a.weight, 1, a.series)
         assert (tagged * tagged).type_m == 0  # 1 + 1 mod (q - 1)
+
+    def test_pow_keeps_wp_prec(self, hasse_2t):
+        g, wp, A = hasse_2t
+        R = ResidueRing(wp ** 4)
+        reduced = reduce_mod_wp(g, R, 4)
+        assert reduced.pow(2).wp_prec == 4
+        assert reduced.pow(0).wp_prec == 4
+        assert g.pow(2).wp_prec is None

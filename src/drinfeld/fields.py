@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
+from array import array
 
 from .errors import DomainError
 
@@ -67,6 +69,58 @@ def horner(coeffs, x, zero):
         if c:
             acc = acc + c
     return acc
+
+
+_SLOT_TYPES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def kronecker_mul(a, b, n, ring):
+    """The first n coefficients of (sum a_i x^i)(sum b_j x^j) over F_p[t].
+
+    a and b are sequences of at most n elements of ``ring`` = F_p[t] with p
+    prime, the first of each nonzero.  Each operand is packed into one
+    integer: x-row i, t-slot j sits in slot i*S + j of w bytes, with
+    S = da + db - 1 slots per row (the t-length of a product row).  A slot
+    of the product sums at most min(len) * min(t-len) terms below p^2, and w
+    (1, 2, 4 or 8 bytes) holds that sum, so one bigint product carries
+    nothing from slot to slot.  Only the n product rows asked for are read
+    back, one at a time; each is reduced mod p and rebuilt from the interned
+    elements; zero rows share ``ring.zero``.  The operands hold fewer than
+    2^40 coefficients, so the slot sum stays below 2^54 and w never exceeds 8.
+    """
+    field = ring.base
+    p = field.p
+    da = max(len(c.coeffs) for c in a)
+    db = max(len(c.coeffs) for c in b)
+    S = da + db - 1
+    bound = min(len(a), len(b)) * min(da, db) * (p - 1) ** 2
+    w = 1
+    while bound >> (8 * w):
+        w *= 2
+    code = _SLOT_TYPES[w]
+
+    def pack(polys):
+        buf = array(code, bytes(w * S * len(polys)))
+        for i, c in enumerate(polys):
+            if c.coeffs:
+                buf[i * S:i * S + len(c.coeffs)] = array(
+                    code, [x.idx for x in c.coeffs])
+        return int.from_bytes(buf, sys.byteorder)
+
+    rows = min(n, len(a) + len(b) - 1)
+    prod = pack(a) * pack(b)
+    nbytes = rows * S * w
+    slots = memoryview(
+        (prod & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, sys.byteorder)
+    ).cast(code)
+    del prod  # freed before the rows are built
+    els = field._els
+    out = []
+    for i in range(rows):
+        row = bytes([v % p for v in slots[i * S:(i + 1) * S]]).rstrip(b"\0")
+        out.append(Poly(field, tuple(map(els.__getitem__, row)), normalize=False)
+                   if row else ring.zero)
+    return out
 
 
 class FqElem:
@@ -278,6 +332,9 @@ def fq(q, modulus=None):
     key = (q, modulus)
     if key in _FQ_CACHE:
         return _FQ_CACHE[key]
+    if q > _MAX_TABLE_Q:
+        # before the trial division, whose cost grows with q
+        raise DomainError("field order %d too large for table arithmetic" % q)
     p = None
     for cand in range(2, q + 1):
         if _is_prime(cand):
@@ -509,6 +566,8 @@ class PolyRing:
         self.gen = Poly(base, (base.zero, base.one), normalize=False)
         self.p = base.p
         self.q = base.q
+        # F_p[t] with p prime: series over it multiply by kronecker_mul
+        self.packed = isinstance(base, Fq) and base.e == 1
 
     @property
     def base_field(self):
@@ -909,13 +968,16 @@ def _terms(s, var, coef):
     return out
 
 
-def parse_apoly(ring, s):
+def parse_apoly(ring, s, max_degree=None):
     """Parse an element of A from bracket form '[c0,c1,...]' or a t-string.
 
     Bracket entries are field elements: integers, or u-strings when q is not
     prime.  A t-string is a sum of terms c, c*t and c*t^k whose coefficients
     are integers or parenthesised field elements, e.g. '2*t^2-t+1' or
-    '(u)*t^2+t+(u+1)'.  Malformed input raises DomainError.
+    '(u)*t^2+t+(u+1)'.  Malformed input raises DomainError, and so does a
+    bracket form of degree above ``max_degree`` or a t-string with a term
+    t^k, k > max_degree; the latter is caught before any list of length k
+    is built.
     """
     field = ring.base if isinstance(ring, PolyRing) else ring
     s = s.strip()
@@ -925,10 +987,12 @@ def parse_apoly(ring, s):
         inner = s[1:-1].strip()
         if not inner:
             return Poly(field, ())
-        coeffs = [field.parse(part) for part in inner.split(",")]
-        return Poly(field, tuple(coeffs))
+        out = Poly(field, tuple(field.parse(part) for part in inner.split(",")))
+        _check_degree(out.degree, max_degree)
+        return out
     coeffs = {}
     for sign, coef, k in _terms(s, "t", r"\d+|\([^()]*\)"):
+        _check_degree(k, max_degree)
         if coef is None:
             c = field.one
         elif coef.startswith("("):
@@ -940,3 +1004,9 @@ def parse_apoly(ring, s):
     for k, c in coeffs.items():
         out[k] = c
     return Poly(field, tuple(out))
+
+
+def _check_degree(k, max_degree):
+    if max_degree is not None and k > max_degree:
+        raise DomainError("t-degree %d exceeds the input bound %d"
+                          % (k, max_degree))

@@ -12,12 +12,23 @@ propagated through every operation:
 
 The zero-to-precision element is stored with an empty coefficient window and
 val == prec.
+
+Products over A = F_p[t] with p prime are Kronecker-packed
+(``fields.kronecker_mul``): the n = prec - val coefficients in the product's
+window of each operand become one integer, one bigint product replaces the
+n^2 polynomial products, and the n rows are read back.  The coefficients are
+those of the schoolbook product, bit for bit.  Over F_q[t] with q = p^e,
+e > 1, over quotient rings and over F_q itself the schoolbook loop runs.
+
+Substitution runs Horner's rule only over the terms c_k x^k with
+k < ceil(certified / val g): the others land at or beyond the certified
+precision and cannot change the result.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
-from .fields import power
+from .fields import kronecker_mul, power
 
 
 class TruncSeries:
@@ -160,6 +171,9 @@ class TruncSeries:
         n = prec - val
         if n <= 0:
             return TruncSeries.zero(self.ring, prec)
+        if getattr(self.ring, "packed", False):
+            out = kronecker_mul(self.coeffs[:n], o.coeffs[:n], n, self.ring)
+            return TruncSeries(self.ring, val, out, prec)
         zero = self.ring.zero
         out = [zero] * min(n, len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -289,9 +303,13 @@ class TruncSeries:
                 certified = min(certified, g.prec + (kmin - 1) * gval)
         if certified < 1:
             raise PrecisionError("substitution cannot certify any precision")
-        # Horner on x^(-val) * self, then scale by g^val.
+        # Horner on x^(-val) * self, then scale by g^val.  A term c_k g^k
+        # with k >= ceil(certified / val g) is invisible, so it is skipped.
+        top = self.val + len(self.coeffs)
+        if gval > 0:
+            top = min(top, -(-certified // gval))
         acc = TruncSeries.zero(ring, certified - min(0, self.val) * gval)
-        for k in range(self.val + len(self.coeffs) - 1, self.val - 1, -1):
+        for k in range(top - 1, self.val - 1, -1):
             acc = acc * g
             c = self.coeff(k)
             if c:

@@ -75,6 +75,8 @@ class TateDrinfeld:
         self.S = SeriesRing(self.A, prec)
         self.i_max = i_max if i_max is not None else max(3, self.d + 1)
         self._psi = None
+        self._eprime = None
+        self._lattice = {}  # g.coeffs -> F_g, filled by nu
         self._lock = threading.Lock()
         self._build_exponential()
         self._solve_coefficients()
@@ -209,7 +211,10 @@ class TateDrinfeld:
         then truncated back to the working window."""
         if g.degree < 1:
             return series
-        F = lattice_inverse(self.field, g, self.prec)
+        F = self._lattice.get(g.coeffs)
+        if F is None:
+            F = self._lattice.setdefault(
+                g.coeffs, lattice_inverse(self.field, g, self.prec))
         return series.substitute(F).truncate(self.prec)
 
     def descended_j(self):
@@ -237,8 +242,7 @@ class TateDrinfeld:
         if self.i_max < self.d + 1:
             raise PrecisionError("exponential index bound below d + 1")
         w = carlitz_phi(self.A, self.wp).coeffs  # w_0 = wp, ..., w_d = 1
-        eprime = [self.nu(self.wp, self.exp_coeff(i))
-                  for i in range(self.i_max + 1)]
+        eprime = self._nu_wp_exponential()
         c = [TruncSeries.constant(self.wp, self.A, self.prec)]
         for k in range(1, self.d + 1):
             rhs = self._expp_rhs(k, w, eprime)
@@ -251,6 +255,13 @@ class TateDrinfeld:
             self._psi = psi
         return psi
 
+    def _nu_wp_exponential(self):
+        """e'_i = nu_wp(e_i) for i <= i_max, computed once per instance."""
+        if self._eprime is None:
+            self._eprime = tuple(self.nu(self.wp, self.exp_coeff(i))
+                                 for i in range(self.i_max + 1))
+        return self._eprime
+
     def _expp_rhs(self, k, w, eprime):
         acc = TruncSeries.zero(self.A, self.prec)
         for i in range(k + 1):
@@ -262,8 +273,7 @@ class TateDrinfeld:
     def expp_residuals(self):
         """Residuals of the defining identity at indices d+1..i_max."""
         w = carlitz_phi(self.A, self.wp).coeffs
-        eprime = [self.nu(self.wp, self.exp_coeff(i))
-                  for i in range(self.i_max + 1)]
+        eprime = self._nu_wp_exponential()
         c = self.canonical_isogeny()
         out = []
         for k in range(self.d + 1, self.i_max + 1):

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from drinfeld import cli
-from drinfeld.errors import InternalConsistencyError
+from drinfeld.errors import DomainError, InternalConsistencyError
+from drinfeld.fields import fq
 
 
 def run(capsys, *argv):
@@ -148,6 +149,34 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["checks"]["functional_equation_ok"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ("carlitz", "phi", "--q", "2", "--a", "t^40"),
+        ("carlitz", "phi", "--q", "2", "--a", "t^999999999+1"),
+        ("carlitz", "phi", "--q", "3", "--a", "[1,0,0,0,0,0,0,0,0,0,0,1]"),
+        ("carlitz", "eisenstein", "--q", "7", "--wp", "t^6+3"),
+        ("carlitz", "cyclotomic", "--q", "2", "--factors", "t,t^17+t+1"),
+        ("drinfeld", "dual", "--q", "2", "--wp", "t", "--a1", "1",
+         "--a2", "t^20"),
+        ("vsheaf", "kernel", "--q", "2", "--wp", "t", "--a1", "1",
+         "--a2", "1", "--u", "t^17"),
+        ("tate", "expand", "--q", "2", "--wp", "t", "--f", "t^17",
+         "--prec", "8"),
+        ("forms", "hasse", "--q", "4", "--wp", "t^9", "--prec", "8"),
+    ])
+    def test_input_degree_above_bound_is_1(self, capsys, argv):
+        # q^deg > 2^16: the work of Phi^C_a grows like q^deg a
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "input bound" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("q,admitted", [(2, 16), (3, 10), (4, 8), (7, 5)])
+    def test_input_degree_bound_edge(self, q, admitted):
+        field = fq(q)
+        assert q ** admitted <= cli.MAX_INPUT_SIZE < q ** (admitted + 1)
+        assert cli._apoly(field, "t^%d+1" % admitted).degree == admitted
+        with pytest.raises(DomainError, match="input bound"):
+            cli._apoly(field, "t^%d+1" % (admitted + 1))
+
     def test_internal_error_is_2(self, capsys, monkeypatch):
         def broken(params):
             raise InternalConsistencyError("identity violated")
@@ -216,6 +245,17 @@ class TestSuite:
         assert doc["jobs"][0]["code"] == 1 and not doc["jobs"][0]["ok"]
         assert doc["jobs"][1]["ok"]
         assert doc["passed"] == 1 and doc["failed"] == 1
+
+    def test_input_degree_above_bound_is_job_error(self, tmp_path, capsys):
+        jobs = [{"command": "carlitz phi", "q": 2, "a": "t^40"},
+                {"command": "carlitz phi", "q": 2, "a": "t"}]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"jobs": jobs}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] == 1
+        assert doc["jobs"][0]["code"] == 1
+        assert "input bound" in doc["jobs"][0]["error"]
 
     @pytest.mark.parametrize("text", ["[1,2]", '{"jobs": [1]}',
                                       '{"jobs": {}}', "not json"])

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeld import fields
 from drinfeld.errors import DomainError
 from drinfeld.fields import (NEG_INF, Poly, ResidueRing, fq, is_irreducible,
                              parse_apoly, poly_to_bracket, poly_to_tstring,
@@ -24,6 +25,16 @@ class TestFq:
     def test_inv_zero_raises(self, F2):
         with pytest.raises(DomainError):
             F2.zero.inv()
+
+    @pytest.mark.parametrize("q", [129, 100003, 1000000007, 2 ** 61 - 1])
+    def test_large_order_rejected_before_trial_division(self, monkeypatch, q):
+        # trial division up to q would take hours at q = 10^9 + 7
+        def no_trial_division(n):
+            raise AssertionError("_is_prime(%d) ran for q = %d" % (n, q))
+
+        monkeypatch.setattr(fields, "_is_prime", no_trial_division)
+        with pytest.raises(DomainError, match="too large"):
+            fq(q)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_builtin_table(self, q):

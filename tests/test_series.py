@@ -90,6 +90,186 @@ class TestArith:
         assert out_hi.truncate(out_lo.prec) == out_lo.truncate(out_hi.prec)
 
 
+def schoolbook_mul(f, g):
+    """f * g by the precision rules of the module docstring, with every
+    t-coefficient product summed as a plain integer and reduced mod p at the
+    end; independent of both product paths in the package."""
+    ring, p = f.ring, f.ring.p
+    prec = min(f.val + g.prec, g.val + f.prec)
+    val = f.val + g.val
+    n = prec - val
+    if not f.coeffs or not g.coeffs or n <= 0:
+        return TruncSeries.zero(ring, prec)
+    rows = [[] for _ in range(min(n, len(f.coeffs) + len(g.coeffs) - 1))]
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs[:max(0, len(rows) - i)]):
+            row = rows[i + j]
+            row.extend([0] * (len(a.coeffs) + len(b.coeffs) - 1 - len(row)))
+            for k, c in enumerate(a.coeffs):
+                for l, d in enumerate(b.coeffs):
+                    row[k + l] += c.idx * d.idx
+    els = ring.base.elements()
+    return TruncSeries(ring, val, [Poly(ring.base, [els[v % p] for v in r])
+                                   for r in rows], prec)
+
+
+def dense_series(S, rows, tlen, val=0):
+    """rows x-coefficients, each of t-length tlen with every entry p - 1."""
+    top = S.ring.base.from_int(-1)
+    return TruncSeries(S.ring, val, [Poly(S.ring.base, [top] * tlen)] * rows,
+                       S.prec)
+
+
+def packed_slot_bytes(f, g, n):
+    """The slot width kronecker_mul picks for the first n rows of f and g."""
+    a, b = f.coeffs[:n], g.coeffs[:n]
+    da = max(len(c.coeffs) for c in a)
+    db = max(len(c.coeffs) for c in b)
+    bound = min(len(a), len(b)) * min(da, db) * (f.ring.p - 1) ** 2
+    return next(w for w in (1, 2, 4, 8) if bound < 256 ** w)
+
+
+class TestPackedProduct:
+    """Series over F_p[t] multiply through kronecker_mul; they must agree
+    with the schoolbook product in val, coeffs and prec."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        field = fq(p)
+        A = polyring(field)
+        apoly = st.lists(st.sampled_from(field.elements()), max_size=6).map(
+            lambda cs: Poly(field, cs))
+
+        def series():
+            coeffs = data.draw(st.lists(apoly, max_size=12))
+            val = data.draw(st.integers(-2, 3))
+            prec = val + data.draw(st.integers(0, 14))
+            return TruncSeries(A, val, coeffs, prec)
+
+        f, g = series(), series()
+        assert f * g == schoolbook_mul(f, g)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_zero_to_precision_operands(self, p):
+        S = sring(p, 8)
+        f = dense_series(S, 5, 3)
+        zero = TruncSeries.zero(S.ring, 6)
+        for a, b in ((f, zero), (zero, f), (zero, zero)):
+            assert a * b == schoolbook_mul(a, b)
+            assert (a * b).is_zero()
+        # operands whose product window is empty: n = prec - val <= 0
+        hi = TruncSeries(S.ring, 7, [S.ring.one], 8)
+        assert hi * hi == schoolbook_mul(hi, hi)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_truncated_window(self, p):
+        # n = 4 rows asked for from operands of 10 rows (full product 19)
+        S = sring(p, 10)
+        f = dense_series(S, 10, 4, val=1)
+        g = dense_series(S, 10, 3, val=2).truncate(5)
+        prod = f * g
+        assert prod == schoolbook_mul(f, g)
+        assert (prod.val, prod.prec) == (3, 6)
+
+    @pytest.mark.parametrize("rows,tlen,width", [(4, 2, 2), (20, 92, 4)])
+    def test_wide_slots_at_p7(self, rows, tlen, width):
+        # all coefficients 6: the middle slot sums rows * tlen * 36, which
+        # overflows the next smaller width
+        S = sring(7, rows)
+        f = dense_series(S, rows, tlen)
+        assert packed_slot_bytes(f, f, rows) == width
+        assert rows * tlen * 36 >= 256 ** (width // 2)
+        assert f * f == schoolbook_mul(f, f)
+
+
+def substitute_untruncated(f, g, self_is_polynomial=False):
+    """The Horner substitution over every stored term of f, with the
+    certified precision of TruncSeries.substitute."""
+    ring = f.ring
+    gval = g.order()
+    if gval is None:
+        gval = g.prec
+    if self_is_polynomial:
+        certified = min((g.prec + (k - 1) * gval for k in f.coeff_range()
+                         if k != 0 and f.coeff(k)), default=g.prec)
+    else:
+        kmin = next((k for k in f.coeff_range() if k != 0 and f.coeff(k)), None)
+        certified = gval * f.prec
+        if kmin is not None:
+            certified = min(certified, g.prec + (kmin - 1) * gval)
+    acc = TruncSeries.zero(ring, certified - min(0, f.val) * gval)
+    for k in range(f.val + len(f.coeffs) - 1, f.val - 1, -1):
+        acc = acc * g
+        c = f.coeff(k)
+        if c:
+            acc = acc + TruncSeries.constant(c, ring, max(1, acc.prec))
+    if f.val > 0:
+        acc = acc * (g ** f.val)
+    elif f.val < 0:
+        acc = acc * (g.inv() ** (-f.val))
+    return acc.truncate(certified)
+
+
+class TestSubstituteTruncation:
+    """Horner stops at k < ceil(certified / val g); the terms it skips are
+    invisible, so the result equals the untruncated one exactly."""
+
+    def _draw(self, data, S, val, min_terms=1):
+        field = S.ring.base
+        apoly = st.lists(st.sampled_from(field.elements()), max_size=3).map(
+            lambda cs: Poly(field, cs))
+        coeffs = [S.ring.one] + data.draw(st.lists(apoly, min_size=min_terms - 1,
+                                                   max_size=9))
+        return TruncSeries(S.ring, val, coeffs, S.prec)
+
+    def _target(self, data, S, gval):
+        # leading coefficient one, so g inverts when f has a Laurent tail
+        g = self._draw(data, S, gval)
+        return g.truncate(data.draw(st.integers(gval + 1, S.prec)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_untruncated(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        S = sring(p, 12)
+        val = data.draw(st.sampled_from([-2, -1, 0, 1, 2]))
+        f = self._draw(data, S, val)
+        g = self._target(data, S, data.draw(st.integers(1, 3)))
+        try:
+            out = f.substitute(g)
+        except PrecisionError:  # a Laurent tail can leave nothing certified
+            return
+        assert out == substitute_untruncated(f, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_polynomial_flag_matches_untruncated(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        S = sring(p, 12)
+        field = S.ring.base
+        # an exact polynomial: its precision lies beyond its stored terms
+        cs = data.draw(st.lists(st.sampled_from(field.elements()), min_size=1,
+                                max_size=5))
+        f = TruncSeries(S.ring, 0, [Poly(field, [c]) for c in cs], 40)
+        g = self._target(data, S, data.draw(st.integers(0, 2)))
+        if f.is_zero():
+            return
+        assert (f.substitute(g, self_is_polynomial=True)
+                == substitute_untruncated(f, g, self_is_polynomial=True))
+
+    def test_skipped_terms_are_invisible(self):
+        # f = sum_{k<12} x^k into g = x^3: terms k >= 4 lie beyond x^12
+        S = sring(2, 12)
+        f = TruncSeries(S.ring, 0, [S.ring.one] * 12, 12)
+        g = S.x(3)
+        out = f.substitute(g)
+        assert out == substitute_untruncated(f, g)
+        assert out.prec == 12 and [out.coeff(k) for k in (0, 3, 6, 9)] == \
+            [S.ring.one] * 4
+
+
 class TestSubstitute:
     def test_simple(self):
         S = sring(2, 8)

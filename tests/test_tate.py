@@ -118,6 +118,52 @@ class TestNu:
             assert lhs.agrees_with(tdf.exp_coeff(i))
 
 
+class TestOneTimeWork:
+    """nu_wp(e_i) runs once per instance, and F_g is memoised on the
+    instance, not in a module-level table."""
+
+    @staticmethod
+    def _module_dicts():
+        from drinfeld import series, tate
+        return {(m.__name__, k): len(v) for m in (tate, series)
+                for k, v in vars(m).items() if isinstance(v, dict)}
+
+    @pytest.mark.parametrize("q,wp", [(2, "t"), (2, "t2"), (3, "t")])
+    def test_nu_runs_once_per_exponential_coefficient(self, monkeypatch, q, wp):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        wp = {"t": t, "t2": t * t + t + A.one}[wp]
+        calls = []
+        nu = TateDrinfeld.nu
+
+        def counting_nu(td, g, series):
+            calls.append(g)
+            return nu(td, g, series)
+
+        monkeypatch.setattr(TateDrinfeld, "nu", counting_nu)
+        td = TateDrinfeld(field, wp, A.one, 10)
+        assert calls == []
+        psi = td.canonical_isogeny()
+        residuals = td.expp_residuals()
+        assert len(calls) == td.i_max + 1 and all(g == wp for g in calls)
+        assert all(r.is_zero() for r in residuals)
+        assert td.canonical_isogeny() is psi and len(calls) == td.i_max + 1
+
+    def test_lattice_inverse_memo_lives_on_the_instance(self, F2, A2):
+        t = A2.gen
+        before = self._module_dicts()
+        td = TateDrinfeld(F2, t, A2.one, 10)
+        assert td._lattice == {}
+        td.canonical_isogeny()
+        td.expp_residuals()
+        assert td.verify_tdquot(t)
+        assert list(td._lattice) == [t.coeffs]
+        assert td._lattice[t.coeffs] == lattice_inverse(F2, t, 10)
+        assert TateDrinfeld(F2, t, A2.one, 10)._lattice == {}
+        assert self._module_dicts() == before
+
+
 class TestCanonicalIsogeny:
     def test_c0_is_wp_exactly(self):
         for cfg in TD_CONFIGS:

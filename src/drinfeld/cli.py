@@ -26,11 +26,6 @@ from .tau import TauPoly
 
 USAGE_EXIT = 64
 
-# Phi^C_a has tau^i coefficients of t-degree about q^i, so time and output
-# grow like q^deg a.  Polynomial inputs are admitted while q^deg <= 2^16;
-# the documented examples stay far below (carlitz phi at q=7, deg 4: 2401).
-MAX_INPUT_SIZE = 2 ** 16
-
 
 class CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -68,10 +63,7 @@ def _field(params):
 
 
 def _apoly(field, s):
-    max_degree = 0
-    while field.q ** (max_degree + 1) <= MAX_INPUT_SIZE:
-        max_degree += 1
-    return parse_apoly(polyring(field), str(s), max_degree)
+    return parse_apoly(polyring(field), str(s))
 
 
 def _require(params, *names):

@@ -27,6 +27,12 @@ NEG_INF = float("-inf")
 
 _MAX_TABLE_Q = 128
 
+# Phi^C_a has tau^i coefficients of t-degree about q^i, so the work on an
+# input polynomial a grows like q^deg a.  Parsed input is admitted while
+# q^deg <= 2^16; the catalogued examples stay far below (carlitz phi at
+# q = 7 with deg a = 4: 2401).
+_MAX_INPUT_SIZE = 2 ** 16
+
 
 def _is_prime(n):
     if n < 2:
@@ -968,18 +974,20 @@ def _terms(s, var, coef):
     return out
 
 
-def parse_apoly(ring, s, max_degree=None):
+def parse_apoly(ring, s):
     """Parse an element of A from bracket form '[c0,c1,...]' or a t-string.
 
     Bracket entries are field elements: integers, or u-strings when q is not
     prime.  A t-string is a sum of terms c, c*t and c*t^k whose coefficients
     are integers or parenthesised field elements, e.g. '2*t^2-t+1' or
     '(u)*t^2+t+(u+1)'.  Malformed input raises DomainError, and so does a
-    bracket form of degree above ``max_degree`` or a t-string with a term
-    t^k, k > max_degree; the latter is caught before any list of length k
-    is built.
+    polynomial with q^deg > 2^16 or a t-string term t^k with q^k > 2^16;
+    the latter is caught before any list of length k is built.
     """
     field = ring.base if isinstance(ring, PolyRing) else ring
+    max_degree = 0
+    while field.q ** (max_degree + 1) <= _MAX_INPUT_SIZE:
+        max_degree += 1
     s = s.strip()
     if s.startswith("["):
         if not s.endswith("]"):
@@ -1007,6 +1015,6 @@ def parse_apoly(ring, s, max_degree=None):
 
 
 def _check_degree(k, max_degree):
-    if max_degree is not None and k > max_degree:
-        raise DomainError("t-degree %d exceeds the input bound %d"
+    if k > max_degree:
+        raise DomainError("t-degree %d exceeds the input bound %d (q^deg <= 2^16)"
                           % (k, max_degree))

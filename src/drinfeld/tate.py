@@ -257,10 +257,11 @@ class TateDrinfeld:
 
     def _nu_wp_exponential(self):
         """e'_i = nu_wp(e_i) for i <= i_max, computed once per instance."""
-        if self._eprime is None:
-            self._eprime = tuple(self.nu(self.wp, self.exp_coeff(i))
-                                 for i in range(self.i_max + 1))
-        return self._eprime
+        with self._lock:  # held while computing: suite threads share instances
+            if self._eprime is None:
+                self._eprime = tuple(self.nu(self.wp, self.exp_coeff(i))
+                                     for i in range(self.i_max + 1))
+            return self._eprime
 
     def _expp_rhs(self, k, w, eprime):
         acc = TruncSeries.zero(self.A, self.prec)

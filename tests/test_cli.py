@@ -3,8 +3,7 @@ import json
 import pytest
 
 from drinfeld import cli
-from drinfeld.errors import DomainError, InternalConsistencyError
-from drinfeld.fields import fq
+from drinfeld.errors import InternalConsistencyError
 
 
 def run(capsys, *argv):
@@ -168,14 +167,6 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "input bound" in json.loads(err)["error"]
-
-    @pytest.mark.parametrize("q,admitted", [(2, 16), (3, 10), (4, 8), (7, 5)])
-    def test_input_degree_bound_edge(self, q, admitted):
-        field = fq(q)
-        assert q ** admitted <= cli.MAX_INPUT_SIZE < q ** (admitted + 1)
-        assert cli._apoly(field, "t^%d+1" % admitted).degree == admitted
-        with pytest.raises(DomainError, match="input bound"):
-            cli._apoly(field, "t^%d+1" % (admitted + 1))
 
     def test_internal_error_is_2(self, capsys, monkeypatch):
         def broken(params):

@@ -280,6 +280,18 @@ class TestEncodings:
             Poly(F4, (u + F4.one, F4.one, u))
         assert F4.parse("u^1 + 1") == u + F4.one
 
+    @pytest.mark.parametrize("q,admitted", [(2, 16), (3, 10), (4, 8), (7, 5)])
+    def test_input_degree_bound(self, q, admitted):
+        # q^deg <= 2^16: the work on an input a grows like q^deg a
+        A = polyring(fq(q))
+        assert q ** admitted <= 2 ** 16 < q ** (admitted + 1)
+        assert parse_apoly(A, "t^%d+1" % admitted).degree == admitted
+        assert parse_apoly(A, "[%s1]" % ("0," * admitted)).degree == admitted
+        for s in ("t^%d+1" % (admitted + 1), "[%s1]" % ("0," * (admitted + 1)),
+                  "t^999999999"):
+            with pytest.raises(DomainError, match="input bound"):
+                parse_apoly(A, s)
+
     @pytest.mark.parametrize("q,s", [
         (2, "t*t"), (2, "x^2"), (2, "t^"), (2, "2 3"), (2, "t++1"),
         (2, ""), (2, "(1"), (2, "[1,,1]"), (2, "[1"), (4, "[u^2]"),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from drinfeld.errors import DomainError
@@ -149,6 +152,40 @@ class TestOneTimeWork:
         assert len(calls) == td.i_max + 1 and all(g == wp for g in calls)
         assert all(r.is_zero() for r in residuals)
         assert td.canonical_isogeny() is psi and len(calls) == td.i_max + 1
+
+    def test_nu_runs_once_under_threads(self, monkeypatch, F2, A2):
+        calls = []
+        nu = TateDrinfeld.nu
+
+        def counting_nu(td, g, series):
+            calls.append(g)
+            return nu(td, g, series)
+
+        monkeypatch.setattr(TateDrinfeld, "nu", counting_nu)
+        td = TateDrinfeld(F2, A2.gen, A2.one, 16)
+        methods = (td.expp_residuals, td.canonical_isogeny) * 3
+        barrier = threading.Barrier(len(methods), timeout=60)
+        errors = []
+
+        def run(method):
+            barrier.wait()
+            try:
+                method()
+            except Exception as exc:  # asserted empty below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(m,)) for m in methods]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and errors == []
+        assert len(calls) == td.i_max + 1
 
     def test_lattice_inverse_memo_lives_on_the_instance(self, F2, A2):
         t = A2.gen

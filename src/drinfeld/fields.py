@@ -81,21 +81,32 @@ _SLOT_TYPES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def kronecker_mul(a, b, n, ring):
-    """The first n coefficients of (sum a_i x^i)(sum b_j x^j) over F_p[t].
+    """The first n coefficients of (sum a_i x^i)(sum b_j x^j) over F_p[t] or
+    over a quotient A/(m) of it.
 
-    a and b are sequences of at most n elements of ``ring`` = F_p[t] with p
-    prime, the first of each nonzero.  Each operand is packed into one
-    integer: x-row i, t-slot j sits in slot i*S + j of w bytes, with
-    S = da + db - 1 slots per row (the t-length of a product row).  A slot
-    of the product sums at most min(len) * min(t-len) terms below p^2, and w
-    (1, 2, 4 or 8 bytes) holds that sum, so one bigint product carries
-    nothing from slot to slot.  Only the n product rows asked for are read
-    back, one at a time; each is reduced mod p and rebuilt from the interned
-    elements; zero rows share ``ring.zero``.  The operands hold fewer than
-    2^40 coefficients, so the slot sum stays below 2^54 and w never exceeds 8.
+    a and b are sequences of at most n elements of ``ring`` (``packed``
+    true: F_p[t] or A/(m) with p prime), the first of each nonzero.  Over
+    A/(m) the reduced representatives ``value`` (t-length at most deg m) are
+    packed.  Each operand is packed into one integer: x-row i, t-slot j sits
+    in slot i*S + j of w bytes, with S = da + db - 1 slots per row (the
+    t-length of a product row).  A slot of the product sums at most
+    min(len) * min(t-len) terms below p^2, and w (1, 2, 4 or 8 bytes) holds
+    that sum, so one bigint product carries nothing from slot to slot.  Only
+    the n product rows asked for are read back, one at a time; each is
+    reduced mod p and rebuilt from the interned elements.  Over A/(m) a row
+    of degree deg m or more is then reduced once mod m: reduction is
+    A-linear, so this equals the sum of the reduced products, and the
+    canonical representative (degree < deg m) is the schoolbook one.  Zero
+    rows share ``ring.zero``.
+    The operands hold fewer than 2^40 coefficients, so the slot sum stays
+    below 2^54 and w never exceeds 8.
     """
-    field = ring.base
+    field = ring.base_field
     p = field.p
+    modulus = getattr(ring, "modulus", None)
+    if modulus is not None:
+        a = [c.value for c in a]
+        b = [c.value for c in b]
     da = max(len(c.coeffs) for c in a)
     db = max(len(c.coeffs) for c in b)
     S = da + db - 1
@@ -121,11 +132,14 @@ def kronecker_mul(a, b, n, ring):
     ).cast(code)
     del prod  # freed before the rows are built
     els = field._els
+    zero = ring.zero
     out = []
     for i in range(rows):
         row = bytes([v % p for v in slots[i * S:(i + 1) * S]]).rstrip(b"\0")
-        out.append(Poly(field, tuple(map(els.__getitem__, row)), normalize=False)
-                   if row else ring.zero)
+        c = Poly(field, tuple(map(els.__getitem__, row)), normalize=False)
+        if modulus is not None:
+            c = AResidue(ring, c % modulus if len(row) > modulus.degree else c)
+        out.append(c if c else zero)
     return out
 
 
@@ -783,6 +797,8 @@ class ResidueRing:
         self.one = AResidue(self, Poly(self.field, (self.field.one,), normalize=False))
         self.degree = modulus.degree
         self.order = self.q ** self.degree
+        # over F_p, p prime: series over A/(m) multiply by kronecker_mul
+        self.packed = self.field.e == 1
         if theta is None:
             theta = AResidue(self, polyring(self.field).gen % modulus)
         self.theta = theta

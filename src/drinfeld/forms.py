@@ -114,10 +114,10 @@ def series_wp_valuation(series, wp, cap):
     if series.is_zero():
         return cap
     v = cap
-    for k in series.coeff_range():
-        c = series.coeff(k)
+    for c in series.coeffs:
         if c:
-            v = min(v, _coeff_wp_valuation(c, wp, cap))
+            # capped at the running minimum: no division past the answer
+            v = _coeff_wp_valuation(c, wp, v)
             if v == 0:
                 return 0
     return v
@@ -225,8 +225,11 @@ def padic_limit_sequence(f, chi, wp, steps, hasse):
     """h_n = f * hasse^(j_n) with k_n = k + (q^d - 1) j_n tracking chi.
 
     j_n is the smallest nonnegative solution of
-    (q^d - 1) j = s1 - k mod p^(lp(n)); successive terms then agree mod
-    wp^n, which is asserted, and each h_n carries the weight tag k_n.
+    (q^d - 1) j = s1 - k mod p^(lp(n)), so j_n = j_(n-1) mod p^L with
+    L = lp(n - 1).  Since hasse = 1 mod wp, hasse^(p^L) = 1 mod wp^(p^L), and
+    successive terms agree mod wp^(p^L) (mod wp^wp_prec in a view A/(wp^n),
+    where valuations saturate); this is asserted, and each h_n carries the
+    weight tag k_n.
     """
     k = f.weight
     p = chi.p
@@ -244,11 +247,14 @@ def padic_limit_sequence(f, chi, wp, steps, hasse):
         h = f * hasse.pow(j)
         if h.weight != k + qd1 * j:
             raise InternalConsistencyError("weight tag drifted")
-        if prev is not None and n > 1:
-            if series_wp_valuation(h.series - prev.series, wp, n - 1) < n - 1:
+        if prev is not None:
+            need = p ** lp(n - 1, p)
+            if h.wp_prec is not None:
+                need = min(need, h.wp_prec)
+            if series_wp_valuation(h.series - prev.series, wp, need) < need:
                 raise InternalConsistencyError(
                     "successive congruence h_%d = h_%d mod wp^%d failed"
-                    % (n, n - 1, n - 1))
+                    % (n, n - 1, need))
         out.append((k + qd1 * j, h))
         prev = h
     return out

@@ -13,12 +13,13 @@ propagated through every operation:
 The zero-to-precision element is stored with an empty coefficient window and
 val == prec.
 
-Products over A = F_p[t] with p prime are Kronecker-packed
-(``fields.kronecker_mul``): the n = prec - val coefficients in the product's
-window of each operand become one integer, one bigint product replaces the
-n^2 polynomial products, and the n rows are read back.  The coefficients are
-those of the schoolbook product, bit for bit.  Over F_q[t] with q = p^e,
-e > 1, over quotient rings and over F_q itself the schoolbook loop runs.
+Products over A = F_p[t] and over its quotients A/(m), p prime, are
+Kronecker-packed (``fields.kronecker_mul``): the n = prec - val coefficients
+in the product's window of each operand become one integer, one bigint
+product replaces the n^2 polynomial products, and the n rows are read back;
+over A/(m) each row is then reduced once mod m.  The coefficients are those
+of the schoolbook product, bit for bit.  Over F_q[t] and A/(m) with q = p^e,
+e > 1, and over F_q itself the schoolbook loop runs.
 
 Substitution runs Horner's rule only over the terms c_k x^k with
 k < ceil(certified / val g): the others land at or beyond the certified

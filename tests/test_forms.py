@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from drinfeld.errors import DomainError
-from drinfeld.fields import ResidueRing, fq, polyring
+from drinfeld.errors import DomainError, InternalConsistencyError
+from drinfeld.fields import (AResidue, Poly, ResidueRing, fq, polyring,
+                             wp_valuation)
 from drinfeld.forms import (FormExpansion, WeightChar, coefficient_monomial,
                             reduce_mod_wp,
                             congruence_depth, hasse_lift_expansion, lp,
@@ -77,6 +79,74 @@ class TestCongruenceDepth:
                               f.series + TruncSeries.one(A, 12))
         res = congruence_depth(f, other, wp, 4)
         assert res.not_congruent
+
+
+def valuation_reference(series, wp, cap):
+    """min(cap, min_k v_wp(c_k)), every coefficient valued up to the full
+    cap; over A/(wp^n) the representative is valued (nonzero ones have
+    valuation below n)."""
+    return min([cap] + [wp_valuation(c.value if isinstance(c, AResidue) else c,
+                                     wp, cap)
+                        for c in series.coeffs if c])
+
+
+def valuation_case(q, wp_name, n):
+    field = fq(q)
+    A = polyring(field)
+    t = A.gen
+    wp = {"t": t, "t+1": t + A.one, "deg2": t * t + A.one if q == 3
+          else t * t + t + A.one}[wp_name]
+    R = None if n is None else ResidueRing(wp ** n)
+    return field, wp, R
+
+
+def valuation_series(wp, R, coeffs, prec):
+    """A series over A, or its reduction into the view R."""
+    A = polyring(wp.ring)
+    s = TruncSeries(A, 0, coeffs, prec)
+    return s if R is None else s.map_coeffs(R.reduce, R)
+
+
+class TestSeriesWpValuation:
+    """series_wp_valuation caps each coefficient at the running minimum; it
+    must equal the reference that values every coefficient up to cap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        q = data.draw(st.sampled_from([2, 3]))
+        n = data.draw(st.sampled_from([None, 1, 3, 5]))
+        field, wp, R = valuation_case(q, data.draw(
+            st.sampled_from(["t", "t+1", "deg2"])), n)
+        cap = data.draw(st.integers(0, 7))
+        unit = st.lists(st.sampled_from(field.elements()), max_size=3).map(
+            lambda cs: Poly(field, cs))
+        coeff = st.tuples(st.integers(0, cap + 1), unit).map(
+            lambda eu: wp ** eu[0] * eu[1])
+        s = valuation_series(wp, R, data.draw(st.lists(coeff, max_size=8)), 9)
+        assert series_wp_valuation(s, wp, cap) == valuation_reference(s, wp, cap)
+
+    @pytest.mark.parametrize("n", [None, 4])
+    @pytest.mark.parametrize("q,wp_name", [(2, "t"), (2, "deg2"), (3, "t+1")])
+    def test_shapes(self, q, wp_name, n):
+        field, wp, R = valuation_case(q, wp_name, n)
+        A = polyring(field)
+        cap = 6
+        shapes = {
+            "all-zero": [],
+            "early-zero": [A.one + wp, wp ** 3, wp],
+            "saturating": [wp ** 6, wp ** 7 * (wp + A.one), wp ** 8],
+            "descending": [wp ** 5, wp ** 3, wp ** 4, wp * (A.one + wp), wp ** 2],
+        }
+        for name, coeffs in shapes.items():
+            s = valuation_series(wp, R, coeffs, 6)
+            want = valuation_reference(s, wp, cap)
+            assert series_wp_valuation(s, wp, cap) == want, name
+        assert series_wp_valuation(valuation_series(wp, R, [], 6), wp, cap) == cap
+        early = valuation_series(wp, R, shapes["early-zero"], 6)
+        assert series_wp_valuation(early, wp, cap) == 0
+        descending = valuation_series(wp, R, shapes["descending"], 6)
+        assert series_wp_valuation(descending, wp, cap) == 1
 
 
 class TestAudit:
@@ -187,6 +257,56 @@ class TestPadicLimit:
         for n, (k, h) in enumerate(seq, start=1):
             assert h.weight == k
             assert weight_congruent(chi, k, n)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_successive_depth_is_p_power(self, q):
+        # chi one below the weight of f moves j_n at q=2 for n = 2, 3, 5 and
+        # at q=3 for n = 2, 4; each move lands exactly at p^lp(n-1)
+        field = fq(q)
+        t = polyring(field).gen
+        g = hasse_lift_expansion(field, t, 12)
+        f = coefficient_monomial(field, t, 12, 1, 1)
+        chi = WeightChar(0, f.weight - 1, q - 1, q, 12)
+        seq = padic_limit_sequence(f, chi, t, 5, g)
+        moved = []
+        for n in range(2, 6):
+            need = q ** lp(n - 1, q)
+            diff = seq[n - 1][1].series - seq[n - 2][1].series
+            if diff.is_zero():
+                assert seq[n - 1][0] == seq[n - 2][0]
+                continue
+            moved.append(n)
+            assert series_wp_valuation(diff, t, need + 1) == need
+        assert moved == {2: [2, 3, 5], 3: [2, 4]}[q]
+
+    def test_view_shallower_than_the_depth(self):
+        # A/(t^3) is shallower than p^lp(4) = 4 at n = 5; the sequence there
+        # is the reduction of the sequence over A
+        field = fq(2)
+        t = polyring(field).gen
+        R = ResidueRing(t ** 3)
+        g = hasse_lift_expansion(field, t, 12)
+        f = coefficient_monomial(field, t, 12, 1, 1)
+        chi = WeightChar(0, f.weight - 1, 1, 2, 12)
+        full = padic_limit_sequence(f, chi, t, 5, g)
+        seq = padic_limit_sequence(reduce_mod_wp(f, R, 3), chi, t, 5,
+                                   reduce_mod_wp(g, R, 3))
+        assert [k for k, _ in seq] == [k for k, _ in full] == [4, 5, 7, 7, 11]
+        for (_, h), (_, h_full) in zip(seq, full):
+            assert h.series == h_full.series.map_coeffs(R.reduce, R)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_hasse_not_one_mod_wp_raises(self, q):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        g = hasse_lift_expansion(field, t, 12)
+        bad = FormExpansion(g.weight, 0,
+                            g.series + TruncSeries.x_power(A, 1, 12))
+        f = coefficient_monomial(field, t, 12, 1, 1)
+        chi = WeightChar(0, f.weight - 1, q - 1, q, 12)
+        with pytest.raises(InternalConsistencyError):
+            padic_limit_sequence(f, chi, t, 3, bad)
 
     def test_wrong_class_rejected(self):
         field = fq(3)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.errors import DomainError, PrecisionError
-from drinfeld.fields import Poly, fq, polyring
+from drinfeld import series as series_module
+from drinfeld.fields import AResidue, Poly, ResidueRing, fq, polyring
 from drinfeld.series import SeriesRing, TruncSeries, newton_slopes
 from drinfeld.tate import lattice_inverse
 
@@ -90,11 +91,31 @@ class TestArith:
         assert out_hi.truncate(out_lo.prec) == out_lo.truncate(out_hi.prec)
 
 
+def int_rem(row, modulus, p):
+    """row mod (modulus, p) by long division on plain integers; modulus is
+    monic, given by its coefficient indices, low degree first."""
+    row = [v % p for v in row]
+    d = len(modulus) - 1
+    for top in range(len(row) - 1, d - 1, -1):
+        c = row[top]
+        if c:
+            for i, m in enumerate(modulus):
+                row[top - d + i] = (row[top - d + i] - c * m) % p
+    return row[:d] if len(row) > d else row
+
+
 def schoolbook_mul(f, g):
     """f * g by the precision rules of the module docstring, with every
     t-coefficient product summed as a plain integer and reduced mod p at the
-    end; independent of both product paths in the package."""
+    end (over A/(m): then mod m by integer long division); independent of
+    both product paths in the package."""
     ring, p = f.ring, f.ring.p
+    modulus = getattr(ring, "modulus", None)
+    field = ring.base_field
+
+    def idx(c):
+        return [x.idx for x in (c.value if modulus is not None else c).coeffs]
+
     prec = min(f.val + g.prec, g.val + f.prec)
     val = f.val + g.val
     n = prec - val
@@ -104,12 +125,18 @@ def schoolbook_mul(f, g):
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs[:max(0, len(rows) - i)]):
             row = rows[i + j]
-            row.extend([0] * (len(a.coeffs) + len(b.coeffs) - 1 - len(row)))
-            for k, c in enumerate(a.coeffs):
-                for l, d in enumerate(b.coeffs):
-                    row[k + l] += c.idx * d.idx
-    els = ring.base.elements()
-    return TruncSeries(ring, val, [Poly(ring.base, [els[v % p] for v in r])
+            ai, bi = idx(a), idx(b)
+            row.extend([0] * (len(ai) + len(bi) - 1 - len(row)))
+            for k, c in enumerate(ai):
+                for l, d in enumerate(bi):
+                    row[k + l] += c * d
+    els = field.elements()
+    if modulus is not None:
+        m = [x.idx for x in modulus.coeffs]
+        return TruncSeries(ring, val, [
+            AResidue(ring, Poly(field, [els[v] for v in int_rem(r, m, p)]))
+            for r in rows], prec)
+    return TruncSeries(ring, val, [Poly(field, [els[v % p] for v in r])
                                    for r in rows], prec)
 
 
@@ -182,6 +209,96 @@ class TestPackedProduct:
         assert packed_slot_bytes(f, f, rows) == width
         assert rows * tlen * 36 >= 256 ** (width // 2)
         assert f * f == schoolbook_mul(f, f)
+
+
+def residue_view(p, kind, k):
+    """A/(m) over F_p with m = t^k, (t+1)^k or pi^k for the first monic
+    irreducible pi of degree kind (2 or 3)."""
+    A = polyring(fq(p))
+    if kind == "t":
+        base = A.gen
+    elif kind == "t+1":
+        base = A.gen + A.one
+    else:
+        base = next(f for f in A.monic_irreducibles(kind) if f.degree == kind)
+    return ResidueRing(base ** k)
+
+
+def dense_residue_series(R, rows, val=0):
+    """rows x-coefficients, each the representative with every entry p - 1."""
+    top = R.field.from_int(-1)
+    c = AResidue(R, Poly(R.field, [top] * R.degree))
+    return TruncSeries(R, val, [c] * rows, rows + val)
+
+
+class TestPackedResidueProduct:
+    """Series over A/(m), p prime, multiply through kronecker_mul with one
+    reduction per row; they must agree with the schoolbook product in val,
+    coeffs and prec.  Over F_4 the object path runs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        kind = data.draw(st.sampled_from(["t", "t+1", 2, 3]))
+        k = data.draw(st.integers(1, 12 // (kind if isinstance(kind, int) else 1)))
+        R = residue_view(p, kind, k)
+        assert R.packed
+        elem = st.lists(st.sampled_from(R.field.elements()),
+                        max_size=R.degree).map(
+            lambda cs: AResidue(R, Poly(R.field, cs)))
+
+        def series():
+            coeffs = data.draw(st.lists(elem, max_size=10))
+            val = data.draw(st.integers(-2, 3))
+            prec = val + data.draw(st.integers(0, 12))
+            return TruncSeries(R, val, coeffs, prec)
+
+        f, g = series(), series()
+        prod = f * g
+        assert prod == schoolbook_mul(f, g)
+        assert all(c.value.degree < R.degree for c in prod.coeffs)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("kind,k", [("t", 6), ("t+1", 5), (2, 3), (3, 2)])
+    def test_zero_to_precision_operands(self, p, kind, k):
+        R = residue_view(p, kind, k)
+        f = dense_residue_series(R, 5)
+        zero = TruncSeries.zero(R, 6)
+        for a, b in ((f, zero), (zero, f), (zero, zero)):
+            assert a * b == schoolbook_mul(a, b)
+            assert (a * b).is_zero()
+        hi = TruncSeries(R, 7, [R.one], 8)
+        assert hi * hi == schoolbook_mul(hi, hi)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("kind,k", [("t", 6), ("t+1", 5), (2, 3), (3, 2)])
+    def test_truncated_window(self, p, kind, k):
+        # n = 4 rows asked for from operands of 10 rows (full product 19)
+        R = residue_view(p, kind, k)
+        f = dense_residue_series(R, 10, val=1)
+        g = dense_residue_series(R, 10, val=2).truncate(5)
+        prod = f * g
+        assert prod == schoolbook_mul(f, g)
+        # rows may vanish mod m (p = 2, m = (t^2+t+1)^3 divides c^2)
+        assert prod.prec == 6 and prod.val + len(prod.coeffs) <= 6
+
+    def test_nonprime_field_keeps_object_path(self, monkeypatch):
+        A = polyring(fq(4))
+        R = ResidueRing((A.gen + A.one) ** 3)
+        assert not R.packed
+
+        def refuse(*args):
+            raise AssertionError("kronecker_mul reached over F_4")
+
+        monkeypatch.setattr(series_module, "kronecker_mul", refuse)
+        u = R.field.elements()[2]
+        c = AResidue(R, Poly(R.field, [u, R.field.one, u]))
+        f = TruncSeries(R, 0, [c, R.one, c], 4)
+        want = [sum((f.coeffs[i] * f.coeffs[k - i]
+                     for i in range(max(0, k - 2), min(k, 2) + 1)), R.zero)
+                for k in range(4)]
+        assert f * f == TruncSeries(R, 0, want, 4)
 
 
 def substitute_untruncated(f, g, self_is_polynomial=False):

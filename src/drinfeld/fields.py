@@ -96,8 +96,8 @@ def kronecker_mul(a, b, n, ring):
     reduced mod p and rebuilt from the interned elements.  Over A/(m) a row
     of degree deg m or more is then reduced once mod m: reduction is
     A-linear, so this equals the sum of the reduced products, and the
-    canonical representative (degree < deg m) is the schoolbook one.  Zero
-    rows share ``ring.zero``.
+    canonical representative (degree < deg m) is the schoolbook one.  Rows
+    that are zero before that reduction share ``ring.zero``.
     The operands hold fewer than 2^40 coefficients, so the slot sum stays
     below 2^54 and w never exceeds 8.
     """
@@ -136,10 +136,13 @@ def kronecker_mul(a, b, n, ring):
     out = []
     for i in range(rows):
         row = bytes([v % p for v in slots[i * S:(i + 1) * S]]).rstrip(b"\0")
+        if not row:
+            out.append(zero)
+            continue
         c = Poly(field, tuple(map(els.__getitem__, row)), normalize=False)
         if modulus is not None:
             c = AResidue(ring, c % modulus if len(row) > modulus.degree else c)
-        out.append(c if c else zero)
+        out.append(c)
     return out
 
 

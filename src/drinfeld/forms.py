@@ -111,8 +111,6 @@ def _coeff_wp_valuation(c, wp, cap):
 
 def series_wp_valuation(series, wp, cap):
     """min over known coefficients of the wp-valuation, capped."""
-    if series.is_zero():
-        return cap
     v = cap
     for c in series.coeffs:
         if c:

@@ -97,9 +97,9 @@ def kronecker_mul(a, b, n, ring):
     of degree deg m or more is then reduced once mod m: reduction is
     A-linear, so this equals the sum of the reduced products, and the
     canonical representative (degree < deg m) is the schoolbook one.  Rows
-    that are zero before that reduction share ``ring.zero``.
-    The operands hold fewer than 2^40 coefficients, so the slot sum stays
-    below 2^54 and w never exceeds 8.
+    that are zero before that reduction share ``ring.zero``.  The operands
+    hold fewer than 2^40 coefficients, so the slot sum stays below 2^54 and
+    w never exceeds 8.
     """
     field = ring.base_field
     p = field.p

@@ -39,7 +39,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", nargs="?", default="acceptance.json")
     parser.add_argument("--run", action="store_true")
-    parser.add_argument("--threads", default="1")
     args = parser.parse_args(argv)
     with open(args.path, "w") as fh:
         json.dump({"jobs": JOBS}, fh, sort_keys=True, indent=1)
@@ -48,7 +47,7 @@ def main(argv=None):
     if args.run:
         proc = subprocess.run(
             [sys.executable, "-m", "drinfeld.cli", "suite",
-             "--manifest", args.path, "--threads", args.threads],
+             "--manifest", args.path],
             capture_output=True, text=True)
         doc = json.loads(proc.stdout)
         print("passed %d / failed %d" % (doc["passed"], doc["failed"]))

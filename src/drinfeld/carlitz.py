@@ -7,26 +7,22 @@ engine recomputes them constantly.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import DomainError, InternalConsistencyError
 from .fields import Poly, polyring, is_irreducible, wp_valuation
 from .tau import DrinfeldAction, TauPoly
 
 _ACTIONS = {}
-_ACTIONS_LOCK = threading.Lock()
 
 
 def carlitz_action(ring):
     """The rank-one Drinfeld module with Phi_t = theta + tau over a base ring,
     one shared action per ring."""
     key = id(ring)
-    with _ACTIONS_LOCK:
-        if key not in _ACTIONS:
-            if getattr(ring, "theta", None) is None:
-                raise DomainError("Carlitz action needs a base ring with theta")
-            _ACTIONS[key] = DrinfeldAction(TauPoly(ring, (ring.theta, ring.one)))
-        return _ACTIONS[key]
+    if key not in _ACTIONS:
+        if getattr(ring, "theta", None) is None:
+            raise DomainError("Carlitz action needs a base ring with theta")
+        _ACTIONS[key] = DrinfeldAction(TauPoly(ring, (ring.theta, ring.one)))
+    return _ACTIONS[key]
 
 
 def carlitz_phi(ring, a):

@@ -1,8 +1,8 @@
 """Command-line front end with deterministic JSON output.
 
 Exit codes: 0 success, 1 domain error, 2 violated internal identity,
-64 malformed usage.  All output is key-sorted JSON so repeated runs and
-multi-threaded suite runs are byte-identical.
+64 malformed usage.  All output is key-sorted JSON so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .carlitz import carlitz_cyclotomic, carlitz_phi, check_eisenstein
 from .errors import DomainError, InternalConsistencyError
@@ -334,7 +333,7 @@ def run_suite(params):
     jobs = manifest.get("jobs", [])
     if not (isinstance(jobs, list) and all(isinstance(j, dict) for j in jobs)):
         raise DomainError("manifest jobs must be a list of JSON objects")
-    threads = int(params.get("threads", 1))
+    int(params.get("threads", 1))  # accepted and ignored: jobs run in order
 
     def run_one(idx_job):
         idx, job = idx_job
@@ -350,12 +349,7 @@ def run_suite(params):
         except (ValueError, TypeError) as exc:
             return {"index": idx, "ok": False, "code": 1, "error": str(exc)}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, enumerate(jobs)))
-    else:
-        results = [run_one(ij) for ij in enumerate(jobs)]
-    results.sort(key=lambda r: r["index"])
+    results = [run_one(ij) for ij in enumerate(jobs)]
     passed = sum(1 for r in results if r["ok"])
     out = {"jobs": results, "passed": passed, "failed": len(results) - passed}
     codes = [r.get("code", 0) for r in results if not r["ok"]]

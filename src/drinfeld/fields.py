@@ -30,7 +30,8 @@ _MAX_TABLE_Q = 128
 # Phi^C_a has tau^i coefficients of t-degree about q^i, so the work on an
 # input polynomial a grows like q^deg a.  Parsed input is admitted while
 # q^deg <= 2^16; the catalogued examples stay far below (carlitz phi at
-# q = 7 with deg a = 4: 2401).
+# q = 7 with deg a = 4: 2401).  Extension fields share the bound, since
+# find_root scans them element by element.
 _MAX_INPUT_SIZE = 2 ** 16
 
 
@@ -886,6 +887,7 @@ def residue_field_with_theta(wp, m=1):
     ring = polyring(wp.ring)
     d = wp.degree
     target = d * m
+    _check_field_order(ring.q, target)
     for cand in ring.monic_polys(target):
         if is_irreducible(cand):
             K = ResidueRing(cand)
@@ -903,10 +905,13 @@ def extension_with_embedding(k, m):
     The embedding sends the class of t in k to the smallest root of k's
     modulus in K; theta is carried along so the A-algebra structures agree.
     """
+    if m < 1:
+        raise DomainError("extension degree must be positive")
     if m == 1:
         return k, lambda r: r
     ring = polyring(k.field)
     target = k.degree * m
+    _check_field_order(ring.q, target)
     for cand in ring.monic_polys(target):
         if is_irreducible(cand):
             K = ResidueRing(cand)
@@ -920,6 +925,12 @@ def extension_with_embedding(k, m):
             K.theta = embed(k.theta)
             return K, embed
     raise DomainError("no extension of degree %d found" % m)
+
+
+def _check_field_order(q, degree):
+    if q ** degree > _MAX_INPUT_SIZE:
+        raise DomainError("extension field order %d^%d exceeds the input bound "
+                          "2^16" % (q, degree))
 
 
 def wp_valuation(a, wp, cap=64):

@@ -18,8 +18,6 @@ relevant denominators are units.  The engine computes
 
 from __future__ import annotations
 
-import threading
-
 from .carlitz import carlitz_phi, carlitz_torsion_poly
 from .errors import DomainError, InternalConsistencyError, PrecisionError
 from .fields import Poly, ResidueRing, is_irreducible, polyring
@@ -77,7 +75,6 @@ class TateDrinfeld:
         self._psi = None
         self._eprime = None
         self._lattice = {}  # g.coeffs -> F_g, filled by nu
-        self._lock = threading.Lock()
         self._build_exponential()
         self._solve_coefficients()
 
@@ -236,9 +233,8 @@ class TateDrinfeld:
         Solved from the Z^(q^k) coefficients of Psi(e(Z)) = e'(Phi^C_wp(Z)),
         which are triangular because e_0 = 1.
         """
-        with self._lock:
-            if self._psi is not None:
-                return self._psi
+        if self._psi is not None:
+            return self._psi
         if self.i_max < self.d + 1:
             raise PrecisionError("exponential index bound below d + 1")
         w = carlitz_phi(self.A, self.wp).coeffs  # w_0 = wp, ..., w_d = 1
@@ -250,18 +246,15 @@ class TateDrinfeld:
             for j in range(k):
                 acc = acc - c[j] * self.exp_coeff(k - j).frob(j)
             c.append(acc.truncate(self.prec))
-        psi = tuple(c)
-        with self._lock:
-            self._psi = psi
-        return psi
+        self._psi = tuple(c)
+        return self._psi
 
     def _nu_wp_exponential(self):
         """e'_i = nu_wp(e_i) for i <= i_max, computed once per instance."""
-        with self._lock:  # held while computing: suite threads share instances
-            if self._eprime is None:
-                self._eprime = tuple(self.nu(self.wp, self.exp_coeff(i))
-                                     for i in range(self.i_max + 1))
-            return self._eprime
+        if self._eprime is None:
+            self._eprime = tuple(self.nu(self.wp, self.exp_coeff(i))
+                                 for i in range(self.i_max + 1))
+        return self._eprime
 
     def _expp_rhs(self, k, w, eprime):
         acc = TruncSeries.zero(self.A, self.prec)
@@ -446,17 +439,11 @@ class TateDrinfeld:
 
 
 _TD_CACHE = {}
-_TD_LOCK = threading.Lock()
 
 
 def td_instance(field, wp, f, prec, i_max=None):
     """Memoized Tate-Drinfeld configurations; they are immutable once built."""
     key = (id(field), wp.coeffs, f.coeffs, prec, i_max)
-    with _TD_LOCK:
-        hit = _TD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    td = TateDrinfeld(field, wp, f, prec, i_max)
-    with _TD_LOCK:
-        _TD_CACHE.setdefault(key, td)
-    return td
+    if key not in _TD_CACHE:
+        _TD_CACHE[key] = TateDrinfeld(field, wp, f, prec, i_max)
+    return _TD_CACHE[key]

@@ -9,8 +9,6 @@ coefficient, never q-th roots.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import DomainError
 from .fields import NEG_INF, horner, power
 
@@ -209,14 +207,12 @@ class DrinfeldAction:
     """The A-action a -> Phi_a = a(Phi_t) of a Drinfeld module given by Phi_t.
 
     Phi_a is found by Horner's rule in Phi_t and memoised under the
-    coefficient indices of a; inserts take a lock so one action can be
-    shared across threads.
+    coefficient indices of a.
     """
 
     def __init__(self, phi_t):
         self.phi_t = phi_t
         self._cache = {}
-        self._lock = threading.Lock()
 
     def phi(self, a):
         key = tuple(c.idx for c in a.coeffs)
@@ -224,5 +220,4 @@ class DrinfeldAction:
         if hit is not None:
             return hit
         acc = horner(a.coeffs, self.phi_t, TauPoly.zero(self.phi_t.ring))
-        with self._lock:
-            return self._cache.setdefault(key, acc)
+        return self._cache.setdefault(key, acc)

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -127,9 +128,17 @@ class TestExitCodes:
         ("carlitz", "phi", "--q", "2", "--a", "t*t"),
         ("carlitz", "phi", "--q", "2", "--a", "x^2"),
         ("carlitz", "phi", "--q", "4", "--q-modulus", "1,x", "--a", "t"),
+        ("vsheaf", "points", "--q", "2", "--wp", "t", "--a1", "1", "--a2", "1",
+         "--ext-degree", "0"),
+        ("vsheaf", "points", "--q", "2", "--wp", "t", "--a1", "1", "--a2", "1",
+         "--ext-degree", "-1"),
+        ("suite", "--manifest", "{manifest}", "--threads", "abc"),
     ])
-    def test_malformed_input_is_1(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    def test_malformed_input_is_1(self, tmp_path, capsys, argv):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(MANIFEST))
+        code, out, err = run(capsys, *(a.replace("{manifest}", str(path))
+                                       for a in argv))
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "domain"
 
@@ -161,9 +170,14 @@ class TestExitCodes:
         ("tate", "expand", "--q", "2", "--wp", "t", "--f", "t^17",
          "--prec", "8"),
         ("forms", "hasse", "--q", "4", "--wp", "t^9", "--prec", "8"),
+        ("drinfeld", "dual", "--q", "7", "--wp", "t^2+1", "--a1", "1",
+         "--a2", "1", "--ext", "4"),
+        ("vsheaf", "points", "--q", "7", "--wp", "t^2+1", "--a1", "1",
+         "--a2", "1", "--ext-degree", "4"),
     ])
     def test_input_degree_above_bound_is_1(self, capsys, argv):
-        # q^deg > 2^16: the work of Phi^C_a grows like q^deg a
+        # q^deg > 2^16: the work of Phi^C_a grows like q^deg a, and an
+        # extension field of order 7^8 would be searched element by element
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "input bound" in json.loads(err)["error"]
@@ -207,10 +221,15 @@ class TestSuite:
         assert doc["passed"] == 4 and doc["failed"] == 0
         assert [j["index"] for j in doc["jobs"]] == [0, 1, 2, 3]
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, capsys):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, capsys,
+                                                monkeypatch):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(MANIFEST))
         _, out1, _ = run(capsys, "suite", "--manifest", str(path))
+
+        def no_threads(self):
+            raise AssertionError("suite jobs run on the calling thread")
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         _, out4, _ = run(capsys, "suite", "--manifest", str(path),
                          "--threads", "4")
         assert out1 == out4

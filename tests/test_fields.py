@@ -222,6 +222,31 @@ class TestResidueFieldWithTheta:
             acc = acc * K.theta + c
         assert not acc
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_extension_degree_rejected(self, A2, m):
+        k = residue_field_with_theta(A2.gen, 1)
+        with pytest.raises(DomainError, match="must be positive"):
+            residue_field_with_theta(A2.gen, m)
+        with pytest.raises(DomainError, match="must be positive"):
+            fields.extension_with_embedding(k, m)
+
+    @pytest.mark.parametrize("q,wp,admitted", [(2, "t^2+t+1", 8),
+                                               (7, "t^2+1", 2)])
+    def test_extension_order_bound(self, monkeypatch, q, wp, admitted):
+        # q^(deg * m) <= 2^16: find_root scans the extension element by element
+        wp = parse_apoly(polyring(fq(q)), wp)
+        k = residue_field_with_theta(wp, 1)
+        assert residue_field_with_theta(wp, admitted).order <= 2 ** 16
+        assert fields.extension_with_embedding(k, admitted)[0].order <= 2 ** 16
+
+        def no_search(f, ring):
+            raise AssertionError("the bound is checked before any search")
+        monkeypatch.setattr(fields, "find_root", no_search)
+        with pytest.raises(DomainError, match="input bound"):
+            residue_field_with_theta(wp, admitted + 1)
+        with pytest.raises(DomainError, match="input bound"):
+            fields.extension_with_embedding(k, admitted + 1)
+
     def test_minimal_polynomial_of_theta(self, A2):
         # the minimal polynomial over F_q of the chosen theta equals wp
         wp = A2.gen ** 2 + A2.gen + A2.one

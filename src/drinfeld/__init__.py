@@ -6,7 +6,7 @@ from .errors import DomainError, InternalConsistencyError, PrecisionError
 from .fields import (NEG_INF, AResidue, Fq, Poly, PolyRing, ResidueRing, fq,
                      is_irreducible, parse_apoly, poly_to_bracket,
                      poly_to_tstring, polyring, residue_field_with_theta,
-                     residue_ring, wp_valuation)
+                     wp_valuation)
 from .series import SeriesRing, TruncSeries, newton_slopes
 from .tau import DrinfeldAction, TauPoly
 from .carlitz import (carlitz_action, carlitz_cyclotomic,

@@ -236,13 +236,18 @@ def run_tate_ks(params):
 
 
 def _parse_monomial(field, wp, prec, spec):
+    """a1^alpha * a2^beta * g^gamma; each exponent is optional and must be
+    a non-negative decimal integer."""
     alpha = beta = gamma = 0
     for part in str(spec).split("*"):
         part = part.strip()
         if not part:
             continue
-        name, _, exp = part.partition("^")
-        e = int(exp) if exp else 1
+        name, caret, exp = part.partition("^")
+        if caret and not (exp.isascii() and exp.isdigit()):
+            raise DomainError("monomial exponent must be a non-negative "
+                              "integer, got %r" % part)
+        e = int(exp) if caret else 1
         if name == "a1":
             alpha += e
         elif name == "a2":
@@ -291,7 +296,11 @@ def run_forms_limit(params):
     wp = _apoly(field, params["wp"])
     prec = int(params["prec"])
     d = wp.degree
-    s0, s1 = (int(x) for x in str(params["chi"]).split(","))
+    try:
+        s0, s1 = (int(x) for x in str(params["chi"]).split(","))
+    except ValueError:
+        raise DomainError("--chi must be two integers s0,s1, got %r"
+                          % params["chi"]) from None
     chi = WeightChar(s0, s1, field.q ** d - 1, field.p, 12)
     g = hasse_lift_expansion(field, wp, prec)
     f = _parse_monomial(field, wp, prec, params.get("monomial", "g"))

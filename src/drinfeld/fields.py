@@ -858,11 +858,6 @@ class ResidueRing:
         return "A/(%s)" % poly_to_tstring(self.modulus)
 
 
-def residue_ring(modulus):
-    """Ring handle for A/(modulus) with lift/reduce maps."""
-    return ResidueRing(modulus)
-
-
 def find_root(f, ring):
     """Smallest root of an A-polynomial in a finite residue ring, or None."""
     for cand in ring.elements():
@@ -874,29 +869,14 @@ def find_root(f, ring):
 def residue_field_with_theta(wp, m=1):
     """The field F_(q^(d*m)) together with a distinguished root theta of wp.
 
-    For m = 1 this is A/(wp) itself.  For m > 1 a single-level quotient
-    A/(P) with P irreducible of degree d*m is built and theta is chosen as
-    the smallest root of wp in it.
+    For m = 1 this is A/(wp) itself.  For m > 1 it is the degree-m extension
+    of A/(wp) built by ``extension_with_embedding``, a single-level quotient
+    A/(P) with P irreducible of degree d*m, and theta is the smallest root of
+    wp in it.
     """
     if not is_irreducible(wp):
         raise DomainError("characteristic polynomial must be irreducible")
-    if m < 1:
-        raise DomainError("extension degree must be positive")
-    if m == 1:
-        return ResidueRing(wp)
-    ring = polyring(wp.ring)
-    d = wp.degree
-    target = d * m
-    _check_field_order(ring.q, target)
-    for cand in ring.monic_polys(target):
-        if is_irreducible(cand):
-            K = ResidueRing(cand)
-            root = find_root(wp, K)
-            if root is None:  # pragma: no cover - d divides target
-                continue
-            K.theta = root
-            return K
-    raise DomainError("no irreducible polynomial of degree %d found" % target)
+    return extension_with_embedding(ResidueRing(wp), m)[0]
 
 
 def extension_with_embedding(k, m):

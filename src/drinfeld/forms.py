@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
-from .fields import ResidueRing, wp_valuation
+from .fields import polyring, wp_valuation
+from .series import TruncSeries
 from .tate import td_instance
 
 
@@ -40,7 +41,6 @@ class FormExpansion:
             raise DomainError("forms are not inverted here")
         q = self.series.ring.q
         if n == 0:
-            from .series import TruncSeries
             out_series = TruncSeries.one(self.series.ring, self.series.prec)
         else:
             out_series = self.series ** n
@@ -55,30 +55,22 @@ def hasse_lift_expansion(field, wp, prec):
     congruences alpha_d = 1 mod wp and alpha_i = 0 mod wp (0 < i < d) are
     asserted; a failure falsifies the identification and is a hard error.
     """
-    td = td_instance(field, wp, _one_poly(field), prec)
+    td = td_instance(field, wp, polyring(field).one, prec)
     d = wp.degree
     phi_wp = td.module.phi(wp)
-    R = ResidueRing(wp)
     for i in range(1, d):
-        if not phi_wp.coeff(i).map_coeffs(R.reduce, R).is_zero():
+        if not td.mod_wp(phi_wp.coeff(i)).is_zero():
             raise InternalConsistencyError(
                 "tau^%d coefficient of Phi_wp is nonzero mod wp" % i)
     alpha_d = phi_wp.coeff(d)
-    red = alpha_d.map_coeffs(R.reduce, R)
-    one_red = td.S.one.map_coeffs(R.reduce, R)
-    if not (red - one_red).is_zero():
+    if not td.mod_wp(alpha_d - td.S.one).is_zero():
         raise InternalConsistencyError("alpha_d is not congruent to 1 mod wp")
     return FormExpansion(field.q ** d - 1, 0, alpha_d)
 
 
-def _one_poly(field):
-    from .fields import polyring
-    return polyring(field).one
-
-
 def coefficient_monomial(field, wp, prec, alpha, beta):
     """The generator a1^alpha * a2^beta with its weight tag."""
-    td = td_instance(field, wp, _one_poly(field), prec)
+    td = td_instance(field, wp, polyring(field).one, prec)
     q = field.q
     series = td.S.one
     if alpha:
@@ -124,7 +116,7 @@ def series_wp_valuation(series, wp, cap):
 def reduce_mod_wp(form, ring, n):
     """View a form's coefficients in A/(wp^n); congruences up to depth n
     stay exact while the t-degrees are capped.  ``ring`` must be the shared
-    ResidueRing(wp^n) handle so reduced forms compare against each other."""
+    ResidueRing handle for wp^n so reduced forms compare against each other."""
     return FormExpansion(form.weight, form.type_m,
                          form.series.map_coeffs(ring.reduce, ring), n)
 

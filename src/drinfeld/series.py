@@ -266,12 +266,11 @@ class TruncSeries:
         return TruncSeries(self.ring, self.val + k, self.coeffs, self.prec + k,
                            normalize=False)
 
-    def substitute(self, g, self_is_polynomial=False):
+    def substitute(self, g):
         """Compose: substitute the series g for x in self.
 
-        Requires val(g) >= 1 unless self is declared an exact (Laurent)
-        polynomial, in which case any invertible g works and only g's
-        precision limits the result.
+        g must have positive valuation.  self may have a Laurent tail
+        (val < 0); g is then inverted to carry it.
         """
         ring = self.ring
         if g.ring is not ring:
@@ -279,36 +278,20 @@ class TruncSeries:
         gval = g.order()
         if gval is None:
             gval = g.prec
-        if gval <= 0 and not self_is_polynomial:
+        if gval <= 0:
             raise DomainError("substitution target must have positive valuation")
         if not self.coeffs:
-            if self_is_polynomial:
-                raise DomainError("exact zero polynomial with no precision bound")
             return TruncSeries.zero(ring, gval * self.prec)
-        if self_is_polynomial:
-            certified = None
-            for k in self.coeff_range():
-                if k != 0 and self.coeff(k):
-                    cand = g.prec + (k - 1) * gval
-                    certified = cand if certified is None else min(certified, cand)
-            if certified is None:
-                certified = g.prec
-        else:
-            certified = gval * self.prec
-            kmin = None
-            for k in self.coeff_range():
-                if k != 0 and self.coeff(k):
-                    kmin = k
-                    break
-            if kmin is not None:
-                certified = min(certified, g.prec + (kmin - 1) * gval)
+        certified = gval * self.prec
+        for k in self.coeff_range():
+            if k != 0 and self.coeff(k):
+                certified = min(certified, g.prec + (k - 1) * gval)
+                break
         if certified < 1:
             raise PrecisionError("substitution cannot certify any precision")
         # Horner on x^(-val) * self, then scale by g^val.  A term c_k g^k
         # with k >= ceil(certified / val g) is invisible, so it is skipped.
-        top = self.val + len(self.coeffs)
-        if gval > 0:
-            top = min(top, -(-certified // gval))
+        top = min(self.val + len(self.coeffs), -(-certified // gval))
         acc = TruncSeries.zero(ring, certified - min(0, self.val) * gval)
         for k in range(top - 1, self.val - 1, -1):
             acc = acc * g

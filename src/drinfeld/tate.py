@@ -50,9 +50,14 @@ def lattice_inverse(field, g, prec):
 
 
 class TateDrinfeld:
-    """One Tate-Drinfeld configuration (q, wp, f) at x-precision N."""
+    """One Tate-Drinfeld configuration (q, wp, f) at x-precision N.
 
-    def __init__(self, field, wp, f, prec, i_max=None):
+    The exponential is kept to an index i_max derived from N: the least
+    i_max >= max(3, deg wp + 1) such that every X-degree beyond q^i_max is
+    invisible mod x^N.
+    """
+
+    def __init__(self, field, wp, f, prec):
         if not is_irreducible(wp):
             raise DomainError("wp must be monic irreducible")
         if f.is_zero():
@@ -71,9 +76,10 @@ class TateDrinfeld:
         self.prec = prec
         self.A = polyring(field)
         self.S = SeriesRing(self.A, prec)
-        self.i_max = i_max if i_max is not None else max(3, self.d + 1)
+        self.i_max = max(3, self.d + 1)
+        self._wp_ring = ResidueRing(wp)
         self._psi = None
-        self._eprime = None
+        self._eprime = None  # (Phi^C_wp coefficients, nu_wp(e_i)), filled once
         self._lattice = {}  # g.coeffs -> F_g, filled by nu
         self._build_exponential()
         self._solve_coefficients()
@@ -125,28 +131,21 @@ class TateDrinfeld:
                     new[k2] = new[k2] + term if k2 in new else term
                 prod = new
             deg += 1
-        # e(X) = X * prod
-        e = {}
-        for i in range(self.i_max + 1):
-            e[i] = prod.get(q ** i - 1, TruncSeries.zero(self.A, N)).truncate(N)
+        # e(X) = X * prod; X-degrees below cap that are not q^i must vanish
+        qpowers = [q ** i for i in range(self.i_max + 1)]
+        zero = TruncSeries.zero(self.A, N)
+        e = tuple(prod.get(qi - 1, zero).truncate(N) for qi in qpowers)
         for k, c in prod.items():
-            kk = k + 1
-            is_qpow = False
-            m = 1
-            while m <= kk:
-                if m == kk:
-                    is_qpow = True
-                    break
-                m *= q
-            if not is_qpow and not c.truncate(N).is_zero():
+            if k + 1 not in qpowers and not c.truncate(N).is_zero():
                 raise InternalConsistencyError(
-                    "non-additive term X^%d survives the truncated product" % kk)
+                    "non-additive term X^%d survives the truncated product"
+                    % (k + 1))
         if e[0].is_zero() or e[0].coeff(0) != self.A.one or e[0].order() != 0:
             raise InternalConsistencyError("e_0 must be 1")
         for i in range(1, self.i_max + 1):
             if e[i] and e[i].order() < 1:
                 raise InternalConsistencyError("e_%d is not divisible by x" % i)
-        self.e = e
+        self.e = e  # e_0..e_i_max
 
     def exp_coeff(self, i):
         """e_i, the coefficient of X^(q^i) in the lattice exponential."""
@@ -159,47 +158,43 @@ class TateDrinfeld:
     # -- module coefficients -------------------------------------------------
 
     def _solve_coefficients(self):
-        # coefficient of Z^(q^i) in Phi_t(e(Z)) - e(theta Z + Z^q):
-        #   theta e_i + a1 e_(i-1)^q + a2 e_(i-2)^(q^2) - e_i theta^(q^i) - e_(i-1)
+        # the Z^q and Z^(q^2) relations fix a1 and a2 (e_0 = 1)
         th = self.A.gen
         e1 = self.exp_coeff(1)
         e2 = self.exp_coeff(2)
-        e3 = self.exp_coeff(3)
-        one = self.S.one
-        a1 = e1.scale(th.frob(1) - th) + one
-        a2 = (e2.scale(th.frob(2) - th) + e1 - a1 * e1.frob(1)).truncate(self.prec)
-        a1 = a1.truncate(self.prec)
+        a1 = (e1.scale(th.frob(1) - th) + self.S.one).truncate(self.prec)
+        a2 = (e2.scale(th.frob(2) - th) + e1
+              - a1 * e1.frob(1)).truncate(self.prec)
+        self.a1, self.a2 = a1, a2
         # the Z^(q^3) relation is a free self-check
-        res = (e3.scale(th) + a1 * e2.frob(1) + a2 * e1.frob(2)
-               - e3.scale(th.frob(3)) - e2)
-        if not res.truncate(self.prec).is_zero():
+        res = self._fe_residual(3)
+        if not res.is_zero():
             raise InternalConsistencyError(
                 "functional equation residual at Z^(q^3) is nonzero: %r" % res)
         if a1.is_zero() or a1.order() != 0 or a1.coeff(0) != self.A.one:
-            raise InternalConsistencyError("a1 is not in 1 + x A[[x]]")
-        if (a1 - one).order() is not None and (a1 - one).order() < 1:
             raise InternalConsistencyError("a1 is not in 1 + x A[[x]]")
         if a2.is_zero() or a2.order() != self.a2_valuation:
             raise InternalConsistencyError(
                 "a2 does not have valuation (q-1) q^deg(f)")
         if a2.leading().degree != 0:
             raise InternalConsistencyError("a2 is not a unit times a power of x")
-        self.a1 = a1
-        self.a2 = a2
         self.module = DrinfeldRank2(self.S, a1, a2)
+
+    def _fe_residual(self, i):
+        """Coefficient of Z^(q^i) in Phi_t(e(Z)) - e(theta Z + Z^q), i.e.
+        theta e_i + a1 e_(i-1)^q + a2 e_(i-2)^(q^2) - theta^(q^i) e_i - e_(i-1)
+        truncated to x^N."""
+        th = self.A.gen
+        ei = self.exp_coeff(i)
+        e1 = self.exp_coeff(i - 1)
+        e2 = self.exp_coeff(i - 2)
+        lhs = ei.scale(th) + self.a1 * e1.frob(1) + self.a2 * e2.frob(2)
+        rhs = ei.scale(th.frob(i)) + e1
+        return (lhs - rhs).truncate(self.prec)
 
     def functional_equation_residuals(self):
         """One series per index i <= i_max; all must vanish to precision."""
-        th = self.A.gen
-        out = []
-        for i in range(self.i_max + 1):
-            ei = self.exp_coeff(i)
-            e1 = self.exp_coeff(i - 1)
-            e2 = self.exp_coeff(i - 2)
-            lhs = ei.scale(th) + self.a1 * e1.frob(1) + self.a2 * e2.frob(2)
-            rhs = ei.scale(th.frob(i)) + e1
-            out.append((lhs - rhs).truncate(self.prec))
-        return out
+        return [self._fe_residual(i) for i in range(self.i_max + 1)]
 
     # -- substitution homomorphism nu ---------------------------------------
 
@@ -235,61 +230,52 @@ class TateDrinfeld:
         """
         if self._psi is not None:
             return self._psi
-        if self.i_max < self.d + 1:
-            raise PrecisionError("exponential index bound below d + 1")
-        w = carlitz_phi(self.A, self.wp).coeffs  # w_0 = wp, ..., w_d = 1
-        eprime = self._nu_wp_exponential()
         c = [TruncSeries.constant(self.wp, self.A, self.prec)]
         for k in range(1, self.d + 1):
-            rhs = self._expp_rhs(k, w, eprime)
-            acc = rhs
-            for j in range(k):
-                acc = acc - c[j] * self.exp_coeff(k - j).frob(j)
-            c.append(acc.truncate(self.prec))
+            c.append((self._expp_rhs(k) - self._psi_lhs(c, k))
+                     .truncate(self.prec))
         self._psi = tuple(c)
         return self._psi
 
-    def _nu_wp_exponential(self):
-        """e'_i = nu_wp(e_i) for i <= i_max, computed once per instance."""
-        if self._eprime is None:
-            self._eprime = tuple(self.nu(self.wp, self.exp_coeff(i))
-                                 for i in range(self.i_max + 1))
-        return self._eprime
-
-    def _expp_rhs(self, k, w, eprime):
+    def _psi_lhs(self, c, k):
+        """Z^(q^k) coefficient of sum_j c_j e(Z)^(q^j) over the given c_j,
+        j <= k: sum_j c_j e_(k-j)^(q^j)."""
         acc = TruncSeries.zero(self.A, self.prec)
-        for i in range(k + 1):
-            l = k - i
-            if l <= self.d and l < len(w) and w[l]:
-                acc = acc + eprime[i].scale(w[l].frob(i))
+        for j, cj in enumerate(c):
+            acc = acc + cj * self.exp_coeff(k - j).frob(j)
+        return acc
+
+    def _expp_rhs(self, k):
+        """Z^(q^k) coefficient of e'(Phi^C_wp(Z)), e' = nu_wp(e):
+        sum_i e'_i w_(k-i)^(q^i) with Phi^C_wp = sum_l w_l tau^l."""
+        if self._eprime is None:  # nu_wp runs once per e_i and instance
+            self._eprime = (carlitz_phi(self.A, self.wp).coeffs,
+                            tuple(self.nu(self.wp, ei) for ei in self.e))
+        w, eprime = self._eprime
+        acc = TruncSeries.zero(self.A, self.prec)
+        for i in range(max(0, k - self.d), k + 1):
+            if w[k - i]:
+                acc = acc + eprime[i].scale(w[k - i].frob(i))
         return acc.truncate(self.prec)
 
     def expp_residuals(self):
         """Residuals of the defining identity at indices d+1..i_max."""
-        w = carlitz_phi(self.A, self.wp).coeffs
-        eprime = self._nu_wp_exponential()
         c = self.canonical_isogeny()
-        out = []
-        for k in range(self.d + 1, self.i_max + 1):
-            lhs = TruncSeries.zero(self.A, self.prec)
-            for j in range(min(k, self.d) + 1):
-                lhs = lhs + c[j] * self.exp_coeff(k - j).frob(j)
-            out.append((lhs - self._expp_rhs(k, w, eprime)).truncate(self.prec))
-        return out
+        return [(self._psi_lhs(c, k) - self._expp_rhs(k)).truncate(self.prec)
+                for k in range(self.d + 1, self.i_max + 1)]
 
     def psi_tau(self):
         return TauPoly(self.S, self.canonical_isogeny())
 
+    def mod_wp(self, series):
+        """A series over A reduced coefficientwise into (A/wp)[[x]]."""
+        return series.map_coeffs(self._wp_ring.reduce, self._wp_ring)
+
     def psi_mod_wp_shape(self):
         """(low coefficients all divisible by wp, c_d an x-adic unit mod wp)."""
         c = self.canonical_isogeny()
-        R = ResidueRing(self.wp)
-        low_ok = True
-        for k in range(self.d):
-            red = c[k].map_coeffs(R.reduce, R)
-            if not red.is_zero():
-                low_ok = False
-        top = c[self.d].map_coeffs(R.reduce, R)
+        low_ok = all(self.mod_wp(c[k]).is_zero() for k in range(self.d))
+        top = self.mod_wp(c[self.d])
         top_unit = bool(top) and top.order() == 0
         return low_ok, top_unit
 
@@ -324,10 +310,8 @@ class TateDrinfeld:
         tau^d coefficient is an x-adic unit.  A unit certificate needs the
         constant x-coefficient, so precision below 1 is rejected.
         """
-        R = ResidueRing(self.wp)
         phi_wp = self.module.phi(self.wp)
-        red = [phi_wp.coeff(i).map_coeffs(R.reduce, R)
-               for i in range(2 * self.d + 1)]
+        red = [self.mod_wp(phi_wp.coeff(i)) for i in range(2 * self.d + 1)]
         for i in range(self.d):
             if not red[i].is_zero():
                 return False, [], []
@@ -370,80 +354,55 @@ class TateDrinfeld:
             raise DomainError("level index must be nonzero")
         if m.degree == 0:
             return []
-        M = carlitz_torsion_poly(self.field, m)
-        D = M.degree
-        zero = TruncSeries.zero(self.A, self.prec)
-        out = [zero] * D
-        # R_i = Z^(q^i) mod M, maintained by freshman powers and reduction
-        zring = M.ring
-        R = Poly(zring, (self.A.zero, self.A.one))
-        for i in range(self.i_max + 1):
-            ei = self.exp_coeff(i)
-            if ei:
-                for jpos, cz in enumerate(R.coeffs):
-                    if cz:
-                        out[jpos] = out[jpos] + ei.scale(cz)
-            R = R.pth_power(self.field.e) % M
-        return [s.truncate(self.prec) for s in out]
+        return self._level_image(carlitz_torsion_poly(self.field, m))[1]
 
     def check_level_a_linearity(self, m):
         """Image of Phi^C_t(Z) equals Phi_t applied to the image of Z."""
         if m.degree == 0:
             return True
         M = carlitz_torsion_poly(self.field, m)
-        D = M.degree
-        zring = M.ring
+        R, lam = self._level_image(M)
         th = self.A.gen
-        zero = TruncSeries.zero(self.A, self.prec)
-        lam = self.level_structure_image(m)
         # lambda(Phi_t(Z)) = sum e_i (theta^(q^i) R_i + R_(i+1))
-        lhs = [zero] * D
-        R = Poly(zring, (self.A.zero, self.A.one))
-        for i in range(self.i_max + 1):
-            Rnext = R.pth_power(self.field.e) % M
-            ei = self.exp_coeff(i)
-            if ei:
-                for jpos, cz in enumerate(R.coeffs):
-                    if cz:
-                        lhs[jpos] = lhs[jpos] + ei.scale(cz * th.frob(i))
-                for jpos, cz in enumerate(Rnext.coeffs):
-                    if cz:
-                        lhs[jpos] = lhs[jpos] + ei.scale(cz)
-            R = Rnext
-        # Phi_t(lambda) = theta lam + a1 lam^[q] + a2 lam^[q^2]
+        lhs = self._scatter(M, [(ei.scale(th.frob(i)), R[i])
+                                for i, ei in enumerate(self.e)]
+                            + list(zip(self.e, R[1:])))
+        # Phi_t(lambda) = theta lam + a1 lam^[q] + a2 lam^[q^2], where
+        # (sum l_j Z^j)^(q^k) = sum l_j^(q^k) R_k^j mod M
         rhs = [s.scale(th) for s in lam]
         for (coef, k) in ((self.a1, 1), (self.a2, 2)):
-            powed = self._qpow_list(lam, M, k)
+            powed = self._scatter(M, [(c.frob(k), R[k].pow_mod(j, M))
+                                      for j, c in enumerate(lam) if c])
             rhs = [r + coef * s for r, s in zip(rhs, powed)]
         return all((l - r).truncate(self.prec).is_zero()
                    for l, r in zip(lhs, rhs))
 
-    def _qpow_list(self, coeffs, M, k):
-        """q^k-th power of sum coeffs[j] Z^j in the quotient by monic M."""
-        D = M.degree
-        zero = TruncSeries.zero(self.A, self.prec)
-        step = self.q ** k
-        acc = [zero] * D
-        # (sum l_j Z^j)^(q^k) = sum l_j^(q^k) Z^(j q^k), then reduce mod M
-        zring = M.ring
-        for j, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            # Z^(j q^k) mod M
-            zpow = Poly(zring, (self.A.zero, self.A.one)).pow_mod(j * step, M)
-            cq = c.frob(k)
-            for jpos, cz in enumerate(zpow.coeffs):
-                if cz:
-                    acc[jpos] = acc[jpos] + cq.scale(cz)
-        return [s.truncate(self.prec) for s in acc]
+    def _level_image(self, M):
+        """(R, lambda): R_i = Z^(q^i) mod M for i <= i_max + 1, maintained by
+        freshman powers and reduction, and lambda = sum e_i R_i."""
+        R = [Poly(M.ring, (self.A.zero, self.A.one))]
+        for _ in range(self.i_max + 1):
+            R.append(R[-1].pth_power(self.field.e) % M)
+        return R, self._scatter(M, zip(self.e, R))
+
+    def _scatter(self, M, terms):
+        """sum s * r(Z) over (series s, Z-polynomial r) pairs, as the list of
+        the deg(M) Z-coefficients."""
+        out = [TruncSeries.zero(self.A, self.prec)] * M.degree
+        for s, r in terms:
+            if s:
+                for jpos, cz in enumerate(r.coeffs):
+                    if cz:
+                        out[jpos] = out[jpos] + s.scale(cz)
+        return [s.truncate(self.prec) for s in out]
 
 
 _TD_CACHE = {}
 
 
-def td_instance(field, wp, f, prec, i_max=None):
+def td_instance(field, wp, f, prec):
     """Memoized Tate-Drinfeld configurations; they are immutable once built."""
-    key = (id(field), wp.coeffs, f.coeffs, prec, i_max)
+    key = (id(field), wp.coeffs, f.coeffs, prec)
     if key not in _TD_CACHE:
-        _TD_CACHE[key] = TateDrinfeld(field, wp, f, prec, i_max)
+        _TD_CACHE[key] = TateDrinfeld(field, wp, f, prec)
     return _TD_CACHE[key]

@@ -133,6 +133,20 @@ class TestExitCodes:
         ("vsheaf", "points", "--q", "2", "--wp", "t", "--a1", "1", "--a2", "1",
          "--ext-degree", "-1"),
         ("suite", "--manifest", "{manifest}", "--threads", "abc"),
+        # monomial exponents are non-negative decimal integers
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f1", "a2^-1", "--f2", "a2^-1*g^2"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "0,0", "--steps", "2", "--monomial", "a1^-2"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "0,0", "--steps", "2", "--monomial", "a1^"),
+        # --chi is exactly two integers
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "1", "--steps", "2"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "1,2,3", "--steps", "2"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "a,b", "--steps", "2"),
     ])
     def test_malformed_input_is_1(self, tmp_path, capsys, argv):
         path = tmp_path / "manifest.json"
@@ -141,6 +155,8 @@ class TestExitCodes:
                                        for a in argv))
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "domain"
+        if "--chi" in argv and "--monomial" not in argv:
+            assert "--chi" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("q,f,prec", [(3, "1", 2), (4, "1", 3),
                                           (2, "t", 2)])

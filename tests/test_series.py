@@ -301,21 +301,17 @@ class TestPackedResidueProduct:
         assert f * f == TruncSeries(R, 0, want, 4)
 
 
-def substitute_untruncated(f, g, self_is_polynomial=False):
+def substitute_untruncated(f, g):
     """The Horner substitution over every stored term of f, with the
     certified precision of TruncSeries.substitute."""
     ring = f.ring
     gval = g.order()
     if gval is None:
         gval = g.prec
-    if self_is_polynomial:
-        certified = min((g.prec + (k - 1) * gval for k in f.coeff_range()
-                         if k != 0 and f.coeff(k)), default=g.prec)
-    else:
-        kmin = next((k for k in f.coeff_range() if k != 0 and f.coeff(k)), None)
-        certified = gval * f.prec
-        if kmin is not None:
-            certified = min(certified, g.prec + (kmin - 1) * gval)
+    kmin = next((k for k in f.coeff_range() if k != 0 and f.coeff(k)), None)
+    certified = gval * f.prec
+    if kmin is not None:
+        certified = min(certified, g.prec + (kmin - 1) * gval)
     acc = TruncSeries.zero(ring, certified - min(0, f.val) * gval)
     for k in range(f.val + len(f.coeffs) - 1, f.val - 1, -1):
         acc = acc * g
@@ -360,22 +356,6 @@ class TestSubstituteTruncation:
             return
         assert out == substitute_untruncated(f, g)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_polynomial_flag_matches_untruncated(self, data):
-        p = data.draw(st.sampled_from([2, 3]))
-        S = sring(p, 12)
-        field = S.ring.base
-        # an exact polynomial: its precision lies beyond its stored terms
-        cs = data.draw(st.lists(st.sampled_from(field.elements()), min_size=1,
-                                max_size=5))
-        f = TruncSeries(S.ring, 0, [Poly(field, [c]) for c in cs], 40)
-        g = self._target(data, S, data.draw(st.integers(0, 2)))
-        if f.is_zero():
-            return
-        assert (f.substitute(g, self_is_polynomial=True)
-                == substitute_untruncated(f, g, self_is_polynomial=True))
-
     def test_skipped_terms_are_invisible(self):
         # f = sum_{k<12} x^k into g = x^3: terms k >= 4 lie beyond x^12
         S = sring(2, 12)
@@ -416,12 +396,6 @@ class TestSubstitute:
         f = (S.one - S.x()).inv()  # genuine infinite tail
         with pytest.raises(DomainError):
             f.substitute(S.one + S.x())
-
-    def test_polynomial_flag_allows_constant_target(self):
-        S = sring(2, 6)
-        f = S.x()  # exact polynomial x
-        out = f.substitute(S.one + S.x(), self_is_polynomial=True)
-        assert out.coeff(0) == S.ring.one and out.coeff(1) == S.ring.one
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

@@ -1,5 +1,6 @@
 import pytest
 
+from drinfeld.carlitz import carlitz_phi
 from drinfeld.errors import DomainError
 from drinfeld.fields import ResidueRing, fq, polyring
 from drinfeld.series import TruncSeries
@@ -116,6 +117,57 @@ class TestNu:
         for i in range(min(td1.i_max, tdf.i_max) + 1):
             lhs = td1.nu(t, td1.exp_coeff(i))
             assert lhs.agrees_with(tdf.exp_coeff(i))
+
+
+def carlitz_reciprocal(A, a, prec):
+    """f_a(x) = x^(q^deg a) Phi^C_a(1/x), a polynomial with constant term 1."""
+    qr = A.q ** a.degree
+    coeffs = [A.zero] * (qr + 1)
+    for j, c in enumerate(carlitz_phi(A, a).coeffs):
+        coeffs[qr - A.q ** j] = c
+    return TruncSeries(A, 0, coeffs, prec)
+
+
+def gekeler_a1(A, N):
+    """a1 = 1 - (theta^q - theta) sum F_a^(q-1) over monic a with
+    (q-1) q^deg a < N, where F_a = x^(q^deg a) / f_a."""
+    q, th = A.q, A.gen
+    acc = TruncSeries.zero(A, N)
+    r = 0
+    while (q - 1) * q ** r < N:
+        for a in A.monic_polys(r):
+            F = carlitz_reciprocal(A, a, N).inv().shift(q ** r)
+            acc = acc + F ** (q - 1)
+        r += 1
+    return TruncSeries.one(A, N) - acc.scale(th.frob(1) - th)
+
+
+def gekeler_a2(A, N):
+    """a2 = -x^(q-1) prod_{a monic} f_a^((q^2-1)(q-1)); f_a - 1 has valuation
+    at least (q-1) q^(deg a - 1), so finitely many factors are visible."""
+    q = A.q
+    M = N - (q - 1)
+    prod = TruncSeries.one(A, M)
+    r = 1
+    while (q - 1) * q ** (r - 1) < M:
+        for a in A.monic_polys(r):
+            prod = prod * carlitz_reciprocal(A, a, M) ** ((q * q - 1) * (q - 1))
+        r += 1
+    return -prod.shift(q - 1)
+
+
+class TestGekelerOracles:
+    """a1 and a2 against Gekeler's closed formulas (Invent. Math. 93, 1988),
+    computed here from carlitz_phi and series arithmetic alone."""
+
+    @pytest.mark.parametrize("q,N", [(2, 24), (3, 27), (4, 20), (5, 30)])
+    def test_a1_a2_match_gekeler(self, q, N):
+        field = fq(q)
+        A = polyring(field)
+        td = TateDrinfeld(field, A.gen, A.one, N)
+        for got, ref in ((td.a1, gekeler_a1(A, N)), (td.a2, gekeler_a2(A, N))):
+            diff = got - ref
+            assert diff.prec >= N and diff.truncate(N).is_zero()
 
 
 class TestOneTimeWork:

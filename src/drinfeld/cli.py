@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .carlitz import carlitz_cyclotomic, carlitz_phi, check_eisenstein
@@ -54,7 +55,7 @@ def sheaf_json(S):
 
 
 def _field(params):
-    q = int(params["q"])
+    q = _int_param(params, "q")
     modulus = params.get("q_modulus")
     if modulus is not None:
         modulus = tuple(int(c) for c in str(modulus).strip("[]").split(","))
@@ -69,6 +70,26 @@ def _require(params, *names):
     for n in names:
         if params.get(n) is None:
             raise DomainError("missing required parameter --%s" % n.replace("_", "-"))
+
+
+def _int_param(params, name, minimum=None, default=None):
+    """params[name] as an int, or ``default`` when it is absent.
+
+    A JSON int (not a bool) or a decimal string is accepted; anything else,
+    or a value below ``minimum``, raises DomainError naming the option.
+    """
+    value = params.get(name)
+    if value is None:
+        return default
+    flag = "--" + name.replace("_", "-")
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value)):
+        raise DomainError("%s must be an integer, got %r" % (flag, value))
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise DomainError("%s must be at least %d, got %d" % (flag, minimum, value))
+    return value
 
 
 # -- handlers: params dict -> result dict ----------------------------------
@@ -102,7 +123,7 @@ def run_carlitz_cyclotomic(params):
 def _module_over_char_wp(params):
     field = _field(params)
     wp = _apoly(field, params["wp"])
-    ext = int(params.get("ext", 1))
+    ext = _int_param(params, "ext", 1, default=1)
     K = residue_field_with_theta(wp, ext)
     a1 = K.reduce(_apoly(field, params["a1"]))
     a2 = K.reduce(_apoly(field, params["a2"]))
@@ -171,7 +192,7 @@ def run_vsheaf_dual(params):
 def run_vsheaf_points(params):
     _require(params, "q", "wp", "a1", "a2")
     S = _kernel_from_params(params)
-    m = int(params.get("ext_degree", 1))
+    m = _int_param(params, "ext_degree", 1, default=1)
     K, _, pts = dual_points(S, m)
     return {"count": len(pts),
             "field_order": K.order,
@@ -183,7 +204,7 @@ def _td(params):
     field = _field(params)
     wp = _apoly(field, params["wp"])
     f = _apoly(field, params.get("f", "1") or "1")
-    return td_instance(field, wp, f, int(params["prec"]))
+    return td_instance(field, wp, f, _int_param(params, "prec", 1))
 
 
 def run_tate_expand(params):
@@ -266,7 +287,7 @@ def run_forms_hasse(params):
     _require(params, "q", "wp", "prec")
     field = _field(params)
     wp = _apoly(field, params["wp"])
-    g = hasse_lift_expansion(field, wp, int(params["prec"]))
+    g = hasse_lift_expansion(field, wp, _int_param(params, "prec", 1))
     return {"weight": g.weight, "type": g.type_m,
             "series": series_json(g.series),
             "congruent_one_mod_wp": True}
@@ -276,16 +297,17 @@ def run_forms_audit(params):
     _require(params, "q", "wp", "prec", "f1", "f2")
     field = _field(params)
     wp = _apoly(field, params["wp"])
-    prec = int(params["prec"])
+    prec = _int_param(params, "prec", 1)
+    k1 = _int_param(params, "k1")
+    k2 = _int_param(params, "k2")
+    max_n = _int_param(params, "max_n", 1, default=8)
     f1 = _parse_monomial(field, wp, prec, params["f1"])
     f2 = _parse_monomial(field, wp, prec, params["f2"])
-    k1 = params.get("k1")
-    k2 = params.get("k2")
     if k1 is not None:
-        f1 = FormExpansion(int(k1), f1.type_m, f1.series)
+        f1 = FormExpansion(k1, f1.type_m, f1.series)
     if k2 is not None:
-        f2 = FormExpansion(int(k2), f2.type_m, f2.series)
-    v = weight_congruence_audit(f1, f2, wp, int(params.get("max_n", 8)))
+        f2 = FormExpansion(k2, f2.type_m, f2.series)
+    v = weight_congruence_audit(f1, f2, wp, max_n)
     return {"depth": v.depth, "modulus": v.modulus, "delta_k": v.delta_k,
             "pass": v.passed, "vacuous": v.vacuous}
 
@@ -294,7 +316,8 @@ def run_forms_limit(params):
     _require(params, "q", "wp", "prec", "chi", "steps")
     field = _field(params)
     wp = _apoly(field, params["wp"])
-    prec = int(params["prec"])
+    prec = _int_param(params, "prec", 1)
+    steps = _int_param(params, "steps", 1)
     d = wp.degree
     try:
         s0, s1 = (int(x) for x in str(params["chi"]).split(","))
@@ -304,7 +327,7 @@ def run_forms_limit(params):
     chi = WeightChar(s0, s1, field.q ** d - 1, field.p, 12)
     g = hasse_lift_expansion(field, wp, prec)
     f = _parse_monomial(field, wp, prec, params.get("monomial", "g"))
-    seq = padic_limit_sequence(f, chi, wp, int(params["steps"]), g)
+    seq = padic_limit_sequence(f, chi, wp, steps, g)
     depths = []
     for i in range(1, len(seq)):
         res = congruence_depth(seq[i][1], seq[i - 1][1], wp, i + 1)
@@ -342,7 +365,7 @@ def run_suite(params):
     jobs = manifest.get("jobs", [])
     if not (isinstance(jobs, list) and all(isinstance(j, dict) for j in jobs)):
         raise DomainError("manifest jobs must be a list of JSON objects")
-    int(params.get("threads", 1))  # accepted and ignored: jobs run in order
+    _int_param(params, "threads")  # accepted and ignored: jobs run in order
 
     def run_one(idx_job):
         idx, job = idx_job

@@ -93,14 +93,15 @@ def kronecker_mul(a, b, n, ring):
     t-length of a product row).  A slot of the product sums at most
     min(len) * min(t-len) terms below p^2, and w (1, 2, 4 or 8 bytes) holds
     that sum, so one bigint product carries nothing from slot to slot.  Only
-    the n product rows asked for are read back, one at a time; each is
-    reduced mod p and rebuilt from the interned elements.  Over A/(m) a row
-    of degree deg m or more is then reduced once mod m: reduction is
-    A-linear, so this equals the sum of the reduced products, and the
-    canonical representative (degree < deg m) is the schoolbook one.  Rows
-    that are zero before that reduction share ``ring.zero``.  The operands
-    hold fewer than 2^40 coefficients, so the slot sum stays below 2^54 and
-    w never exceeds 8.
+    the n product rows asked for are read back, one at a time, and each is
+    reduced mod p.  Over A/(m) a row of t-length above deg m is then reduced
+    mod m on its integers (``_divmod_ints``) before any element is built:
+    reduction is A-linear, so this equals the sum of the reduced products,
+    and the canonical representative (degree < deg m) is the schoolbook
+    one; over A/(t^k) that remainder is the low slice, and no slot above it
+    is read.  Rows that are zero after reduction share ``ring.zero``.  The
+    operands hold fewer than 2^40 coefficients, so the slot sum stays below
+    2^54 and w never exceeds 8.
     """
     field = ring.base_field
     p = field.p
@@ -108,6 +109,8 @@ def kronecker_mul(a, b, n, ring):
     if modulus is not None:
         a = [c.value for c in a]
         b = [c.value for c in b]
+        dm = modulus.degree
+        fold = _fold(modulus)
     da = max(len(c.coeffs) for c in a)
     db = max(len(c.coeffs) for c in b)
     S = da + db - 1
@@ -135,16 +138,48 @@ def kronecker_mul(a, b, n, ring):
     els = field._els
     zero = ring.zero
     out = []
+    width = min(S, dm) if modulus is not None and not fold else S
     for i in range(rows):
-        row = bytes([v % p for v in slots[i * S:(i + 1) * S]]).rstrip(b"\0")
+        vals = [v % p for v in slots[i * S:i * S + width]]
+        if modulus is not None and width > dm:
+            _divmod_ints(vals, dm, fold, p)
+            del vals[dm:]
+        row = bytes(vals).rstrip(b"\0")
         if not row:
             out.append(zero)
             continue
         c = Poly(field, tuple(map(els.__getitem__, row)), normalize=False)
-        if modulus is not None:
-            c = AResidue(ring, c % modulus if len(row) > modulus.degree else c)
-        out.append(c)
+        out.append(c if modulus is None else AResidue(ring, c))
     return out
+
+
+def _fold(m):
+    """[(j, -m_j mod p)] over the nonzero terms below the top of the monic
+    associate of m, a nonzero polynomial over F_p with p prime."""
+    p = m.ring.p
+    inv = pow(m.leading().idx, -1, p)
+    return [(j, -c.idx * inv % p) for j, c in enumerate(m.coeffs[:-1]) if c]
+
+
+def _divmod_ints(vals, dm, fold, p):
+    """Divide sum vals[i] t^i by a monic m of degree dm over F_p, in place.
+
+    vals holds ints in [0, p), low degree first, and ``fold`` is
+    ``_fold(m)``.  Eliminating from the top down leaves the remainder in
+    vals[:dm] and the quotient in vals[dm:], every entry again in [0, p).
+    For m = t^dm (empty fold) nothing moves: the remainder is the low slice.
+    """
+    if not fold:
+        return
+    for k in range(len(vals) - 1, dm - 1, -1):
+        c = vals[k] % p
+        vals[k] = c
+        if c:
+            s = k - dm
+            for j, f in fold:
+                vals[s + j] += c * f
+    for i in range(min(dm, len(vals))):
+        vals[i] %= p
 
 
 class FqElem:
@@ -914,8 +949,26 @@ def _check_field_order(q, degree):
 
 
 def wp_valuation(a, wp, cap=64):
-    """wp-adic valuation of a in A (cap for the zero polynomial)."""
+    """wp-adic valuation of a in A (cap for the zero polynomial).
+
+    Over F_p, p prime, a is divided on its integer coefficients by the monic
+    associate of wp (``_divmod_ints``), one power at a time, until the first
+    nonzero remainder; over F_q with q = p^e, e > 1, by ``Poly`` division.
+    """
     if a.is_zero():
+        return cap
+    if a.ring is wp.ring and a.ring.e == 1:
+        p = a.ring.p
+        dm = wp.degree
+        fold = _fold(wp)
+        vals = [c.idx for c in a.coeffs]
+        v = 0
+        while v < cap:
+            _divmod_ints(vals, dm, fold, p)
+            if any(vals[:dm]):
+                return v
+            del vals[:dm]
+            v += 1
         return cap
     v = 0
     while v < cap:

@@ -17,9 +17,10 @@ Products over A = F_p[t] and over its quotients A/(m), p prime, are
 Kronecker-packed (``fields.kronecker_mul``): the n = prec - val coefficients
 in the product's window of each operand become one integer, one bigint
 product replaces the n^2 polynomial products, and the n rows are read back;
-over A/(m) each row is then reduced once mod m.  The coefficients are those
-of the schoolbook product, bit for bit.  Over F_q[t] and A/(m) with q = p^e,
-e > 1, and over F_q itself the schoolbook loop runs.
+over A/(m) each row is reduced mod m on its integer coefficients before any
+element is built.  The coefficients are those of the schoolbook product, bit
+for bit.  Over F_q[t] and A/(m) with q = p^e, e > 1, and over F_q itself the
+schoolbook loop runs.
 
 Substitution runs Horner's rule only over the terms c_k x^k with
 k < ceil(certified / val g): the others land at or beyond the certified
@@ -208,15 +209,19 @@ class TruncSeries:
         except DomainError:
             raise DomainError("leading series coefficient is not a unit")
         n = relprec
-        u = self.coeffs
+        # only the nonzero u_j, j >= 1, enter the recurrence (lattice_inverse
+        # passes u with deg g + 1 of them); they are summed in order of j
+        terms = [(j, c) for j, c in enumerate(self.coeffs[1:n], 1) if c]
         zero = self.ring.zero
         out = [zero] * n
         out[0] = lead_inv
         for k in range(1, n):
             acc = zero
-            for j in range(1, min(k, len(u) - 1) + 1):
-                if u[j] and out[k - j]:
-                    acc = acc + u[j] * out[k - j]
+            for j, c in terms:
+                if j > k:
+                    break
+                if out[k - j]:
+                    acc = acc + c * out[k - j]
             out[k] = -(lead_inv * acc)
         return TruncSeries(self.ring, -self.val, out, relprec - self.val)
 

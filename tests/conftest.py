@@ -29,6 +29,19 @@ def A3(F3):
     return polyring(F3)
 
 
+def divmod_valuation(a, wp, cap):
+    """v_wp(a) capped at cap (cap for a = 0) by one Poly long division per
+    power of wp: the reference for fields.wp_valuation, which runs on
+    integer coefficients over F_p."""
+    v = 0
+    while a and v < cap:
+        a, r = divmod(a, wp)
+        if r:
+            return v
+        v += 1
+    return cap
+
+
 def td_config(name, prec=8):
     """The four standing Tate-Drinfeld configurations, memoized."""
     q, wp_name, f_name = name

@@ -1,10 +1,15 @@
 import json
+import re
 import threading
 
 import pytest
 
 from drinfeld import cli
 from drinfeld.errors import InternalConsistencyError
+
+
+INTEGER_OPTIONS = {"--q", "--prec", "--k1", "--k2", "--max-n", "--steps",
+                   "--ext", "--ext-degree", "--threads"}
 
 
 def run(capsys, *argv):
@@ -147,6 +152,30 @@ class TestExitCodes:
          "--chi", "1,2,3", "--steps", "2"),
         ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
          "--chi", "a,b", "--steps", "2"),
+        # integer options: malformed or below their minimum (the last two
+        # arguments), each named in the error
+        ("tate", "expand", "--q", "2", "--wp", "t", "--prec", "abc"),
+        ("tate", "expand", "--q", "2", "--wp", "t", "--prec", "0"),
+        ("tate", "canonical", "--wp", "t", "--prec", "8", "--q", "x"),
+        ("forms", "hasse", "--q", "2", "--wp", "t", "--prec", "-4"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "0,7", "--steps", "x"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "0,7", "--steps", "0"),
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f1", "a1", "--f2", "a1*g^2", "--k1", "x"),
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f1", "a1", "--f2", "a1*g^2", "--k2", "1.5"),
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f1", "a1", "--f2", "a1*g^2", "--max-n", "0"),
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f1", "a1", "--f2", "a1*g^2", "--max-n", "-3"),
+        ("drinfeld", "dual", "--q", "2", "--wp", "t", "--a1", "1",
+         "--a2", "1", "--ext", "x"),
+        ("drinfeld", "classify", "--q", "2", "--wp", "t", "--a1", "1",
+         "--a2", "1", "--ext", "0"),
+        ("vsheaf", "points", "--q", "2", "--wp", "t", "--a1", "1", "--a2", "1",
+         "--ext-degree", "2.0"),
     ])
     def test_malformed_input_is_1(self, tmp_path, capsys, argv):
         path = tmp_path / "manifest.json"
@@ -155,8 +184,12 @@ class TestExitCodes:
                                        for a in argv))
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "domain"
-        if "--chi" in argv and "--monomial" not in argv:
-            assert "--chi" in json.loads(err)["error"]
+        error = json.loads(err)["error"]
+        chi = dict(zip(argv, argv[1:])).get("--chi", "0,0")
+        if not re.fullmatch(r"\d+,\d+", chi):
+            assert "--chi" in error
+        elif argv[-2] in INTEGER_OPTIONS:
+            assert argv[-2] in error
 
     @pytest.mark.parametrize("q,f,prec", [(3, "1", 2), (4, "1", 3),
                                           (2, "t", 2)])
@@ -271,6 +304,24 @@ class TestSuite:
         assert doc["jobs"][0]["code"] == 1 and not doc["jobs"][0]["ok"]
         assert doc["jobs"][1]["ok"]
         assert doc["passed"] == 1 and doc["failed"] == 1
+
+    @pytest.mark.parametrize("prec,error", [
+        (6, None), ("6", None), (True, "--prec must be an integer"),
+        (6.0, "--prec must be an integer"), ("", "--prec must be an integer"),
+        (" 6", "--prec must be an integer"), (0, "--prec must be at least 1")])
+    def test_integer_job_values(self, tmp_path, capsys, prec, error):
+        # a JSON int or a decimal string, never a bool, float or padded text
+        path = tmp_path / "manifest.json"
+        job = {"command": "tate expand", "q": 2, "wp": "t", "prec": prec}
+        path.write_text(json.dumps({"jobs": [job]}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        entry = json.loads(out)["jobs"][0]
+        if error is None:
+            assert code == 0 and entry["ok"]
+            assert entry["result"]["a1"]["prec"] == 6
+        else:
+            assert code == 1 and entry["code"] == 1
+            assert entry["error"].startswith(error)
 
     def test_input_degree_above_bound_is_job_error(self, tmp_path, capsys):
         jobs = [{"command": "carlitz phi", "q": 2, "a": "t^40"},

@@ -7,6 +7,8 @@ from drinfeld.fields import (NEG_INF, Poly, ResidueRing, fq, is_irreducible,
                              parse_apoly, poly_to_bracket, poly_to_tstring,
                              polyring, residue_field_with_theta, wp_valuation)
 
+from conftest import divmod_valuation
+
 
 def elems(field):
     return st.sampled_from(field.elements())
@@ -132,6 +134,68 @@ class TestApoly:
         assert wp_valuation(t ** 4 + t ** 2, t) == 2
         assert wp_valuation(A2.one, t) == 0
         assert wp_valuation(A2.zero, t, cap=7) == 7
+
+
+class TestWpValuation:
+    """wp_valuation runs on integer coefficients over F_p and by Poly
+    division over F_q, q = p^e with e > 1; both must agree with the Poly
+    division loop of conftest."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_divmod_loop(self, data):
+        kind = data.draw(st.sampled_from(["t", "t+1", 2, 3, "non-monic"]))
+        p = data.draw(st.sampled_from([3, 5, 7] if kind == "non-monic"
+                                      else [2, 3, 5, 7]))
+        field = fq(p)
+        A = polyring(field)
+        t = A.gen
+        if kind == "t":
+            wp = t
+        elif kind == "t+1":
+            wp = t + A.one
+        else:
+            d = 2 if kind == "non-monic" else kind
+            wp = next(f for f in A.monic_irreducibles(d) if f.degree == d)
+            if kind == "non-monic":
+                wp = wp * data.draw(st.integers(2, p - 1))
+        k = data.draw(st.integers(0, 9))
+        u = Poly(field, data.draw(st.lists(elems(field), max_size=5)))
+        a = wp ** k * u
+        cap = data.draw(st.integers(0, 8))
+        got = wp_valuation(a, wp, cap)
+        assert got == divmod_valuation(a, wp, cap)
+        if not u:
+            assert got == cap
+        elif u % wp:
+            assert got == min(k, cap)
+
+    def test_prime_field_skips_poly_division(self, monkeypatch):
+        A = polyring(fq(5))
+        t = A.gen
+        wp = 3 * t * t + 3  # a non-monic associate of t^2 + 1
+        a = wp ** 4 * (t + A.one)
+
+        def refuse(*args):
+            raise AssertionError("Poly.__divmod__ reached over F_5")
+
+        monkeypatch.setattr(Poly, "__divmod__", refuse)
+        assert wp_valuation(a, wp, 8) == 4
+        assert wp_valuation(a, t, 8) == 0
+        assert wp_valuation(a * t ** 9, t, 8) == 8
+
+    def test_nonprime_field_keeps_poly_division(self, monkeypatch, F4):
+        A = polyring(F4)
+        u = F4.gen
+        wp = A.gen + A.poly([u])
+        a = wp ** 3 * (A.gen + A.one)
+
+        def refuse(*args):
+            raise AssertionError("_divmod_ints reached over F_4")
+
+        monkeypatch.setattr(fields, "_divmod_ints", refuse)
+        assert wp_valuation(a, wp, 8) == 3
+        assert wp_valuation(a, A.gen, 8) == 0
 
 
 class TestResidueRing:

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.errors import DomainError, InternalConsistencyError
-from drinfeld.fields import (AResidue, Poly, ResidueRing, fq, polyring,
-                             wp_valuation)
+from drinfeld.fields import AResidue, Poly, ResidueRing, fq, polyring
 from drinfeld.forms import (FormExpansion, WeightChar, coefficient_monomial,
                             reduce_mod_wp,
                             congruence_depth, hasse_lift_expansion, lp,
@@ -11,6 +10,8 @@ from drinfeld.forms import (FormExpansion, WeightChar, coefficient_monomial,
                             weight_congruence_audit, weight_congruent,
                             weight_embed)
 from drinfeld.series import TruncSeries
+
+from conftest import divmod_valuation
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +84,11 @@ class TestCongruenceDepth:
 
 def valuation_reference(series, wp, cap):
     """min(cap, min_k v_wp(c_k)), every coefficient valued up to the full
-    cap; over A/(wp^n) the representative is valued (nonzero ones have
-    valuation below n)."""
-    return min([cap] + [wp_valuation(c.value if isinstance(c, AResidue) else c,
-                                     wp, cap)
-                        for c in series.coeffs if c])
+    cap by Poly division; over A/(wp^n) the representative is valued
+    (nonzero ones have valuation below n)."""
+    return min([cap] + [divmod_valuation(
+        c.value if isinstance(c, AResidue) else c, wp, cap)
+        for c in series.coeffs if c])
 
 
 def valuation_case(q, wp_name, n):

@@ -283,6 +283,33 @@ class TestPackedResidueProduct:
         # rows may vanish mod m (p = 2, m = (t^2+t+1)^3 divides c^2)
         assert prod.prec == 6 and prod.val + len(prod.coeffs) <= 6
 
+    def test_dense_modulus_at_p7(self):
+        # every coefficient of m below the top is nonzero, so each row
+        # reduction runs the whole fold; rows of t-length deg m + 1 (2 + 3 - 1)
+        # take exactly one elimination step
+        A = polyring(fq(7))
+        t = A.gen
+        R = ResidueRing(A.poly([5, 2, 3, 1]))
+        f = TruncSeries(R, 0, [R.reduce(t + 3), R.reduce(6 * t + 1)], 3)
+        g = TruncSeries(R, 0, [R.reduce(t * t + 4),
+                               R.reduce(2 * t * t + t + 6)], 3)
+        prod = f * g
+        assert prod == schoolbook_mul(f, g)
+        assert any(len(c.value.coeffs) == R.degree for c in prod.coeffs)
+        h = dense_residue_series(R, 6)
+        assert h * h == schoolbook_mul(h, h)
+
+    def test_prime_field_rows_skip_poly_division(self, monkeypatch):
+        R = residue_view(7, 2, 2)
+        f = dense_residue_series(R, 6)
+        want = schoolbook_mul(f, f)
+
+        def refuse(*args):
+            raise AssertionError("Poly.__divmod__ reached over F_7")
+
+        monkeypatch.setattr(Poly, "__divmod__", refuse)
+        assert f * f == want
+
     def test_nonprime_field_keeps_object_path(self, monkeypatch):
         A = polyring(fq(4))
         R = ResidueRing((A.gen + A.one) ** 3)

@@ -56,10 +56,7 @@ def sheaf_json(S):
 
 def _field(params):
     q = _int_param(params, "q")
-    modulus = params.get("q_modulus")
-    if modulus is not None:
-        modulus = tuple(int(c) for c in str(modulus).strip("[]").split(","))
-    return fq(q, modulus)
+    return fq(q, _int_list_param(params, "q_modulus"))
 
 
 def _apoly(field, s):
@@ -90,6 +87,26 @@ def _int_param(params, name, minimum=None, default=None):
     if minimum is not None and value < minimum:
         raise DomainError("%s must be at least %d, got %d" % (flag, minimum, value))
     return value
+
+
+def _int_list_param(params, name):
+    """params[name] as a tuple of ints, or None when it is absent.
+
+    A JSON list, or comma-separated text optionally in brackets; every entry
+    must be what ``_int_param`` accepts, else DomainError names the option.
+    """
+    value = params.get(name)
+    if value is None:
+        return None
+    items = value
+    if not isinstance(items, list):
+        text = str(value).strip().removeprefix("[").removesuffix("]")
+        items = [c.strip() for c in text.split(",")]
+    try:
+        return tuple(_int_param({name: c}, name) for c in items)
+    except DomainError:
+        raise DomainError("--%s must be comma-separated integers, got %r"
+                          % (name.replace("_", "-"), value)) from None
 
 
 # -- handlers: params dict -> result dict ----------------------------------

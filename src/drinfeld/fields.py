@@ -777,9 +777,25 @@ class AResidue:
         return AResidue(self.ring, (s * Poly(s.ring, (c,))) % self.ring.modulus)
 
     def pth_power(self, k=1):
-        if k == 0:
+        """x^(p^k) by substitution: sum_i x_i^(p^k) (t^(p^k))^i mod m.
+
+        Raising to p^k is a ring endomorphism in characteristic p, so the
+        image of x = sum x_i t^i is the sum of the reduced images
+        t^(i p^k) mod m (``ResidueRing._pth_images``) scaled by the x_i^(p^k).
+        Once the table is built this costs O(deg m^2) field operations for
+        every k, instead of reducing a representative of degree about
+        (deg m - 1) p^k.
+        """
+        if k == 0 or not self.value:
             return self
-        return AResidue(self.ring, self.value.pth_power(k) % self.ring.modulus)
+        field = self.ring.field
+        acc = [field.zero] * self.ring.degree
+        for img, c in zip(self.ring._pth_images(k), self.value.coeffs):
+            if c:
+                c = c.pth_power(k)
+                for j, x in enumerate(img.coeffs):
+                    acc[j] = acc[j] + x * c
+        return AResidue(self.ring, Poly(field, acc))
 
     def frob(self, k=1):
         return self.pth_power(self.ring.base_field.e * k)
@@ -841,10 +857,28 @@ class ResidueRing:
         if theta is None:
             theta = AResidue(self, polyring(self.field).gen % modulus)
         self.theta = theta
+        self._pth = {}
 
     @property
     def base_field(self):
         return self.field
+
+    def _pth_images(self, k):
+        """The reduced t^(i p^k) mod m for 0 <= i < deg m, memoised by k.
+
+        Built from T = t^(p^k) mod m by ``pow_mod`` and its successive
+        powers mod m.  The class of t is used, not ``theta``: an extension
+        field's theta is the image of another ring's t.
+        """
+        images = self._pth.get(k)
+        if images is None:
+            m = self.modulus
+            T = polyring(self.field).gen.pow_mod(self.p ** k, m)
+            images = [self.one.value]
+            for _ in range(1, self.degree):
+                images.append((images[-1] * T) % m)
+            self._pth[k] = images
+        return images
 
     def reduce(self, a):
         if not (isinstance(a, Poly) and a.ring is self.field):

@@ -9,7 +9,7 @@ from drinfeld.errors import InternalConsistencyError
 
 
 INTEGER_OPTIONS = {"--q", "--prec", "--k1", "--k2", "--max-n", "--steps",
-                   "--ext", "--ext-degree", "--threads"}
+                   "--ext", "--ext-degree", "--threads", "--q-modulus"}
 
 
 def run(capsys, *argv):
@@ -176,6 +176,10 @@ class TestExitCodes:
          "--a2", "1", "--ext", "0"),
         ("vsheaf", "points", "--q", "2", "--wp", "t", "--a1", "1", "--a2", "1",
          "--ext-degree", "2.0"),
+        ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1,x"),
+        ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", ""),
+        ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1,,1"),
+        ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1.5,1,1"),
     ])
     def test_malformed_input_is_1(self, tmp_path, capsys, argv):
         path = tmp_path / "manifest.json"
@@ -322,6 +326,20 @@ class TestSuite:
         else:
             assert code == 1 and entry["code"] == 1
             assert entry["error"].startswith(error)
+
+    def test_q_modulus_forms(self, tmp_path, capsys):
+        # comma-separated, in brackets, or a manifest's JSON int list
+        expected = run(capsys, "carlitz", "phi", "--q", "4", "--a", "t^2")[1]
+        for text in ["1,1,1", "[1,1,1]"]:
+            assert run(capsys, "carlitz", "phi", "--q", "4", "--a", "t^2",
+                       "--q-modulus", text) == (0, expected, "")
+        job = {"command": "carlitz phi", "q": 4, "a": "t^2",
+               "q_modulus": [1, 1, 1]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"jobs": [job]}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        assert code == 0
+        assert json.loads(out)["jobs"][0]["result"] == json.loads(expected)
 
     def test_input_degree_above_bound_is_job_error(self, tmp_path, capsys):
         jobs = [{"command": "carlitz phi", "q": 2, "a": "t^40"},

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,6 +243,68 @@ class TestResidueRing:
         b = R.reduce(data.draw(polys))
         assert (a + b).frob(1) == a.frob(1) + b.frob(1)
         assert (a * b).frob(1) == a.frob(1) * b.frob(1)
+
+
+FROBENIUS_MODULI = ["irreducible", "t^3", "(t+1)^2(t^2+t+1)", "two primes",
+                    "extension"]
+
+
+@functools.lru_cache(maxsize=None)
+def frobenius_ring(q, kind):
+    """A/(m) for the Frobenius oracle; "extension" is a degree-2 extension
+    of A/(wp), whose theta is a root of wp and not the class of t."""
+    A = polyring(fq(q))
+    t = A.gen
+    wp = next(f for f in A.monic_irreducibles(2) if f.degree == 2)
+    if kind == "irreducible":
+        return ResidueRing(wp)
+    if kind == "t^3":
+        return ResidueRing(t ** 3)
+    if kind == "(t+1)^2(t^2+t+1)":
+        return ResidueRing((t + A.one) ** 2 * (t * t + t + A.one))
+    if kind == "two primes":
+        return ResidueRing(t * wp)
+    return residue_field_with_theta(wp, 2)
+
+
+class TestFrobeniusOracle:
+    """AResidue.pth_power substitutes into a table of t^(i p^k) mod m; the
+    oracle is x ** (p^k), square-and-multiply through AResidue.__mul__."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_square_and_multiply(self, data):
+        q = data.draw(st.sampled_from([2, 3, 5, 7, 4, 9]))
+        kind = data.draw(st.sampled_from(FROBENIUS_MODULI))
+        R = frobenius_ring(q, kind)
+        field = R.field
+        x = R.reduce(Poly(field, data.draw(
+            st.lists(elems(field), max_size=R.degree))))
+        k = data.draw(st.integers(0, 12))
+        p = field.p
+        assert x.pth_power(k) == x ** (p ** k)
+        assert x.frob(k) == x ** (q ** k)
+        if k <= 4:  # the representative's p^k-th power, then reduced
+            assert x.pth_power(k).value == x.value.pth_power(k) % R.modulus
+        if kind in ("irreducible", "extension"):
+            assert x.frob(R.degree) == x
+
+    def test_extension_theta_is_not_t(self):
+        K = frobenius_ring(3, "extension")
+        assert K.theta != K.reduce(polyring(K.field).gen)
+
+    def test_large_k_never_builds_the_power(self, monkeypatch):
+        A = polyring(fq(5))
+        t = A.gen
+        R = ResidueRing(t * t + t + A.from_int(2))
+        x = R.reduce(3 * t + A.one)
+
+        def refuse(*args):
+            raise AssertionError("Poly.pth_power reached from AResidue")
+
+        monkeypatch.setattr(Poly, "pth_power", refuse)
+        assert x.frob(40) == x  # F_25: frob^2 is the identity
+        assert x.frob(41) == x ** 5
 
 
 class TestResidueFieldWithTheta:

@@ -56,7 +56,15 @@ def sheaf_json(S):
 
 def _field(params):
     q = _int_param(params, "q")
-    return fq(q, _int_list_param(params, "q_modulus"))
+    modulus = _int_list_param(params, "q_modulus")
+    if modulus is not None:
+        base = fq(q)
+        if len(modulus) != base.e + 1 or modulus[-1] % base.p != 1:
+            raise DomainError(
+                "--q-modulus for q = %d must be %d integers (monic of degree "
+                "%d, low first), got %s"
+                % (q, base.e + 1, base.e, ",".join(map(str, modulus))))
+    return fq(q, modulus)
 
 
 def _apoly(field, s):

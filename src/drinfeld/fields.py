@@ -270,7 +270,7 @@ class Fq:
             modulus = (0, 1) if e == 1 else self._find_modulus(p, e)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise DomainError("modulus must be monic of degree e")
+            raise DomainError("modulus must be monic of degree %d" % e)
         m = None
         if e > 1:
             prime = fq(p)

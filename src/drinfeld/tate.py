@@ -5,7 +5,8 @@ Phi^C_(f a)(1/x), whose inverses are honest power series over A because the
 relevant denominators are units.  The engine computes
 
 * the lattice exponential e(X) = sum e_i X^(q^i) from the product formula
-  collapsed over F_q^x-orbits (only monic a enter),
+  collapsed over F_q^x-orbits (only monic a enter), over the degree layers
+  of a that are visible mod x^N (see TateDrinfeld),
 * the module coefficients a1, a2 from the linear relations that the
   functional equation Phi_t(e(Z)) = e(theta Z + Z^q) imposes at Z^q and
   Z^(q^2), with the Z^(q^3) relation kept as a consistency residual,
@@ -40,11 +41,7 @@ def lattice_inverse(field, g, prec):
     qr = field.q ** r
     coeffs = [A.zero] * qr
     for j, c in enumerate(phi.coeffs):
-        k = qr - field.q ** j
-        if k < qr:
-            coeffs[k] = c
-        else:  # pragma: no cover
-            raise InternalConsistencyError("unexpected exponent")
+        coeffs[qr - field.q ** j] = c
     poly_part = TruncSeries(A, 0, coeffs, prec)
     return poly_part.inv().shift(qr).truncate(prec)
 
@@ -52,9 +49,15 @@ def lattice_inverse(field, g, prec):
 class TateDrinfeld:
     """One Tate-Drinfeld configuration (q, wp, f) at x-precision N.
 
-    The exponential is kept to an index i_max derived from N: the least
-    i_max >= max(3, deg wp + 1) such that every X-degree beyond q^i_max is
-    invisible mod x^N.
+    The lattice points f a with deg(a) < D span an F_q-space V_D, and Ore's
+    recursion e_(V + F_q w)(X) = e_V(X) - e_V(w)^(1-q) e_V(X)^q (Goss, Basic
+    Structures of Function Field Arithmetic, 1996, 1.3) shows that the layer
+    deg(a) = D changes e only from x-valuation
+    (q-1) q^deg(f) (q^(2D+1)+1)/(q+1) on.  The product stops at the first
+    layer where that is >= N; each layer it takes is complete, so the
+    truncated product stays additive.  e_i has x-valuation exactly
+    q^deg(f) (q^(2i)-1)/(q+1) (`_exp_valuation`, checked), and e is kept to
+    the least i_max >= max(3, deg wp + 1) with e_(i_max+1) invisible mod x^N.
     """
 
     def __init__(self, field, wp, f, prec):
@@ -86,39 +89,25 @@ class TateDrinfeld:
 
     # -- exponential -------------------------------------------------------
 
-    def _factor_values(self):
-        """x-adic valuations (q-1) q^deg(fa) of the collapsed product factors."""
+    def _exp_valuation(self, i):
+        """The x-valuation q^deg(f) (q^(2i) - 1)/(q + 1) of e_i."""
         q = self.q
-        vals = []
-        deg = 0
-        while q ** (self.f.degree + deg) <= self.prec:
-            vals.extend([(q - 1) * q ** (self.f.degree + deg)] * (q ** deg))
-            deg += 1
-        self._omitted_val = (q - 1) * q ** (self.f.degree + deg)
-        return vals
-
-    def _min_val_for_slots(self, slots):
-        """Greedy lower bound for the valuation of a product using `slots`
-        collapsed factors; omitted factors count at their minimum."""
-        vals = sorted(self._factor_values())
-        total = 0
-        for k in range(slots):
-            total += vals[k] if k < len(vals) else self._omitted_val
-        return total
+        return q ** self.f.degree * (q ** (2 * i) - 1) // (q + 1)
 
     def _build_exponential(self):
         q = self.q
         N = self.prec
         # make sure everything of X-degree beyond q^i_max is invisible mod x^N
-        while self._min_val_for_slots((q ** (self.i_max + 1) - 1) // (q - 1)) < N:
+        while self._exp_valuation(self.i_max + 1) < N:
             self.i_max += 1
         cap = q ** self.i_max
-        one = self.S.one
-        # product over monic a with q^deg(fa) <= N of (1 - (X F_(fa))^(q-1)),
-        # as a map X-degree -> series coefficient
-        prod = {0: one}
+        # product over monic a of (1 - (X F_(fa))^(q-1)), as a map X-degree
+        # -> series coefficient, for the layers deg(a) = D whose valuation
+        # (q-1) q^deg(f) (q^(2D+1)+1)/(q+1) is below N (see the class doc)
+        prod = {0: self.S.one}
         deg = 0
-        while q ** (self.f.degree + deg) <= N:
+        while ((q - 1) * q ** self.f.degree * (q ** (2 * deg + 1) + 1)
+               // (q + 1) < N):
             for a in self.A.monic_polys(deg):
                 F = lattice_inverse(self.field, self.f * a, N)
                 Fq1 = F ** (q - 1)
@@ -140,12 +129,20 @@ class TateDrinfeld:
                 raise InternalConsistencyError(
                     "non-additive term X^%d survives the truncated product"
                     % (k + 1))
-        if e[0].is_zero() or e[0].coeff(0) != self.A.one or e[0].order() != 0:
-            raise InternalConsistencyError("e_0 must be 1")
-        for i in range(1, self.i_max + 1):
-            if e[i] and e[i].order() < 1:
-                raise InternalConsistencyError("e_%d is not divisible by x" % i)
+        self._check_exponential(e)
         self.e = e  # e_0..e_i_max
+
+    def _check_exponential(self, e):
+        """e_0 = 1 + O(x), and e_i has x-valuation exactly _exp_valuation(i),
+        or is zero to precision when that is >= N."""
+        if e[0].coeff(0) != self.A.one:
+            raise InternalConsistencyError("e_0 must be 1")
+        for i, ei in enumerate(e):
+            v = self._exp_valuation(i)
+            if ei.order() != (v if v < self.prec else None):
+                raise InternalConsistencyError(
+                    "e_%d has x-valuation %s at precision %d, expected %d"
+                    % (i, ei.order(), self.prec, v))
 
     def exp_coeff(self, i):
         """e_i, the coefficient of X^(q^i) in the lattice exponential."""

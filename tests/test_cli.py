@@ -180,6 +180,8 @@ class TestExitCodes:
         ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", ""),
         ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1,,1"),
         ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1.5,1,1"),
+        ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1,1,1,1"),
+        ("carlitz", "phi", "--q", "4", "--a", "t", "--q-modulus", "1,1,2"),
     ])
     def test_malformed_input_is_1(self, tmp_path, capsys, argv):
         path = tmp_path / "manifest.json"
@@ -194,6 +196,14 @@ class TestExitCodes:
             assert "--chi" in error
         elif argv[-2] in INTEGER_OPTIONS:
             assert argv[-2] in error
+
+    def test_q_modulus_of_wrong_length_gives_the_degree(self, capsys):
+        code, _, err = run(capsys, "carlitz", "phi", "--q", "4", "--a", "t",
+                           "--q-modulus", "1,1,1,1")
+        assert code == 1
+        assert json.loads(err)["error"] == (
+            "--q-modulus for q = 4 must be 3 integers (monic of degree 2, "
+            "low first), got 1,1,1,1")
 
     @pytest.mark.parametrize("q,f,prec", [(3, "1", 2), (4, "1", 3),
                                           (2, "t", 2)])

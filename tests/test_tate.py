@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
+from drinfeld import cli, tate
 from drinfeld.carlitz import carlitz_phi
 from drinfeld.errors import DomainError
-from drinfeld.fields import ResidueRing, fq, polyring
+from drinfeld.fields import ResidueRing, fq, is_irreducible, polyring
 from drinfeld.series import TruncSeries
 from drinfeld.tate import TateDrinfeld, lattice_inverse, td_instance
 
@@ -41,6 +44,27 @@ class TestExponential:
             for i in range(1, td.i_max + 1):
                 ei = td.exp_coeff(i)
                 assert ei.is_zero() or ei.order() >= 1
+
+    @pytest.mark.parametrize("i,message", [
+        (1, "e_1 has x-valuation 2 at precision 8, expected 1"),
+        (3, "e_3 has x-valuation 7 at precision 8, expected 21")])
+    def test_corrupted_coefficient_is_2(self, monkeypatch, capsys, i, message):
+        # at q=2, N=8, e_1 has valuation exactly 1 and e_3 (valuation 21)
+        # vanishes: shift e_1 by one place, or give e_3 a term x^7
+        check = TateDrinfeld._check_exponential
+
+        def corrupted(td, e):
+            e = list(e)
+            e[i] = e[i].shift(1) if e[i] else TruncSeries.x_power(td.A, 7, 8)
+            return check(td, tuple(e))
+
+        monkeypatch.setattr(TateDrinfeld, "_check_exponential", corrupted)
+        monkeypatch.setattr(tate, "_TD_CACHE", {})
+        code = cli.main(["tate", "expand", "--q", "2", "--wp", "t",
+                         "--prec", "8"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["kind"] == "internal-consistency"
+        assert err["error"] == message
 
     def test_descent_to_q_minus_1_subring(self):
         for cfg in TD_CONFIGS:
@@ -168,6 +192,99 @@ class TestGekelerOracles:
         for got, ref in ((td.a1, gekeler_a1(A, N)), (td.a2, gekeler_a2(A, N))):
             diff = got - ref
             assert diff.prec >= N and diff.truncate(N).is_zero()
+
+
+def greedy_i_max(q, f, N, wp_degree):
+    """The least i_max >= max(3, deg wp + 1) such that the
+    (q^(i_max+1) - 1)/(q - 1) smallest factor valuations (q-1) q^deg(fa) over
+    monic a with q^deg(fa) <= N, factors beyond those counted at the next
+    degree, sum to at least N: every X-degree beyond q^i_max is then
+    invisible mod x^N."""
+    vals, r = [], 0
+    while q ** (f.degree + r) <= N:
+        vals += [(q - 1) * q ** (f.degree + r)] * q ** r
+        r += 1
+    omitted = (q - 1) * q ** (f.degree + r)
+    i_max = max(3, wp_degree + 1)
+    while True:
+        slots = (q ** (i_max + 1) - 1) // (q - 1)
+        if sum(vals[:slots]) + max(0, slots - len(vals)) * omitted >= N:
+            return i_max
+        i_max += 1
+
+
+def full_layer_exponential(field, f, N, i_max):
+    """e_0..e_i_max from the lattice product over every monic a with
+    q^deg(fa) <= N, layers invisible mod x^N included."""
+    A = polyring(field)
+    q = field.q
+    prod = {0: TruncSeries.one(A, N)}
+    deg = 0
+    while q ** (f.degree + deg) <= N:
+        for a in A.monic_polys(deg):
+            Fq1 = lattice_inverse(field, f * a, N) ** (q - 1)
+            new = dict(prod)
+            for k, c in prod.items():
+                k2 = k + q - 1
+                if k2 < q ** i_max:
+                    new[k2] = new[k2] - c * Fq1 if k2 in new else -(c * Fq1)
+            prod = new
+        deg += 1
+    zero = TruncSeries.zero(A, N)
+    return [prod.get(q ** i - 1, zero).truncate(N) for i in range(i_max + 1)]
+
+
+# (q, f, N), each checked at N and N + 1.  Where it is in reach, N is the
+# valuation (q-1) q^deg(f) (q^(2D+1)+1)/(q+1) of a layer D >= 1: at N the
+# layer cancels and at N + 1 it shows.  Elsewhere layer 1 shows only far
+# beyond test sizes, so N = (q-1) q^(deg f + 1), past which its single
+# factors show while the layer as a whole still cancels.  At q=7 with
+# deg f = 1 that N is 294 and too slow, so N = 49 there checks i_max and a
+# degree-1 layer whose factors vanish.
+LAYER_CASES = [(2, "1", 11), (2, "t", 22), (2, "t+1", 22), (3, "1", 14),
+               (3, "t", 42), (3, "t+1", 42), (4, "1", 39), (4, "t", 48),
+               (5, "1", 20), (5, "t", 100), (7, "1", 42), (7, "t+1", 49)]
+
+
+class TestLayerTruncation:
+    """The exponential built from the layers visible mod x^N equals the
+    product over every monic a with q^deg(fa) <= N."""
+
+    @pytest.mark.parametrize("q,f,N", LAYER_CASES,
+                             ids=["q%d-f%s-N%d" % c for c in LAYER_CASES])
+    def test_matches_full_layer_product(self, q, f, N):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        f = {"1": A.one, "t": t, "t+1": t + A.one}[f]
+        wps = (t, next(m for m in A.monic_polys(2) if is_irreducible(m)))
+        for prec in (N, N + 1):
+            for wp in wps:
+                i_max = greedy_i_max(q, f, prec, wp.degree)
+                e = full_layer_exponential(field, f, prec, i_max)
+                a1 = (e[1].scale(t.frob(1) - t)
+                      + TruncSeries.one(A, prec)).truncate(prec)
+                a2 = (e[2].scale(t.frob(2) - t) + e[1]
+                      - a1 * e[1].frob(1)).truncate(prec)
+                td = TateDrinfeld(field, wp, f, prec)
+                assert td.i_max == i_max
+                assert list(td.e) == e
+                assert td.a1 == a1 and td.a2 == a2
+
+    def test_builds_only_the_visible_layers(self, monkeypatch):
+        # q=2, wp=t, N=64: layers 0-3, 1 + 2 + 4 + 8 monic a, not the 127
+        # monic a of degree <= 6
+        calls = []
+
+        def counting(field, g, prec):
+            calls.append(g)
+            return lattice_inverse(field, g, prec)
+
+        monkeypatch.setattr(tate, "lattice_inverse", counting)
+        field = fq(2)
+        A = polyring(field)
+        TateDrinfeld(field, A.gen, A.one, 64)
+        assert len(calls) == 15 and max(g.degree for g in calls) == 3
 
 
 class TestOneTimeWork:

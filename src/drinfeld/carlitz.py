@@ -125,16 +125,13 @@ def carlitz_cyclotomic(field, factors):
     for f in factors:
         if not is_irreducible(f):
             raise DomainError("factor %r is not monic irreducible" % (f,))
-    A = polyring(field)
     num = None
     den = None
     expected_degree = 0
     for m, mu in _divisors_from_factorization(field, factors):
         if mu == 0:
             continue
-        phi_m = carlitz_torsion_poly(field, m) if m.degree >= 1 else None
-        if m.degree == 0:
-            phi_m = Poly(A, (A.zero, A.one))  # Phi^C_1(X) = X
+        phi_m = carlitz_torsion_poly(field, m)  # Phi^C_1(X) = X for m = 1
         expected_degree += mu * (field.q ** m.degree)
         if mu == 1:
             num = phi_m if num is None else num * phi_m

@@ -48,23 +48,28 @@ def sheaf_json(S):
         "P": [[residue_json(x) for x in row] for row in S.P],
         "Psi": [[residue_json(x) for x in row] for row in S.Psi],
         "V": [[residue_json(x) for x in row] for row in S.V],
-        "base": {"q": S.ring.q,
-                 "modulus": poly_to_bracket(S.ring.modulus),
-                 "theta": residue_json(S.ring.theta)},
+        "base": _base_json(S.ring),
     }
 
 
 def _field(params):
     q = _int_param(params, "q")
     modulus = _int_list_param(params, "q_modulus")
-    if modulus is not None:
-        base = fq(q)
-        if len(modulus) != base.e + 1 or modulus[-1] % base.p != 1:
-            raise DomainError(
-                "--q-modulus for q = %d must be %d integers (monic of degree "
-                "%d, low first), got %s"
-                % (q, base.e + 1, base.e, ",".join(map(str, modulus))))
-    return fq(q, modulus)
+    if modulus is None:
+        return fq(q)
+    base = fq(q)
+    text = ",".join(map(str, modulus))
+    if len(modulus) != base.e + 1 or modulus[-1] % base.p != 1:
+        raise DomainError(
+            "--q-modulus for q = %d must be %d integers (monic of degree "
+            "%d, low first), got %s" % (q, base.e + 1, base.e, text))
+    try:
+        return fq(q, modulus)
+    except DomainError:
+        # q, the length and the leading coefficient are valid by now, so
+        # irreducibility is the only check left to fail
+        raise DomainError("--q-modulus %s is reducible over F_%d"
+                          % (text, base.p)) from None
 
 
 def _apoly(field, s):
@@ -146,6 +151,7 @@ def run_carlitz_cyclotomic(params):
 
 
 def _module_over_char_wp(params):
+    _require(params, "q", "wp", "a1", "a2")
     field = _field(params)
     wp = _apoly(field, params["wp"])
     ext = _int_param(params, "ext", 1, default=1)
@@ -161,7 +167,6 @@ def _base_json(K):
 
 
 def run_drinfeld_dual(params):
-    _require(params, "q", "wp", "a1", "a2")
     field, wp, K, E = _module_over_char_wp(params)
     D = E.taguchi_dual()
     return {"base": _base_json(K), "theta": residue_json(K.theta),
@@ -172,7 +177,6 @@ def run_drinfeld_dual(params):
 
 
 def run_drinfeld_classify(params):
-    _require(params, "q", "wp", "a1", "a2")
     field, wp, K, E = _module_over_char_wp(params)
     kind = classify_reduction(E, wp)
     fact = wp_factorize(E, wp)
@@ -196,7 +200,6 @@ def _kernel_from_params(params):
 
 
 def run_vsheaf_kernel(params):
-    _require(params, "q", "wp", "a1", "a2")
     S = _kernel_from_params(params)
     ok, violations = vsheaf_validate(S)
     out = sheaf_json(S)
@@ -206,7 +209,6 @@ def run_vsheaf_kernel(params):
 
 
 def run_vsheaf_dual(params):
-    _require(params, "q", "wp", "a1", "a2")
     S = _kernel_from_params(params)
     D = taguchi_dual_sheaf(S)
     out = sheaf_json(D)
@@ -215,7 +217,6 @@ def run_vsheaf_dual(params):
 
 
 def run_vsheaf_points(params):
-    _require(params, "q", "wp", "a1", "a2")
     S = _kernel_from_params(params)
     m = _int_param(params, "ext_degree", 1, default=1)
     K, _, pts = dual_points(S, m)
@@ -344,12 +345,11 @@ def run_forms_limit(params):
     prec = _int_param(params, "prec", 1)
     steps = _int_param(params, "steps", 1)
     d = wp.degree
-    try:
-        s0, s1 = (int(x) for x in str(params["chi"]).split(","))
-    except ValueError:
+    chi = _int_list_param(params, "chi")
+    if len(chi) != 2:
         raise DomainError("--chi must be two integers s0,s1, got %r"
-                          % params["chi"]) from None
-    chi = WeightChar(s0, s1, field.q ** d - 1, field.p, 12)
+                          % params["chi"])
+    chi = WeightChar(*chi, field.q ** d - 1, field.p, 12)
     g = hasse_lift_expansion(field, wp, prec)
     f = _parse_monomial(field, wp, prec, params.get("monomial", "g"))
     seq = padic_limit_sequence(f, chi, wp, steps, g)
@@ -442,7 +442,7 @@ def build_parser():
     g_dr = sub.add_parser("drinfeld")
     s_dr = g_dr.add_subparsers(dest="op", required=True)
     mod_flags = common + [("--wp", {"required": True}),
-                          ("--ext", {"default": 1}),
+                          ("--ext", {}),
                           ("--a1", {"required": True}),
                           ("--a2", {"required": True})]
     add(s_dr, "dual", *mod_flags)
@@ -450,16 +450,14 @@ def build_parser():
 
     g_vs = sub.add_parser("vsheaf")
     s_vs = g_vs.add_subparsers(dest="op", required=True)
-    vs_flags = mod_flags + [("--u", {"default": "wp"})]
+    vs_flags = mod_flags + [("--u", {})]
     add(s_vs, "kernel", *vs_flags)
     add(s_vs, "dual", *vs_flags)
-    add(s_vs, "points", *(vs_flags + [("--ext-degree",
-                                       {"dest": "ext_degree", "default": 1})]))
+    add(s_vs, "points", *vs_flags, ("--ext-degree", {"dest": "ext_degree"}))
 
     g_ta = sub.add_parser("tate")
     s_ta = g_ta.add_subparsers(dest="op", required=True)
-    ta_flags = common + wp_flags + [("--f", {"default": "1"}),
-                                    ("--prec", {"required": True})]
+    ta_flags = common + wp_flags + [("--f", {}), ("--prec", {"required": True})]
     add(s_ta, "expand", *ta_flags)
     add(s_ta, "canonical", *ta_flags)
     add(s_ta, "ks", *ta_flags)
@@ -472,15 +470,14 @@ def build_parser():
     add(s_fo, "audit", *(fo_base + [("--f1", {"required": True}),
                                     ("--f2", {"required": True}),
                                     ("--k1", {}), ("--k2", {}),
-                                    ("--max-n", {"dest": "max_n",
-                                                 "default": 8})]))
+                                    ("--max-n", {"dest": "max_n"})]))
     add(s_fo, "limit", *(fo_base + [("--chi", {"required": True}),
                                     ("--steps", {"required": True}),
-                                    ("--monomial", {"default": "g"})]))
+                                    ("--monomial", {})]))
 
     g_su = sub.add_parser("suite")
     g_su.add_argument("--manifest", required=True)
-    g_su.add_argument("--threads", default=1)
+    g_su.add_argument("--threads")
     return parser
 
 

@@ -6,6 +6,9 @@ Conventions shared by the whole package:
 * q = p^e is fixed once by the base field; ``frob`` always means the q-power
   map, even on extension rings where it is not the identity.
 * Polynomials are dense, stored low degree first, with no trailing zeros.
+  ``DensePoly`` holds that storage and its coefficientwise operations for
+  both ``Poly`` and ``tau.TauPoly``; each subclass supplies its own operand
+  coercion (``_coerce``) and product, and ``Poly`` adds division and gcd.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -16,6 +19,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 import sys
@@ -353,6 +357,10 @@ class Fq:
     def order(self):
         return self.q
 
+    @property
+    def base_field(self):
+        return self
+
     def to_str(self, a):
         if self.e == 1:
             return str(a.idx)
@@ -412,12 +420,13 @@ def fq(q, modulus=None):
     return field
 
 
-class Poly:
-    """Dense univariate polynomial over a ring handle.
+class DensePoly:
+    """Coefficients over a ring handle, low degree first, no trailing zeros.
 
-    Used both for elements of A = F_q[t] (coefficients in Fq) and for
-    polynomials in an outer variable with coefficients in A or a quotient
-    ring.  Coefficients are stored low degree first with no trailing zeros.
+    Sums, negation, equality and hashing act coefficientwise and keep the
+    operand's own type, so a ``Poly`` and a ``TauPoly`` never mix or compare
+    equal.  ``_coerce(other)`` is the subclass's: ``other`` over the same
+    ring (a scalar as a constant), or NotImplemented.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -440,22 +449,13 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
-
     def leading(self):
         if not self.coeffs:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else self.ring.zero
-
-    def _wrap(self, coeffs, normalize=True):
-        return Poly(self.ring, coeffs, normalize)
-
     def __add__(self, other):
-        other = self._coerce_operand(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -464,15 +464,16 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return self._wrap(out)
+        return type(self)(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(tuple(-c for c in self.coeffs), normalize=False)
+        return type(self)(self.ring, tuple(-c for c in self.coeffs),
+                          normalize=False)
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -480,13 +481,38 @@ class Poly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return other.ring is self.ring and other.coeffs == self.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.ring), self.coeffs))
+
+    def map_coeffs(self, func, ring):
+        return type(self)(ring, tuple(func(c) for c in self.coeffs))
+
+
+class Poly(DensePoly):
+    """Dense univariate polynomial over a ring handle.
+
+    Used both for elements of A = F_q[t] (coefficients in Fq) and for
+    polynomials in an outer variable with coefficients in A or a quotient
+    ring.  The variable commutes with the coefficients.
+    """
+
+    __slots__ = ()
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
+
     def __mul__(self, other):
-        other = self._coerce_operand(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return self._wrap((), normalize=False)
+            return Poly(self.ring, (), normalize=False)
         zero = self.ring.zero
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -494,11 +520,11 @@ class Poly:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] = out[i + j] + ai * bj
-        return self._wrap(out)
+        return Poly(self.ring, out)
 
     __rmul__ = __mul__
 
-    def _coerce_operand(self, other):
+    def _coerce(self, other):
         if isinstance(other, Poly) and other.ring is self.ring:
             return other
         try:
@@ -514,14 +540,6 @@ class Poly:
             return Poly(self.ring, (self.ring.one,), normalize=False)
         return power(self, n)
 
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return other.ring is self.ring and other.coeffs == self.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
-
     def __divmod__(self, other):
         if not isinstance(other, Poly) or other.ring is not self.ring:
             raise DomainError("mismatched rings in division")
@@ -532,7 +550,7 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return self._wrap((), normalize=False), self
+            return Poly(self.ring, (), normalize=False), self
         quot = [self.ring.zero] * (dq + 1)
         db = other.degree
         while len(rem) - 1 >= db:
@@ -547,7 +565,7 @@ class Poly:
                 if bc:
                     rem[shift + i] = rem[shift + i] - c * bc
             rem.pop()
-        return self._wrap(quot), self._wrap(rem)
+        return Poly(self.ring, quot), Poly(self.ring, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -571,10 +589,8 @@ class Poly:
         """Multiply by the k-th power of the variable (k >= 0)."""
         if not self.coeffs:
             return self
-        return self._wrap((self.ring.zero,) * k + self.coeffs, normalize=False)
-
-    def map_coeffs(self, func, ring):
-        return Poly(ring, tuple(func(c) for c in self.coeffs))
+        return Poly(self.ring, (self.ring.zero,) * k + self.coeffs,
+                    normalize=False)
 
     def pth_power(self, k=1):
         """Freshman's-dream power: (sum a_i t^i)^(p^k) = sum a_i^(p^k) t^(i p^k)."""
@@ -585,14 +601,11 @@ class Poly:
         out = [zero] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             if c:
-                out[i * step] = c.pth_power(k) if hasattr(c, "pth_power") else c ** step
-        return self._wrap(out, normalize=False)
+                out[i * step] = c.pth_power(k)
+        return Poly(self.ring, out, normalize=False)
 
     def frob(self, k=1):
-        e = getattr(self.ring, "e", None)
-        if e is None:
-            e = getattr(self.ring.base_field, "e")
-        return self.pth_power(e * k)
+        return self.pth_power(self.ring.base_field.e * k)
 
     def gcd(self, other):
         a, b = self, other
@@ -630,10 +643,7 @@ class PolyRing:
 
     @property
     def base_field(self):
-        b = self.base
-        while not isinstance(b, Fq):
-            b = b.base
-        return b
+        return self.base.base_field
 
     @property
     def theta(self):
@@ -663,16 +673,8 @@ class PolyRing:
     def monic_polys(self, degree):
         """All monic degree-d polynomials, in a fixed deterministic order."""
         base = self.base
-        if degree == 0:
-            yield self.one
-            return
-        for k in range(base.q ** degree):
-            coeffs = []
-            kk = k
-            for _ in range(degree):
-                coeffs.append(base._els[kk % base.q])
-                kk //= base.q
-            yield Poly(base, tuple(coeffs) + (base.one,), normalize=False)
+        for coeffs in _coefficient_tuples(base, degree):
+            yield Poly(base, coeffs + (base.one,), normalize=False)
 
     def monic_irreducibles(self, max_degree):
         for d in range(1, max_degree + 1):
@@ -682,6 +684,15 @@ class PolyRing:
 
     def __repr__(self):
         return "%r[%s]" % (self.base, self.var)
+
+
+def _coefficient_tuples(field, n):
+    """All n-tuples over the finite field ``field``, lowest entry first, in
+    the order of k = 0, 1, ..., q^n - 1 written in base q (entry i is the
+    digit of q^i).  Searches that take the first hit (``_find_modulus``,
+    ``extension_with_embedding``, ``find_root``) depend on this order."""
+    for digits in itertools.product(field.elements(), repeat=n):
+        yield digits[::-1]
 
 
 _POLYRING_CACHE = {}
@@ -909,14 +920,8 @@ class ResidueRing:
         raise DomainError("cannot coerce %r into %r" % (x, self))
 
     def elements(self):
-        field = self.field
-        for k in range(self.order):
-            coeffs = []
-            kk = k
-            for _ in range(self.degree):
-                coeffs.append(field._els[kk % field.q])
-                kk //= field.q
-            yield AResidue(self, Poly(field, tuple(coeffs)))
+        for coeffs in _coefficient_tuples(self.field, self.degree):
+            yield AResidue(self, Poly(self.field, coeffs))
 
     def element_key(self, r):
         """Deterministic sort key for elements (coefficient indices, low first)."""

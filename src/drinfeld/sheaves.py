@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
-from .fields import extension_with_embedding
+from .fields import AResidue, Poly, extension_with_embedding
 from .tau import TauPoly
 
 
@@ -79,35 +79,38 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def kernel_basis(ring, a):
-    """Basis of the right kernel of a over a field handle, by row reduction."""
-    n = len(a)
-    m = len(a[0]) if a else 0
-    rows = [list(r) for r in a]
+def _rref(rows):
+    """Reduced row echelon form over a field: (rows, pivots), the nonzero
+    reduced rows from the top and the pivot column of each, ascending."""
+    rows = [list(r) for r in rows]
     pivots = []
-    rank = 0
-    for col in range(m):
-        sel = None
-        for i in range(rank, n):
-            if rows[i][col]:
-                sel = i
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         inv = rows[rank][col].inv()
         rows[rank] = [inv * x for x in rows[rank]]
-        for i in range(n):
+        for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 c = rows[i][col]
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
-        rank += 1
-        if rank == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    return rows[:len(pivots)], pivots
+
+
+def kernel_basis(ring, a):
+    """Basis of the right kernel of a over a field handle, one vector per
+    free column of the reduced row echelon form."""
+    rows, pivots = _rref(a)
+    m = len(a[0]) if a else 0
     basis = []
-    for fcol in free:
+    for fcol in range(m):
+        if fcol in pivots:
+            continue
         v = [ring.zero] * m
         v[fcol] = ring.one
         for r, pcol in enumerate(pivots):
@@ -117,26 +120,15 @@ def kernel_basis(ring, a):
 
 
 def column_echelon(ring, a):
-    """Echelon basis of the column space; used to reduce coker classes."""
-    cols = [list(c) for c in zip(*a)] if a else []
-    basis = []
-    for col in cols:
-        vec = col[:]
-        for piv_row, piv_vec in basis:
-            if vec[piv_row]:
-                c = vec[piv_row]
-                vec = [x - c * y for x, y in zip(vec, piv_vec)]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is not None:
-            inv = vec[lead].inv()
-            vec = [inv * x for x in vec]
-            basis.append((lead, vec))
-    basis.sort(key=lambda kv: kv[0])
-    return basis
+    """Echelon basis of the column space, as (pivot, row) pairs of the
+    reduced row echelon form of a^T; used to reduce coker classes."""
+    rows, pivots = _rref(mat_transpose(a))
+    return list(zip(pivots, rows))
 
 
 def coker_reduce(ring, echelon, v):
-    """Canonical representative of v modulo the echelonized column space."""
+    """Canonical representative of v modulo the echelonized column space:
+    the element of the coset that is zero at every pivot."""
     vec = list(v)
     for piv_row, piv_vec in echelon:
         if vec[piv_row]:
@@ -251,7 +243,6 @@ def dual_points(S, m=1):
     s = K.degree
     r = S.rank
     # power basis of K over F_q: 1, tbar, tbar^2, ...
-    from .fields import AResidue, Poly
     tbar = AResidue(K, Poly(field, (field.zero, field.one)))
     basis = [K.one]
     for _ in range(1, s):
@@ -279,7 +270,7 @@ def dual_points(S, m=1):
                 block_rows[a][i * s + b] = block_rows[a][i * s + b] - frob_mat[a][b]
         big.extend(tuple(row) for row in block_rows)
     basis_vecs = kernel_basis(field, mat(big))
-    # enumerate the F_q-span of the kernel
+    # the F_q-span of an independent kernel basis: no point repeats
     points = []
     span = [tuple(field.zero for _ in range(r * s))]
     for bvec in basis_vecs:
@@ -288,13 +279,8 @@ def dual_points(S, m=1):
             for c in field.elements():
                 new_span.append(tuple(x + c * y for x, y in zip(v, bvec)))
         span = new_span
-    seen = set()
     for v in span:
         pt = tuple(AResidue(K, Poly(field, v[j * s:(j + 1) * s])) for j in range(r))
-        key = tuple(K.element_key(x) for x in pt)
-        if key in seen:
-            continue
-        seen.add(key)
         if vec_frob(pt) != mat_vec(V_K, pt):
             raise InternalConsistencyError("solver produced a non-point")
         points.append(pt)

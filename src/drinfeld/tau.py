@@ -5,24 +5,22 @@ X -> sum b_i X^(q^i); multiplication is composition, governed by
 a tau^i * b tau^j = a b^(q^i) tau^(i+j).  Only right division is provided:
 the quotient step needs b^(q^s) powers of the divisor's inverted leading
 coefficient, never q-th roots.
+
+``TauPoly`` shares its dense coefficient storage with ``fields.Poly`` through
+``fields.DensePoly``.  It supplies the twisted product, right division,
+evaluation as an additive polynomial and the coefficient twist, and its
+``_coerce`` refuses an operand over another coefficient ring with
+DomainError instead of handing it on.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .fields import NEG_INF, horner, power
+from .fields import DensePoly, horner, power
 
 
-class TauPoly:
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs, normalize=True):
-        if normalize:
-            coeffs = list(coeffs)
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
+class TauPoly(DensePoly):
+    __slots__ = ()
 
     @staticmethod
     def zero(ring):
@@ -36,48 +34,10 @@ class TauPoly:
     def tau(ring, k=1):
         return TauPoly(ring, (ring.zero,) * k + (ring.one,), normalize=False)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return self.ring.zero
-
-    def leading(self):
-        if not self.coeffs:
-            raise DomainError("zero twisted polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return TauPoly(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TauPoly(self.ring, tuple(-c for c in self.coeffs), normalize=False)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def _coerce(self, other):
         if isinstance(other, TauPoly):
@@ -116,14 +76,6 @@ class TauPoly:
         if n == 0:
             return TauPoly.one(self.ring)
         return power(self, n)
-
-    def __eq__(self, other):
-        if isinstance(other, TauPoly):
-            return other.ring is self.ring and other.coeffs == self.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
 
     def __call__(self, x):
         """Evaluate the additive polynomial: sum b_i x^(q^i)."""
@@ -189,9 +141,6 @@ class TauPoly:
 
     def rmod(self, u):
         return self.rdivmod(u)[1]
-
-    def map_coeffs(self, func, ring):
-        return TauPoly(ring, tuple(func(c) for c in self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:

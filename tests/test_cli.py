@@ -152,6 +152,11 @@ class TestExitCodes:
          "--chi", "1,2,3", "--steps", "2"),
         ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
          "--chi", "a,b", "--steps", "2"),
+        # entries are plain decimal: no digit separators, ASCII digits only
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "8",
+         "--chi", "1_0,7", "--steps", "2"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "8",
+         "--chi", "\u0663,7", "--steps", "2"),
         # integer options: malformed or below their minimum (the last two
         # arguments), each named in the error
         ("tate", "expand", "--q", "2", "--wp", "t", "--prec", "abc"),
@@ -192,7 +197,7 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "domain"
         error = json.loads(err)["error"]
         chi = dict(zip(argv, argv[1:])).get("--chi", "0,0")
-        if not re.fullmatch(r"\d+,\d+", chi):
+        if not re.fullmatch(r"[0-9]+,[0-9]+", chi):
             assert "--chi" in error
         elif argv[-2] in INTEGER_OPTIONS:
             assert argv[-2] in error
@@ -204,6 +209,13 @@ class TestExitCodes:
         assert json.loads(err)["error"] == (
             "--q-modulus for q = 4 must be 3 integers (monic of degree 2, "
             "low first), got 1,1,1,1")
+
+    def test_reducible_q_modulus_names_the_option(self, capsys):
+        code, _, err = run(capsys, "carlitz", "phi", "--q", "4", "--a", "t",
+                           "--q-modulus", "1,0,1")
+        assert code == 1
+        assert json.loads(err)["error"] == (
+            "--q-modulus 1,0,1 is reducible over F_2")
 
     @pytest.mark.parametrize("q,f,prec", [(3, "1", 2), (4, "1", 3),
                                           (2, "t", 2)])

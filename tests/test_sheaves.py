@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld.carlitz import carlitz_action, carlitz_phi
 from drinfeld.errors import DomainError
-from drinfeld.fields import fq, polyring, residue_field_with_theta
+from drinfeld.fields import ResidueRing, fq, polyring, residue_field_with_theta
 from drinfeld.modules import DrinfeldRank2
-from drinfeld.sheaves import (VSheafData, dual_point_t_action, dual_points,
-                              htt_evaluate, kernel_sheaf, mat_identity,
+from drinfeld.sheaves import (VSheafData, column_echelon, coker_reduce,
+                              dual_point_t_action, dual_points, htt_evaluate,
+                              kernel_basis, kernel_sheaf, mat_identity,
                               mat_mul, mat_transpose, taguchi_dual_sheaf,
                               vsheaf_validate)
 from drinfeld.tau import TauPoly
@@ -327,3 +329,128 @@ class TestHTT:
             canonical = tuple(K.one if i == 0 else K.zero
                               for i in range(S.rank))
             assert any(htt_evaluate(S, canonical))
+
+
+# -- the row reduction against the two eliminations it replaced -------------
+
+def ref_kernel_basis(ring, a):
+    """Right kernel by a Gauss-Jordan loop of its own (the reference)."""
+    n = len(a)
+    m = len(a[0]) if a else 0
+    rows = [list(r) for r in a]
+    pivots = []
+    rank = 0
+    for col in range(m):
+        sel = None
+        for i in range(rank, n):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [inv * x for x in rows[rank]]
+        for i in range(n):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == n:
+            break
+    free = [c for c in range(m) if c not in pivots]
+    basis = []
+    for fcol in free:
+        v = [ring.zero] * m
+        v[fcol] = ring.one
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -rows[r][fcol]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_column_echelon(ring, a):
+    """Column space by incremental column reduction, sorted by lead (the
+    reference; its vectors are echelon but not fully reduced)."""
+    cols = [list(c) for c in zip(*a)] if a else []
+    basis = []
+    for col in cols:
+        vec = col[:]
+        for piv_row, piv_vec in basis:
+            if vec[piv_row]:
+                c = vec[piv_row]
+                vec = [x - c * y for x, y in zip(vec, piv_vec)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is not None:
+            inv = vec[lead].inv()
+            vec = [inv * x for x in vec]
+            basis.append((lead, vec))
+    basis.sort(key=lambda kv: kv[0])
+    return basis
+
+
+def ref_coker_reduce(ring, echelon, v):
+    vec = list(v)
+    for piv_row, piv_vec in echelon:
+        if vec[piv_row]:
+            c = vec[piv_row]
+            vec = [x - c * y for x, y in zip(vec, piv_vec)]
+    return tuple(vec)
+
+
+def _matrix_ring(name):
+    if name == "A/(t^2+t+1)":
+        A = polyring(fq(2))
+        t = A.gen
+        return ResidueRing(t * t + t + A.one)
+    return fq(int(name))
+
+
+MATRIX_RINGS = ["2", "3", "4", "A/(t^2+t+1)"]
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(ring, n x m matrix, vector of length n) with every row an F-linear
+    combination of k <= n drawn rows, so rank deficiency is common."""
+    ring = _matrix_ring(draw(st.sampled_from(MATRIX_RINGS)))
+    els = list(ring.elements())
+    entry = st.sampled_from(els)
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 5))
+    k = draw(st.integers(0, n))
+    gens = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)]
+    rows = []
+    for _ in range(n):
+        row = [ring.zero] * m
+        for g in gens:
+            c = draw(entry)
+            row = [x + c * y for x, y in zip(row, g)]
+        rows.append(tuple(row))
+    v = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    return ring, tuple(rows), v
+
+
+class TestRowReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_matrices())
+    def test_matches_the_replaced_eliminations(self, case):
+        ring, a, v = case
+        assert kernel_basis(ring, a) == ref_kernel_basis(ring, a)
+        ech = column_echelon(ring, a)
+        ref = ref_column_echelon(ring, a)
+        assert [p for p, _ in ech] == [p for p, _ in ref]
+        rep = coker_reduce(ring, ech, v)
+        assert rep == ref_coker_reduce(ring, ref, v)
+        assert not any(rep[p] for p, _ in ech)
+
+    @pytest.mark.parametrize("name", MATRIX_RINGS)
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 0), (3, 0), (2, 3), (3, 2)])
+    def test_zero_and_empty_matrices(self, name, n, m):
+        ring = _matrix_ring(name)
+        a = tuple(tuple(ring.zero for _ in range(m)) for _ in range(n))
+        assert kernel_basis(ring, a) == ref_kernel_basis(ring, a)
+        assert column_echelon(ring, a) == ref_column_echelon(ring, a) == []
+        v = tuple(ring.one for _ in range(n))
+        assert coker_reduce(ring, column_echelon(ring, a), v) == v

@@ -166,3 +166,46 @@ class TestTwist:
         b = TauPoly(F4, (F4.one, u))
         assert (a * b).twist(1) == a.twist(1) * b.twist(1)
         assert (a + b).twist(1) == a.twist(1) + b.twist(1)
+
+
+class TestSharedDenseCore:
+    """What ``fields.DensePoly`` must keep for each of its two subclasses."""
+
+    def test_tau_sum_over_different_rings_is_a_domain_error(self, A2, A3):
+        with pytest.raises(DomainError):
+            TauPoly(A2, (A2.one,)) + TauPoly(A3, (A3.one,))
+        with pytest.raises(DomainError):
+            TauPoly(A2, (A2.one,)) - TauPoly(A3, (A3.one,))
+
+    def test_poly_sum_over_different_rings_is_a_type_error(self, F2, F3):
+        with pytest.raises(TypeError):
+            Poly(F2, (F2.one,)) + Poly(F3, (F3.one,))
+        with pytest.raises(TypeError):
+            Poly(F2, (F2.one,)) - Poly(F3, (F3.one,))
+
+    def test_poly_and_tau_poly_with_the_same_coefficients_differ(self, A2):
+        t = A2.gen
+        coeffs = (t, A2.zero, A2.one)
+        assert Poly(A2, coeffs) != TauPoly(A2, coeffs)
+        assert TauPoly(A2, coeffs) != Poly(A2, coeffs)
+
+    def test_equal_polys_hash_equal(self, F2, A2):
+        t = A2.gen
+        a = t * t + A2.one
+        b = Poly(F2, [F2.one, F2.zero, F2.one, F2.zero])  # trimmed
+        assert a == b and hash(a) == hash(b)
+        f = TauPoly(A2, (a, t))
+        assert hash(f) == hash(TauPoly(A2, [b, t, A2.zero]))
+
+    def test_results_keep_the_operand_type(self, F2, A2):
+        t = A2.gen
+        f, g = TauPoly(A2, (t, A2.one)), TauPoly(A2, (A2.one,))
+        for h in (f + g, f - g, -f, 1 + f, 1 - f, f.map_coeffs(lambda c: c, A2)):
+            assert type(h) is TauPoly
+        a = Poly(F2, (F2.one, F2.one))
+        for h in (a + a, a - 1, -a, 1 - a, a.map_coeffs(lambda c: c, F2)):
+            assert type(h) is Poly
+
+    def test_no_instance_dict(self, F2, A2):
+        assert not hasattr(TauPoly(A2, (A2.one,)), "__dict__")
+        assert not hasattr(Poly(F2, (F2.one,)), "__dict__")

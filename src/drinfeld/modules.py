@@ -1,7 +1,7 @@
 """Rank-2 Drinfeld modules over a trivialized line bundle.
 
 A module is the pair (a1, a2) with Phi_t = theta + a1 tau + a2 tau^2 and a2
-a unit.  The explicit Taguchi dual swaps in (-a1/a2, a2^(-q)); over a base
+a unit; its inverse is computed once, with the unit check, and kept.  The explicit Taguchi dual swaps in (-a1/a2, a2^(-q)); over a base
 of characteristic wp, Phi_wp factors through Frobenius as V_d * F_d and the
 middle coefficient alpha_d decides ordinariness.
 """
@@ -19,11 +19,12 @@ class DrinfeldRank2:
     ring: object
     a1: object
     a2: object
+    a2_inv: object = field(init=False, repr=False, compare=False)
     _action: DrinfeldAction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            self.a2.inv()
+            object.__setattr__(self, "a2_inv", self.a2.inv())
         except DomainError:
             raise DomainError("a2 must be a unit")
         ring = self.ring
@@ -39,13 +40,13 @@ class DrinfeldRank2:
 
     def j_invariant(self):
         q = self.ring.q
-        return (self.a1 ** (q + 1)) * self.a2.inv()
+        return (self.a1 ** (q + 1)) * self.a2_inv
 
     def taguchi_dual(self):
         """The rank-2 dual: coefficients (-a1/a2, a2^(-q))."""
         q = self.ring.q
-        a2_inv = self.a2.inv()
-        return DrinfeldRank2(self.ring, -(self.a1 * a2_inv), a2_inv ** q)
+        return DrinfeldRank2(self.ring, -(self.a1 * self.a2_inv),
+                             self.a2_inv ** q)
 
     def twist(self, k):
         """Base change along the q^k-power Frobenius."""

@@ -4,9 +4,9 @@ Everything is exact A = F_q[t] arithmetic: the lattice points are the values
 Phi^C_(f a)(1/x), whose inverses are honest power series over A because the
 relevant denominators are units.  The engine computes
 
-* the lattice exponential e(X) = sum e_i X^(q^i) from the product formula
-  collapsed over F_q^x-orbits (only monic a enter), over the degree layers
-  of a that are visible mod x^N (see TateDrinfeld),
+* the lattice exponential e(X) = sum e_i X^(q^i) by Ore's recursion, one
+  step per degree layer of the lattice that is visible mod x^N (see
+  TateDrinfeld),
 * the module coefficients a1, a2 from the linear relations that the
   functional equation Phi_t(e(Z)) = e(theta Z + Z^q) imposes at Z^q and
   Z^(q^2), with the Z^(q^3) relation kept as a consistency residual,
@@ -49,13 +49,18 @@ def lattice_inverse(field, g, prec):
 class TateDrinfeld:
     """One Tate-Drinfeld configuration (q, wp, f) at x-precision N.
 
-    The lattice points f a with deg(a) < D span an F_q-space V_D, and Ore's
-    recursion e_(V + F_q w)(X) = e_V(X) - e_V(w)^(1-q) e_V(X)^q (Goss, Basic
-    Structures of Function Field Arithmetic, 1996, 1.3) shows that the layer
-    deg(a) = D changes e only from x-valuation
-    (q-1) q^deg(f) (q^(2D+1)+1)/(q+1) on.  The product stops at the first
-    layer where that is >= N; each layer it takes is complete, so the
-    truncated product stays additive.  e_i has x-valuation exactly
+    The lattice points f a with deg(a) < D span an F_q-space V_D, and
+    V_(D+1) = V_D + F_q w with w = f t^D.  Ore's recursion
+    e_(V + F_q w)(X) = e_V(X) - beta^(q-1) e_V(X)^q, beta = 1/e_V(lambda_w)
+    (Goss, Basic Structures of Function Field Arithmetic, 1996, 1.3) builds
+    e with one step per layer.  With F_w = 1/lambda_w from
+    `lattice_inverse`, beta = F_w^(q^D)/sigma for
+    sigma = sum_(i<=D) e_i (F_w^(q^(D-i)-1))^(q^i), so only non-negative
+    powers of F_w occur, and e_V(X)^q is `frob(1)` of the coefficients.
+    sigma has x-valuation exactly that of e_D and beta exactly
+    q^deg(f) (q^(2D+1)+1)/(q+1) (both checked), so layer D changes e only
+    from x-valuation (q-1) val(beta) on, and the steps stop at the first
+    layer where that is >= N.  e_i has x-valuation exactly
     q^deg(f) (q^(2i)-1)/(q+1) (`_exp_valuation`, checked), and e is kept to
     the least i_max >= max(3, deg wp + 1) with e_(i_max+1) invisible mod x^N.
     """
@@ -94,41 +99,49 @@ class TateDrinfeld:
         q = self.q
         return q ** self.f.degree * (q ** (2 * i) - 1) // (q + 1)
 
+    def _beta_valuation(self, D):
+        """The x-valuation q^deg(f) (q^(2D+1) + 1)/(q + 1) of beta in the Ore
+        step of layer D; the step changes e from (q-1) times that on."""
+        q = self.q
+        return q ** self.f.degree * (q ** (2 * D + 1) + 1) // (q + 1)
+
     def _build_exponential(self):
         q = self.q
         N = self.prec
         # make sure everything of X-degree beyond q^i_max is invisible mod x^N
         while self._exp_valuation(self.i_max + 1) < N:
             self.i_max += 1
-        cap = q ** self.i_max
-        # product over monic a of (1 - (X F_(fa))^(q-1)), as a map X-degree
-        # -> series coefficient, for the layers deg(a) = D whose valuation
-        # (q-1) q^deg(f) (q^(2D+1)+1)/(q+1) is below N (see the class doc)
-        prod = {0: self.S.one}
-        deg = 0
-        while ((q - 1) * q ** self.f.degree * (q ** (2 * deg + 1) + 1)
-               // (q + 1) < N):
-            for a in self.A.monic_polys(deg):
-                F = lattice_inverse(self.field, self.f * a, N)
-                Fq1 = F ** (q - 1)
-                new = dict(prod)
-                for k, c in prod.items():
-                    k2 = k + q - 1
-                    if k2 >= cap:
-                        continue
-                    term = -(c * Fq1)
-                    new[k2] = new[k2] + term if k2 in new else term
-                prod = new
-            deg += 1
-        # e(X) = X * prod; X-degrees below cap that are not q^i must vanish
-        qpowers = [q ** i for i in range(self.i_max + 1)]
         zero = TruncSeries.zero(self.A, N)
-        e = tuple(prod.get(qi - 1, zero).truncate(N) for qi in qpowers)
-        for k, c in prod.items():
-            if k + 1 not in qpowers and not c.truncate(N).is_zero():
+        e = [self.S.one]
+        D = 0
+        while (q - 1) * self._beta_valuation(D) < N:
+            F = lattice_inverse(self.field, self.f * self.A.gen ** D, N)
+            # F^(q^k - 1) = (F^(q^(k-1) - 1))^q F^(q-1), for k = 0..D
+            Fq1 = (F ** (q - 1)).truncate(N)
+            powers = [self.S.one]
+            for _ in range(D):
+                powers.append((powers[-1].frob(1).truncate(N) * Fq1)
+                              .truncate(N))
+            sigma = zero
+            for i, ei in enumerate(e):
+                sigma = sigma + ei * powers[D - i].frob(i)
+            sigma = sigma.truncate(N)
+            if sigma.order() != self._exp_valuation(D):
                 raise InternalConsistencyError(
-                    "non-additive term X^%d survives the truncated product"
-                    % (k + 1))
+                    "Ore step %d: sigma has x-valuation %s, expected %d"
+                    % (D, sigma.order(), self._exp_valuation(D)))
+            # F^(q^D) keeps its precision q^D N: sigma^-1 has a pole
+            beta = F.frob(D) * sigma.inv()
+            if beta.order() != self._beta_valuation(D):
+                raise InternalConsistencyError(
+                    "Ore step %d: beta has x-valuation %s, expected %d"
+                    % (D, beta.order(), self._beta_valuation(D)))
+            # e_V(X) - beta^(q-1) e_V(X)^q, at X^(q^i) for i = 0..D+1
+            b = (beta ** (q - 1)).truncate(N)
+            e = [e[0]] + [(ei - b * prev.frob(1).truncate(N)).truncate(N)
+                          for ei, prev in zip(e[1:] + [zero], e)]
+            D += 1
+        e = tuple(e[:self.i_max + 1]) + (zero,) * (self.i_max + 1 - len(e))
         self._check_exponential(e)
         self.e = e  # e_0..e_i_max
 
@@ -332,7 +345,8 @@ class TateDrinfeld:
         """
         if self.prec < self.q:
             raise PrecisionError("precision too low to see the pole of l(x)")
-        l = self.a1.derivative() - self.a1 * self.a2.inv() * self.a2.derivative()
+        l = (self.a1.derivative()
+             - self.a1 * self.module.a2_inv * self.a2.derivative())
         if self.f.degree == 0:
             if l.order() != -1:
                 raise InternalConsistencyError("l(x) does not have a simple pole")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeld.carlitz import carlitz_phi
 from drinfeld.errors import DomainError, PrecisionError
 from drinfeld import series as series_module
 from drinfeld.fields import AResidue, Poly, ResidueRing, fq, polyring
@@ -326,6 +327,108 @@ class TestPackedResidueProduct:
                      for i in range(max(0, k - 2), min(k, 2) + 1)), R.zero)
                 for k in range(4)]
         assert f * f == TruncSeries(R, 0, want, 4)
+
+
+def recurrence_inv(f):
+    """1/f by the term recurrence out_k = -u_0^-1 sum_j u_j out_(k-j), the
+    inversion TruncSeries.inv ran on every ring before Newton's iteration."""
+    relprec = f.prec - f.val
+    lead_inv = f.coeffs[0].inv()
+    zero = f.ring.zero
+    out = [zero] * relprec
+    out[0] = lead_inv
+    for k in range(1, relprec):
+        acc = zero
+        for j in range(1, min(k, len(f.coeffs) - 1) + 1):
+            if f.coeffs[j] and out[k - j]:
+                acc = acc + f.coeffs[j] * out[k - j]
+        out[k] = -(lead_inv * acc)
+    return TruncSeries(f.ring, -f.val, out, relprec - f.val)
+
+
+class TestNewtonInverse:
+    """Over packed rings TruncSeries.inv runs Newton's iteration through
+    kronecker_mul; it must agree with the recurrence in val, coeffs and
+    prec.  Over F_4 the recurrence runs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_recurrence(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        kind = data.draw(st.sampled_from([None, "t", "t+1", 2, 3]))
+        if kind is None:
+            R = polyring(fq(p))
+            elem = st.lists(st.sampled_from(R.base.elements()),
+                            max_size=5).map(lambda cs: Poly(R.base, cs))
+        else:
+            k = data.draw(st.integers(
+                1, 8 // (kind if isinstance(kind, int) else 1)))
+            R = residue_view(p, kind, k)
+            elem = st.lists(st.sampled_from(R.field.elements()),
+                            max_size=R.degree).map(
+                lambda cs: AResidue(R, Poly(R.field, cs)))
+        assert R.packed
+        relprec = data.draw(st.integers(1, 80))
+        shape = data.draw(st.sampled_from(["dense", "sparse", "gap"]))
+        if shape == "dense":
+            coeffs = data.draw(st.lists(elem, min_size=relprec,
+                                        max_size=relprec))
+        else:
+            # lattice-style: a few terms at scattered orders; "gap" puts one
+            # term past a run of zeros, so the Newton residual starts there
+            coeffs = [R.zero] * relprec
+            picks = 1 if shape == "gap" else data.draw(st.integers(1, 4))
+            for _ in range(picks):
+                coeffs[data.draw(st.integers(0, relprec - 1))] = \
+                    data.draw(elem)
+        lead = data.draw(elem)
+        if kind is None:
+            lead = Poly(R.base, [data.draw(st.sampled_from(
+                R.base.elements()[1:]))])
+        else:
+            try:
+                lead.inv()
+            except DomainError:
+                lead = lead + R.one  # m is a power of base, and base | lead
+        coeffs[0] = lead
+        val = data.draw(st.integers(0, 3))
+        f = TruncSeries(R, val, coeffs, val + relprec)
+        assert f.inv() == recurrence_inv(f)
+
+    @pytest.mark.parametrize("q,g", [(2, "t3"), (3, "t2"), (5, "t+1")])
+    def test_lattice_inverse_operands(self, q, g):
+        # the deg g + 1 term polynomial lattice_inverse inverts, at N = 80
+        A = polyring(fq(q))
+        t = A.gen
+        g = {"t3": t ** 3, "t2": t * t + A.one, "t+1": t + A.one}[g]
+        phi = carlitz_phi(A, g)
+        qr = q ** phi.degree
+        coeffs = [A.zero] * qr
+        for j, c in enumerate(phi.coeffs):
+            coeffs[qr - q ** j] = c
+        u = TruncSeries(A, 0, coeffs, 80)
+        assert u.inv() == recurrence_inv(u)
+
+    def test_nonprime_field_keeps_recurrence(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kronecker_mul reached over F_4")
+
+        monkeypatch.setattr(series_module, "kronecker_mul", refuse)
+        A = polyring(fq(4))
+        u = A.base.elements()[2]
+        f = TruncSeries(A, 1, [A.one, A.gen, Poly(A.base, [u, u])] * 7, 22)
+        assert f.inv() == recurrence_inv(f)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_nonunit_leading_coefficient(self, p):
+        A = polyring(fq(p))
+        R = residue_view(p, "t", 3)
+        for ring, lead in ((A, A.gen), (R, R.reduce(A.gen))):
+            f = TruncSeries(ring, 0, [lead, ring.one], 40)
+            with pytest.raises(DomainError,
+                               match="^leading series coefficient is not a "
+                                     "unit$"):
+                f.inv()
 
 
 def substitute_untruncated(f, g):

@@ -143,6 +143,24 @@ class TestNu:
             assert lhs.agrees_with(tdf.exp_coeff(i))
 
 
+    @pytest.mark.parametrize("q,wp,N", [(2, "t", 24), (2, "t2+t+1", 40),
+                                        (3, "t", 27), (3, "t+1", 40),
+                                        (4, "t", 30)])
+    def test_nu_wp_carries_a1_a2_to_the_wp_lattice(self, q, wp, N):
+        # TD(wp Lambda) from its own lattice against nu_wp of TD(Lambda):
+        # the deg f >= 1 Ore steps checked through substitution
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        wp = {"t": t, "t+1": t + A.one, "t2+t+1": t * t + t + A.one}[wp]
+        td1 = TateDrinfeld(field, wp, A.one, N)
+        tdf = TateDrinfeld(field, wp, wp, N)
+        for base, scaled in ((td1.a1, tdf.a1), (td1.a2, tdf.a2)):
+            transported = td1.nu(wp, base)
+            assert transported.prec == scaled.prec == N
+            assert transported == scaled
+
+
 def carlitz_reciprocal(A, a, prec):
     """f_a(x) = x^(q^deg a) Phi^C_a(1/x), a polynomial with constant term 1."""
     qr = A.q ** a.degree
@@ -272,19 +290,44 @@ class TestLayerTruncation:
                 assert td.a1 == a1 and td.a2 == a2
 
     def test_builds_only_the_visible_layers(self, monkeypatch):
-        # q=2, wp=t, N=64: layers 0-3, 1 + 2 + 4 + 8 monic a, not the 127
-        # monic a of degree <= 6
+        # one Ore step, so one lattice inverse, per visible layer: at q=2,
+        # N=64 the layer valuations are 1, 5, 21, 85 for f = 1 and twice
+        # that for f = t, and w = f t^D for D = 0..3 and D = 0..2
         calls = []
 
         def counting(field, g, prec):
-            calls.append(g)
+            calls.append((g, prec))
             return lattice_inverse(field, g, prec)
 
         monkeypatch.setattr(tate, "lattice_inverse", counting)
         field = fq(2)
         A = polyring(field)
-        TateDrinfeld(field, A.gen, A.one, 64)
-        assert len(calls) == 15 and max(g.degree for g in calls) == 3
+        t = A.gen
+        for f, layers in ((A.one, 4), (t, 3)):
+            calls.clear()
+            TateDrinfeld(field, t, f, 64)
+            assert calls == [(f * t ** D, 64) for D in range(layers)]
+
+    @pytest.mark.parametrize("corrupt,message", [
+        ("unit", "Ore step 1: sigma has x-valuation 0, expected 1"),
+        ("shift", "Ore step 0: beta has x-valuation 2, expected 1")])
+    def test_corrupted_ore_step_is_2(self, monkeypatch, capsys, corrupt,
+                                     message):
+        # at q=2, f=1: a lattice inverse with a unit term from layer 1 on
+        # gives sigma the valuation 0, one shifted by x gives beta 2
+        def corrupted(field, g, prec):
+            F = lattice_inverse(field, g, prec)
+            if corrupt == "shift":
+                return F.shift(1)
+            return F + 1 if g.degree >= 1 else F
+
+        monkeypatch.setattr(tate, "lattice_inverse", corrupted)
+        monkeypatch.setattr(tate, "_TD_CACHE", {})
+        code = cli.main(["tate", "expand", "--q", "2", "--wp", "t",
+                         "--prec", "16"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["kind"] == "internal-consistency"
+        assert err["error"] == message
 
 
 class TestOneTimeWork:
@@ -331,6 +374,25 @@ class TestOneTimeWork:
         assert td._lattice[t.coeffs] == lattice_inverse(F2, t, 10)
         assert TateDrinfeld(F2, t, A2.one, 10)._lattice == {}
         assert self._module_dicts() == before
+
+
+    def test_a2_is_inverted_once(self, monkeypatch, F2, A2):
+        # the module keeps the inverse its unit check computed; j, the
+        # Taguchi dual and the Kodaira-Spencer factor all read it
+        inverted = []
+        inv = TruncSeries.inv
+
+        def counting_inv(s):
+            inverted.append(s)
+            return inv(s)
+
+        monkeypatch.setattr(TruncSeries, "inv", counting_inv)
+        td = TateDrinfeld(F2, A2.gen, A2.one, 16)
+        td.module.j_invariant()
+        td.module.taguchi_dual()
+        td.ks_factor()
+        assert sum(1 for s in inverted if s == td.a2) == 1
+        assert td.module.a2_inv == inv(td.a2)
 
 
 class TestCanonicalIsogeny:

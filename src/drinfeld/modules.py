@@ -1,8 +1,9 @@
 """Rank-2 Drinfeld modules over a trivialized line bundle.
 
 A module is the pair (a1, a2) with Phi_t = theta + a1 tau + a2 tau^2 and a2
-a unit; its inverse is computed once, with the unit check, and kept.  The explicit Taguchi dual swaps in (-a1/a2, a2^(-q)); over a base
-of characteristic wp, Phi_wp factors through Frobenius as V_d * F_d and the
+a unit; the inverse that the unit check computes is kept as ``a2_inv``.  The
+explicit Taguchi dual swaps in (-a1/a2, a2^(-q)); over a base of
+characteristic wp, Phi_wp factors through Frobenius as V_d * F_d and the
 middle coefficient alpha_d decides ordinariness.
 """
 

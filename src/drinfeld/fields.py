@@ -7,8 +7,10 @@ Conventions shared by the whole package:
   map, even on extension rings where it is not the identity.
 * Polynomials are dense, stored low degree first, with no trailing zeros.
   ``DensePoly`` holds that storage and its coefficientwise operations for
-  both ``Poly`` and ``tau.TauPoly``; each subclass supplies its own operand
-  coercion (``_coerce``) and product, and ``Poly`` adds division and gcd.
+  ``Poly``, ``tau.TauPoly`` and ``AResidue`` (an element of A/(m) as its
+  reduced representative); each subclass supplies its own operand coercion
+  (``_coerce``) and product, ``Poly`` adds division and gcd, and
+  ``AResidue`` inverses and Frobenius.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -90,29 +92,30 @@ def kronecker_mul(a, b, n, ring):
     over a quotient A/(m) of it.
 
     a and b are sequences of at most n elements of ``ring`` (``packed``
-    true: F_p[t] or A/(m) with p prime), the first of each nonzero.  Over
-    A/(m) the reduced representatives ``value`` (t-length at most deg m) are
-    packed.  Each operand is packed into one integer: x-row i, t-slot j sits
-    in slot i*S + j of w bytes, with S = da + db - 1 slots per row (the
-    t-length of a product row).  A slot of the product sums at most
-    min(len) * min(t-len) terms below p^2, and w (1, 2, 4 or 8 bytes) holds
-    that sum, so one bigint product carries nothing from slot to slot.  Only
-    the n product rows asked for are read back, one at a time, and each is
-    reduced mod p.  Over A/(m) a row of t-length above deg m is then reduced
-    mod m on its integers (``_divmod_ints``) before any element is built:
-    reduction is A-linear, so this equals the sum of the reduced products,
-    and the canonical representative (degree < deg m) is the schoolbook
-    one; over A/(t^k) that remainder is the low slice, and no slot above it
-    is read.  Rows that are zero after reduction share ``ring.zero``.  The
-    operands hold fewer than 2^40 coefficients, so the slot sum stays below
-    2^54 and w never exceeds 8.
+    true: F_p[t] or A/(m) with p prime), the first of each nonzero; an
+    element of A/(m) holds the coefficients of its reduced representative
+    (t-length at most deg m).  Each operand is packed into one integer:
+    x-row i, t-slot j sits in slot i*S + j of w bytes, with S = da + db - 1
+    slots per row (the t-length of a product row).  A slot of the product
+    sums at most min(len) * min(t-len) terms below p^2, and w (1, 2, 4 or 8
+    bytes) holds that sum, so one bigint product carries nothing from slot
+    to slot.  Only the n product rows asked for are read back, one at a
+    time, and each is reduced mod p.  Over A/(m) a row of t-length above
+    deg m is then reduced mod m on its integers (``_divmod_ints``) before
+    any element is built: reduction is A-linear, so this equals the sum of
+    the reduced products, and the canonical representative (degree < deg m)
+    is the schoolbook one; over A/(t^k) that remainder is the low slice, and
+    no slot above it is read.  Rows that are zero after reduction share
+    ``ring.zero``.  The operands hold fewer than 2^40 coefficients, so the
+    slot sum stays below 2^54 and w never exceeds 8.
     """
     field = ring.base_field
     p = field.p
     modulus = getattr(ring, "modulus", None)
-    if modulus is not None:
-        a = [c.value for c in a]
-        b = [c.value for c in b]
+    if modulus is None:
+        cls, owner = Poly, field
+    else:
+        cls, owner = AResidue, ring
         dm = modulus.degree
         fold = _fold(modulus)
     da = max(len(c.coeffs) for c in a)
@@ -152,8 +155,8 @@ def kronecker_mul(a, b, n, ring):
         if not row:
             out.append(zero)
             continue
-        c = Poly(field, tuple(map(els.__getitem__, row)), normalize=False)
-        out.append(c if modulus is None else AResidue(ring, c))
+        out.append(cls(owner, tuple(map(els.__getitem__, row)),
+                       normalize=False))
     return out
 
 
@@ -423,10 +426,13 @@ def fq(q, modulus=None):
 class DensePoly:
     """Coefficients over a ring handle, low degree first, no trailing zeros.
 
-    Sums, negation, equality and hashing act coefficientwise and keep the
-    operand's own type, so a ``Poly`` and a ``TauPoly`` never mix or compare
-    equal.  ``_coerce(other)`` is the subclass's: ``other`` over the same
-    ring (a scalar as a constant), or NotImplemented.
+    The core of ``Poly``, ``tau.TauPoly`` and ``AResidue``; for an
+    ``AResidue`` the handle is the quotient ring A/(m) and the coefficients
+    are those of the reduced representative, over F_q.  Sums, negation,
+    equality and hashing act coefficientwise and keep the operand's own
+    type, so no two of these classes mix or compare equal.
+    ``_coerce(other)`` is the subclass's: ``other`` over the same ring (a
+    scalar as a constant), or NotImplemented.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -493,6 +499,18 @@ class DensePoly:
         return type(self)(ring, tuple(func(c) for c in self.coeffs))
 
 
+def _schoolbook(a, b, zero):
+    """The product of two nonempty coefficient sequences, low degree first,
+    as a list that may end in zeros."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+    return out
+
+
 class Poly(DensePoly):
     """Dense univariate polynomial over a ring handle.
 
@@ -513,14 +531,7 @@ class Poly(DensePoly):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(self.ring, (), normalize=False)
-        zero = self.ring.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return Poly(self.ring, out)
+        return Poly(self.ring, _schoolbook(a, b, self.ring.zero))
 
     __rmul__ = __mul__
 
@@ -728,48 +739,36 @@ def is_irreducible(f):
     return True
 
 
-class AResidue:
-    """Element of A/(m): a reduced polynomial plus its quotient-ring handle."""
+class AResidue(DensePoly):
+    """Element of A/(m): the coefficients over F_q of its reduced
+    representative (degree < deg m), with the quotient-ring handle as
+    ``ring``.  Sums, negation, equality and hashing are ``DensePoly``'s."""
 
-    __slots__ = ("ring", "value")
+    __slots__ = ()
 
-    def __init__(self, ring, value):
-        self.ring = ring
-        self.value = value
-
-    def _lift(self, other):
+    def _coerce(self, other):
         if isinstance(other, AResidue) and other.ring is self.ring:
             return other
         try:
             return self.ring.coerce(other)
         except DomainError:
-            return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
             return NotImplemented
-        return AResidue(self.ring, self.value + o.value)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AResidue(self.ring, -self.value)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    @property
+    def value(self):
+        """The reduced representative as an element of A."""
+        return Poly(self.ring.field, self.coeffs, normalize=False)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return AResidue(self.ring, (self.value * o.value) % self.ring.modulus)
+        a, b = self.coeffs, o.coeffs
+        ring = self.ring
+        if not a or not b:
+            return ring.zero
+        field = ring.field
+        return ring._residue(Poly(field, _schoolbook(a, b, field.zero)))
 
     __rmul__ = __mul__
 
@@ -784,8 +783,7 @@ class AResidue:
         g, s = _half_xgcd(self.value, self.ring.modulus)
         if g.degree != 0:
             raise DomainError("element is not invertible in %r" % self.ring)
-        c = g.leading().inv()
-        return AResidue(self.ring, (s * Poly(s.ring, (c,))) % self.ring.modulus)
+        return self.ring._residue(s * g.leading().inv())
 
     def pth_power(self, k=1):
         """x^(p^k) by substitution: sum_i x_i^(p^k) (t^(p^k))^i mod m.
@@ -797,30 +795,19 @@ class AResidue:
         every k, instead of reducing a representative of degree about
         (deg m - 1) p^k.
         """
-        if k == 0 or not self.value:
+        if k == 0 or not self.coeffs:
             return self
         field = self.ring.field
         acc = [field.zero] * self.ring.degree
-        for img, c in zip(self.ring._pth_images(k), self.value.coeffs):
+        for img, c in zip(self.ring._pth_images(k), self.coeffs):
             if c:
                 c = c.pth_power(k)
                 for j, x in enumerate(img.coeffs):
                     acc[j] = acc[j] + x * c
-        return AResidue(self.ring, Poly(field, acc))
+        return AResidue(self.ring, acc)
 
     def frob(self, k=1):
         return self.pth_power(self.ring.base_field.e * k)
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, AResidue):
-            return other.ring is self.ring and other.value == self.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ring), self.value.coeffs))
 
     def __repr__(self):
         return "(%s mod %s)" % (poly_to_tstring(self.value),
@@ -859,14 +846,14 @@ class ResidueRing:
         self.modulus = modulus
         self.p = self.field.p
         self.q = self.field.q
-        self.zero = AResidue(self, Poly(self.field, (), normalize=False))
-        self.one = AResidue(self, Poly(self.field, (self.field.one,), normalize=False))
+        self.zero = AResidue(self, (), normalize=False)
+        self.one = AResidue(self, (self.field.one,), normalize=False)
         self.degree = modulus.degree
         self.order = self.q ** self.degree
         # over F_p, p prime: series over A/(m) multiply by kronecker_mul
         self.packed = self.field.e == 1
         if theta is None:
-            theta = AResidue(self, polyring(self.field).gen % modulus)
+            theta = self._residue(polyring(self.field).gen)
         self.theta = theta
         self._pth = {}
 
@@ -891,10 +878,14 @@ class ResidueRing:
             self._pth[k] = images
         return images
 
+    def _residue(self, a):
+        """The class of a, an element of A over this ring's field."""
+        return AResidue(self, (a % self.modulus).coeffs, normalize=False)
+
     def reduce(self, a):
         if not (isinstance(a, Poly) and a.ring is self.field):
             raise DomainError("reduce expects an element of A")
-        return AResidue(self, a % self.modulus)
+        return self._residue(a)
 
     def lift(self, r):
         if not (isinstance(r, AResidue) and r.ring is self):
@@ -908,24 +899,24 @@ class ResidueRing:
         return horner(a.coeffs, self.theta, self.zero)
 
     def from_int(self, n):
-        return AResidue(self, Poly(self.field, (self.field.from_int(n),)))
+        return AResidue(self, (self.field.from_int(n),))
 
     def coerce(self, x):
         if isinstance(x, AResidue) and x.ring is self:
             return x
         if isinstance(x, FqElem) and x.ring is self.field:
-            return AResidue(self, Poly(self.field, (x,)))
+            return AResidue(self, (x,))
         if isinstance(x, int):
             return self.from_int(x)
         raise DomainError("cannot coerce %r into %r" % (x, self))
 
     def elements(self):
         for coeffs in _coefficient_tuples(self.field, self.degree):
-            yield AResidue(self, Poly(self.field, coeffs))
+            yield AResidue(self, coeffs)
 
     def element_key(self, r):
         """Deterministic sort key for elements (coefficient indices, low first)."""
-        coeffs = r.value.coeffs
+        coeffs = r.coeffs
         return tuple(c.idx for c in coeffs) + (0,) * (self.degree - len(coeffs))
 
     def __repr__(self):
@@ -974,7 +965,7 @@ def extension_with_embedding(k, m):
                 continue
 
             def embed(r):
-                return horner(r.value.coeffs, root, K.zero)
+                return horner(r.coeffs, root, K.zero)
 
             K.theta = embed(k.theta)
             return K, embed

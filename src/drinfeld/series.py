@@ -36,7 +36,7 @@ precision and cannot change the result.
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
-from .fields import kronecker_mul, power
+from .fields import horner, kronecker_mul, power
 
 
 class TruncSeries:
@@ -293,13 +293,9 @@ class TruncSeries:
             raise PrecisionError("substitution cannot certify any precision")
         # Horner on x^(-val) * self, then scale by g^val.  A term c_k g^k
         # with k >= ceil(certified / val g) is invisible, so it is skipped.
-        top = min(self.val + len(self.coeffs), -(-certified // gval))
-        acc = TruncSeries.zero(ring, certified - min(0, self.val) * gval)
-        for k in range(top - 1, self.val - 1, -1):
-            acc = acc * g
-            c = self.coeff(k)
-            if c:
-                acc = acc + TruncSeries.constant(c, ring, max(1, acc.prec))
+        top = min(len(self.coeffs), -(-certified // gval) - self.val)
+        acc = horner(self.coeffs[:top], g, TruncSeries.zero(
+            ring, certified - min(0, self.val) * gval))
         if self.val > 0:
             acc = acc * (g ** self.val)
         elif self.val < 0:

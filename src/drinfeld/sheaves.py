@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
-from .fields import AResidue, Poly, extension_with_embedding
+from .fields import AResidue, extension_with_embedding
 from .tau import TauPoly
 
 
@@ -243,13 +243,13 @@ def dual_points(S, m=1):
     s = K.degree
     r = S.rank
     # power basis of K over F_q: 1, tbar, tbar^2, ...
-    tbar = AResidue(K, Poly(field, (field.zero, field.one)))
+    tbar = AResidue(K, (field.zero, field.one))
     basis = [K.one]
     for _ in range(1, s):
         basis.append(basis[-1] * tbar)
 
     def coords(elem):
-        c = elem.value.coeffs
+        c = elem.coeffs
         return tuple(c[i] if i < len(c) else field.zero for i in range(s))
 
     def mult_matrix(c):
@@ -280,7 +280,7 @@ def dual_points(S, m=1):
                 new_span.append(tuple(x + c * y for x, y in zip(v, bvec)))
         span = new_span
     for v in span:
-        pt = tuple(AResidue(K, Poly(field, v[j * s:(j + 1) * s])) for j in range(r))
+        pt = tuple(AResidue(K, v[j * s:(j + 1) * s]) for j in range(r))
         if vec_frob(pt) != mat_vec(V_K, pt):
             raise InternalConsistencyError("solver produced a non-point")
         points.append(pt)

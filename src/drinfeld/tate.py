@@ -30,20 +30,13 @@ from .tau import TauPoly
 def lattice_inverse(field, g, prec):
     """F_g(x) = 1 / Phi^C_g(1/x) as a series over A with valuation q^deg(g).
 
-    x^(q^r) * Phi^C_g(1/x) is a polynomial with unit constant term, so the
-    inverse needs no Laurent tail.
+    x^(q^r) * Phi^C_g(1/x) is the torsion polynomial Phi^C_g(Z) read
+    backwards, a polynomial with unit constant term, so the inverse needs no
+    Laurent tail.  g = 0 raises DomainError.
     """
-    if g.is_zero():
-        raise DomainError("lattice point index must be nonzero")
-    A = polyring(field)
-    phi = carlitz_phi(A, g)
-    r = phi.degree
-    qr = field.q ** r
-    coeffs = [A.zero] * qr
-    for j, c in enumerate(phi.coeffs):
-        coeffs[qr - field.q ** j] = c
-    poly_part = TruncSeries(A, 0, coeffs, prec)
-    return poly_part.inv().shift(qr).truncate(prec)
+    phi = carlitz_torsion_poly(field, g)
+    poly_part = TruncSeries(polyring(field), 0, phi.coeffs[::-1], prec)
+    return poly_part.inv().shift(phi.degree).truncate(prec)
 
 
 class TateDrinfeld:
@@ -210,8 +203,9 @@ class TateDrinfeld:
 
     def nu(self, g, series):
         """Apply nu_g (x -> F_g(x)) to a series; certified precision is kept,
-        then truncated back to the working window."""
-        if g.degree < 1:
+        then truncated back to the working window.  nu_1 is the identity and
+        returns the series itself; a unit c gives x -> x/c."""
+        if g == self.A.one:
             return series
         F = self._lattice.get(g.coeffs)
         if F is None:

@@ -307,6 +307,77 @@ class TestFrobeniusOracle:
         assert x.frob(41) == x ** 5
 
 
+class TestAResidueDifferential:
+    """AResidue against the reference (a op b) % m on Polys, for monic m
+    of degree 1-4, not necessarily irreducible."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ops_match_poly_mod_m(self, data):
+        field = fq(data.draw(st.sampled_from([2, 3, 5, 4])))
+        m = Poly(field, data.draw(st.lists(elems(field), min_size=1,
+                                           max_size=4)) + [field.one])
+        R = ResidueRing(m)
+        polys = st.lists(elems(field), max_size=6).map(
+            lambda cs: Poly(field, cs))
+        a, b = data.draw(polys), data.draw(polys)
+        x, y = R.reduce(a), R.reduce(b)
+        n = data.draw(st.integers(0, 6))
+        k = data.draw(st.integers(0, 3))
+        cases = [(x + y, a + b), (x - y, a - b), (-x, -a), (x * y, a * b),
+                 (x ** n, a ** n), (x.pth_power(k), a.pth_power(k)),
+                 (x.frob(k), a.frob(k))]
+        for got, ref in cases:
+            assert type(got) is fields.AResidue and got.ring is R
+            assert R.lift(got) == ref % m
+        if a.gcd(m).degree == 0:
+            u = x.inv()
+            assert R.lift(u * x) == polyring(field).one
+            assert R.lift(x ** -n) == R.lift(u ** n)
+            assert (x ** -n) * (x ** n) == R.one
+        else:
+            with pytest.raises(DomainError):
+                x.inv()
+
+
+class TestAResidueIdentity:
+    """An element of A/(m) is its coefficient tuple: equal and hash-equal
+    however it was built, and never equal to the Poly with those
+    coefficients."""
+
+    @pytest.mark.parametrize("q, m", [(3, "t^2+1"), (2, "t^3"),
+                                      (2, "t^3+t+1"), (5, "t^2+2*t")])
+    def test_every_construction_agrees(self, q, m):
+        field = fq(q)
+        A = polyring(field)
+        R = ResidueRing(parse_apoly(A, m))
+        index = {r: r for r in R.elements()}
+        assert len(index) == R.order
+        for r in index:
+            again = R.reduce(R.lift(r) + R.modulus)
+            assert again == r and hash(again) == hash(r)
+        for c in field.elements():
+            assert index[R.coerce(c)] == R.coerce(c) == R.from_int(0) + c
+        # x-rows of a packed product: (1 + theta x)(1 + theta x)
+        u = [R.one, R.theta]
+        rows = fields.kronecker_mul(u, u, 3, R)
+        assert rows == [R.one, R.theta * 2, R.theta * R.theta]
+        for row in rows:  # found by hash, then equal
+            assert index[row] == row
+
+    def test_never_equal_to_a_poly(self, A2):
+        t = A2.gen
+        R = ResidueRing(t ** 3)
+        r = R.reduce(t)
+        assert r.coeffs == t.coeffs
+        assert r != t and t != r
+        assert R.one != A2.one
+        with pytest.raises(TypeError):
+            t + r
+        with pytest.raises(TypeError):
+            r + t
+
+
 class TestResidueFieldWithTheta:
     def test_theta_root_of_t(self, F2, A2):
         K = residue_field_with_theta(A2.gen, 1)

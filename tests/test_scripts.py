@@ -1,0 +1,44 @@
+"""Smoke tests of the example scripts: each ``main()`` runs on small
+arguments and prints the congruences it certifies."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    path = SCRIPTS / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("q, wp", [(2, "t"), (3, "t"), (2, "t^2+t+1")])
+def test_hasse_expansion(capsys, q, wp):
+    code = load("hasse_expansion").main(["--q", str(q), "--wp", wp,
+                                         "--prec", "8"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("q = %d, " % q)
+    # alpha_d = 1 mod wp: every listed difference has val_wp >= 1
+    vals = [int(v) for v in re.findall(r"val_wp = (\d+)", out)]
+    assert vals and min(vals) >= 1
+    assert re.search(r"min val_wp\(alpha_d - 1\) over the window: [1-9]", out)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_limit_experiment(capsys, q):
+    code = load("limit_experiment").main(["--q", str(q), "--prec", "8",
+                                          "--steps", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    depths = re.findall(r"depth\(h_(\d+), h_\d+\) = (\d+) \(need >= (\d+)\)",
+                        out)
+    assert len(depths) == 2
+    for n, depth, need in depths:
+        assert int(depth) >= int(need) == int(n) - 1

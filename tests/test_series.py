@@ -135,7 +135,7 @@ def schoolbook_mul(f, g):
     if modulus is not None:
         m = [x.idx for x in modulus.coeffs]
         return TruncSeries(ring, val, [
-            AResidue(ring, Poly(field, [els[v] for v in int_rem(r, m, p)]))
+            AResidue(ring, Poly(field, [els[v] for v in int_rem(r, m, p)]).coeffs)
             for r in rows], prec)
     return TruncSeries(ring, val, [Poly(field, [els[v % p] for v in r])
                                    for r in rows], prec)
@@ -228,7 +228,7 @@ def residue_view(p, kind, k):
 def dense_residue_series(R, rows, val=0):
     """rows x-coefficients, each the representative with every entry p - 1."""
     top = R.field.from_int(-1)
-    c = AResidue(R, Poly(R.field, [top] * R.degree))
+    c = AResidue(R, Poly(R.field, [top] * R.degree).coeffs)
     return TruncSeries(R, val, [c] * rows, rows + val)
 
 
@@ -247,7 +247,7 @@ class TestPackedResidueProduct:
         assert R.packed
         elem = st.lists(st.sampled_from(R.field.elements()),
                         max_size=R.degree).map(
-            lambda cs: AResidue(R, Poly(R.field, cs)))
+            lambda cs: AResidue(R, Poly(R.field, cs).coeffs))
 
         def series():
             coeffs = data.draw(st.lists(elem, max_size=10))
@@ -321,7 +321,7 @@ class TestPackedResidueProduct:
 
         monkeypatch.setattr(series_module, "kronecker_mul", refuse)
         u = R.field.elements()[2]
-        c = AResidue(R, Poly(R.field, [u, R.field.one, u]))
+        c = AResidue(R, Poly(R.field, [u, R.field.one, u]).coeffs)
         f = TruncSeries(R, 0, [c, R.one, c], 4)
         want = [sum((f.coeffs[i] * f.coeffs[k - i]
                      for i in range(max(0, k - 2), min(k, 2) + 1)), R.zero)
@@ -366,7 +366,7 @@ class TestNewtonInverse:
             R = residue_view(p, kind, k)
             elem = st.lists(st.sampled_from(R.field.elements()),
                             max_size=R.degree).map(
-                lambda cs: AResidue(R, Poly(R.field, cs)))
+                lambda cs: AResidue(R, Poly(R.field, cs).coeffs))
         assert R.packed
         relprec = data.draw(st.integers(1, 80))
         shape = data.draw(st.sampled_from(["dense", "sparse", "gap"]))

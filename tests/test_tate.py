@@ -125,6 +125,26 @@ class TestNu:
         s = td.a1
         assert td.nu(A2.one, s) is s
 
+    def test_unit_g_divides_x(self, F3, A3):
+        # nu_2 is x -> F_2(x) = x/2 = 2x over F_3, so c_k x^k -> 2^k c_k x^k
+        td = td_config((3, "t", "1"), 12)
+        two = A3.from_int(2)
+        x = TruncSeries.x_power(A3, 1, 12)
+        assert td.nu(two, x).agrees_with(
+            x.substitute(lattice_inverse(F3, two, 12)))
+        assert td.nu(two, x).agrees_with(x.scale(two))
+        s = TruncSeries(A3, 1, [A3.one, A3.gen, A3.one], 12)
+        out = td.nu(two, s)
+        assert out.prec == s.prec
+        for k in range(s.prec):
+            assert out.coeff(k) == s.coeff(k) * two ** k
+        assert not out.agrees_with(s)
+
+    def test_zero_g_raises(self, A3):
+        td = td_config((3, "t", "1"), 12)
+        with pytest.raises(DomainError):
+            td.nu(A3.zero, TruncSeries.x_power(A3, 1, 12))
+
     def test_wp_substitution_matches_module_series(self, F2, A2):
         # F_t = x^2 + theta x^3 + theta^2 x^4 + ... (the series-module oracle)
         t = A2.gen

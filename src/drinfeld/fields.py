@@ -482,7 +482,10 @@ class DensePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-c for c in b[len(a):]]
+        return type(self)(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -30,7 +30,10 @@ inverse is unique, so both give the same coefficients.
 
 Substitution runs Horner's rule only over the terms c_k x^k with
 k < ceil(certified / val g): the others land at or beyond the certified
-precision and cannot change the result.
+precision and cannot change the result.  ``substitution_window`` holds that
+rule.  The Tate-Drinfeld engine evaluates nu_g from a stored table of the
+powers of F_g under the same rule (``tate.TateDrinfeld.nu``), so Horner's
+``substitute`` is the oracle its tests compare against.
 """
 
 from __future__ import annotations
@@ -163,7 +166,13 @@ class TruncSeries:
         o = self._zip(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        prec = min(self.prec, o.prec)
+        if not o.coeffs:
+            return self.truncate(prec)
+        lo = min(self.val, o.val)
+        hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
+        out = [self.coeff(k) - o.coeff(k) for k in range(lo, hi)]
+        return TruncSeries(self.ring, lo, out, prec)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -268,34 +277,50 @@ class TruncSeries:
         return TruncSeries(self.ring, self.val + k, self.coeffs, self.prec + k,
                            normalize=False)
 
-    def substitute(self, g):
-        """Compose: substitute the series g for x in self.
+    def substitution_window(self, g):
+        """(val g, certified, top) for the composite self(g).
 
-        g must have positive valuation.  self may have a Laurent tail
-        (val < 0); g is then inverted to carry it.
+        The one copy of the precision rule, shared by ``substitute`` and the
+        power-table evaluation of ``tate.TateDrinfeld.nu``.  certified is
+        min(val(g) prec(self), prec(g) + (k - 1) val(g)) for the first
+        nonzero term c_k x^k with k != 0.  A term c_k g^k with
+        k >= ceil(certified / val g) lands at or beyond certified, so only
+        the first top stored coefficients can change the result.  A g that
+        is zero to precision counts as having valuation prec(g).
         """
-        ring = self.ring
-        if g.ring is not ring:
+        if g.ring is not self.ring:
             raise DomainError("mismatched series rings in substitution")
         gval = g.order()
         if gval is None:
             gval = g.prec
         if gval <= 0:
             raise DomainError("substitution target must have positive valuation")
-        if not self.coeffs:
-            return TruncSeries.zero(ring, gval * self.prec)
         certified = gval * self.prec
+        if not self.coeffs:
+            return gval, certified, 0
         for k in self.coeff_range():
             if k != 0 and self.coeff(k):
                 certified = min(certified, g.prec + (k - 1) * gval)
                 break
         if certified < 1:
             raise PrecisionError("substitution cannot certify any precision")
-        # Horner on x^(-val) * self, then scale by g^val.  A term c_k g^k
-        # with k >= ceil(certified / val g) is invisible, so it is skipped.
         top = min(len(self.coeffs), -(-certified // gval) - self.val)
+        return gval, certified, top
+
+    def substitute(self, g):
+        """Compose: substitute the series g for x in self, by Horner's rule.
+
+        g must have positive valuation.  self may have a Laurent tail
+        (val < 0); g is then inverted to carry it.  The Tate-Drinfeld engine
+        evaluates nu_g from a table of powers of g instead; this Horner run
+        is the reference it is tested against.
+        """
+        gval, certified, top = self.substitution_window(g)
+        if not self.coeffs:
+            return TruncSeries.zero(self.ring, certified)
+        # Horner on x^(-val) * self, then scale by g^val
         acc = horner(self.coeffs[:top], g, TruncSeries.zero(
-            ring, certified - min(0, self.val) * gval))
+            self.ring, certified - min(0, self.val) * gval))
         if self.val > 0:
             acc = acc * (g ** self.val)
         elif self.val < 0:

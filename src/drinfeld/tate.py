@@ -10,7 +10,9 @@ relevant denominators are units.  The engine computes
 * the module coefficients a1, a2 from the linear relations that the
   functional equation Phi_t(e(Z)) = e(theta Z + Z^q) imposes at Z^q and
   Z^(q^2), with the Z^(q^3) relation kept as a consistency residual,
-* the substitution nu_g: x -> F_g(x) = 1/Phi^C_g(1/x),
+* the substitution nu_g: x -> F_g(x) = 1/Phi^C_g(1/x), summed from the
+  powers of F_g visible mod x^N, stored once per instance and g (Paterson &
+  Stockmeyer, SIAM J. Comput. 2, 1973) instead of a Horner run per call,
 * the canonical level-one isogeny Psi with linear coefficient wp, solved
   triangularly from Psi(e(Z)) = e'(Phi^C_wp(Z)) where e' = nu_wp(e),
 * ordinariness of the mod-wp reduction with its Newton data, and the
@@ -81,7 +83,7 @@ class TateDrinfeld:
         self._wp_ring = ResidueRing(wp)
         self._psi = None
         self._eprime = None  # (Phi^C_wp coefficients, nu_wp(e_i)), filled once
-        self._lattice = {}  # g.coeffs -> F_g, filled by nu
+        self._powers = {}  # g.coeffs -> [F_g^0, F_g^1, ...], filled by nu
         self._build_exponential()
         self._solve_coefficients()
 
@@ -204,14 +206,44 @@ class TateDrinfeld:
     def nu(self, g, series):
         """Apply nu_g (x -> F_g(x)) to a series; certified precision is kept,
         then truncated back to the working window.  nu_1 is the identity and
-        returns the series itself; a unit c gives x -> x/c."""
+        returns the series itself; a unit c gives x -> x/c.
+
+        The value is sum_k c_k F_g^(val+k) over the terms that
+        ``TruncSeries.substitution_window`` keeps, read from the table of
+        ``_lattice_powers`` (a Laurent tail is carried by F_g^-1, as in
+        ``substitute``).  It equals ``series.substitute(F_g)`` truncated to
+        N, coefficient for coefficient and in precision.
+        """
         if g == self.A.one:
             return series
-        F = self._lattice.get(g.coeffs)
-        if F is None:
-            F = self._lattice.setdefault(
-                g.coeffs, lattice_inverse(self.field, g, self.prec))
-        return series.substitute(F).truncate(self.prec)
+        powers = self._lattice_powers(g)
+        _, certified, top = series.substitution_window(powers[1])
+        prec = min(certified, self.prec)
+        val = series.val
+        # F_g^e with e >= len(powers) vanishes mod x^N, so zip drops it
+        acc = TruncSeries.zero(self.A, self.prec)
+        for c, P in zip(series.coeffs[:top], powers[max(val, 0):]):
+            if c:
+                acc = acc + P.scale(c)
+        if val < 0 and series.coeffs:
+            acc = acc * (powers[1].inv() ** (-val))
+        return acc.truncate(prec)
+
+    def _lattice_powers(self, g):
+        """[F_g^0, ..., F_g^(K-1)] to precision N, K = ceil(N / val F_g) but
+        at least 2, built once per g by successive truncated products: every
+        higher power of F_g vanishes mod x^N.  An F_g that is zero to
+        precision (q^deg g >= N) counts as having valuation N."""
+        powers = self._powers.get(g.coeffs)
+        if powers is None:
+            N = self.prec
+            F = lattice_inverse(self.field, g, N)
+            gval = F.order() if F else F.prec
+            powers = [self.S.one, F]
+            while len(powers) * gval < N:
+                powers.append((powers[-1] * F).truncate(N))
+            self._powers[g.coeffs] = powers
+        return powers
 
     def descended_j(self):
         """j rescaled to a unit power series in y = x^(q-1).

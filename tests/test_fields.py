@@ -111,6 +111,7 @@ class TestApoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
+        assert a - b == a + (-b) and a - a == A.zero
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

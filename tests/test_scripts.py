@@ -2,6 +2,7 @@
 arguments and prints the congruences it certifies."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -42,3 +43,14 @@ def test_limit_experiment(capsys, q):
     assert len(depths) == 2
     for n, depth, need in depths:
         assert int(depth) >= int(need) == int(n) - 1
+
+
+def test_n_table(capsys):
+    code = load("n_table").main(["--q", "2", "--wp", "t", "--f", "1",
+                                 "--N", "16"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 1
+    row = json.loads(lines[0])
+    assert (row["q"], row["wp"], row["f"], row["N"]) == (2, "t", "1", 16)
+    assert row["i_max"] == 3 and row["tdquot_ok"] is True
+    assert all(row[k] >= 0 for k in ("build_s", "psi_s", "verify_tdquot_s"))

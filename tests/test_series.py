@@ -92,6 +92,53 @@ class TestArith:
         assert out_hi.truncate(out_lo.prec) == out_lo.truncate(out_hi.prec)
 
 
+def subtraction_ring(name):
+    """F_2[t], F_3[t], F_4[t], or A/(m) over F_2 and over F_4."""
+    if name == "F4[t]/(t^2)":
+        return ResidueRing(polyring(fq(4)).gen ** 2)
+    if name == "F2[t]/((t+1)^3)":
+        return residue_view(2, "t+1", 3)
+    return polyring(fq(int(name[1])))
+
+
+class TestSubtraction:
+    """a - b subtracts coefficientwise without building -b; the result is
+    a + (-b) in val, coeffs and prec."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_adding_the_negation(self, data):
+        ring = subtraction_ring(data.draw(st.sampled_from(
+            ["F2[t]", "F3[t]", "F4[t]", "F4[t]/(t^2)", "F2[t]/((t+1)^3)"])))
+        field = ring.base_field
+        lift = ring.reduce if hasattr(ring, "modulus") else (lambda c: c)
+        elem = st.lists(st.sampled_from(field.elements()), max_size=4).map(
+            lambda cs: lift(Poly(field, cs)))
+
+        def series():
+            coeffs = data.draw(st.lists(elem, max_size=8))
+            val = data.draw(st.integers(-2, 3))
+            prec = val + data.draw(st.integers(0, 10))
+            return TruncSeries(ring, val, coeffs, prec)
+
+        a, b = series(), series()
+        assert a - b == a + (-b)
+        assert a - a == TruncSeries.zero(ring, a.prec)
+
+    def test_no_coefficient_is_negated(self, monkeypatch):
+        S = sring(2, 8)
+        t = S.ring.gen
+        a = TruncSeries(S.ring, 0, [t, t * t, S.ring.one], 8)
+        b = TruncSeries(S.ring, 1, [t + S.ring.one, t], 6)
+        expected = a + (-b)
+
+        def refuse(self):
+            raise AssertionError("a coefficient was negated")
+
+        monkeypatch.setattr(Poly, "__neg__", refuse)
+        assert a - b == expected and (a - b).prec == 6
+
+
 def int_rem(row, modulus, p):
     """row mod (modulus, p) by long division on plain integers; modulus is
     monic, given by its coefficient indices, low degree first."""

@@ -4,8 +4,9 @@ import pytest
 
 from drinfeld import cli, tate
 from drinfeld.carlitz import carlitz_phi
-from drinfeld.errors import DomainError
+from drinfeld.errors import DomainError, PrecisionError
 from drinfeld.fields import ResidueRing, fq, is_irreducible, polyring
+from drinfeld.forms import series_wp_valuation
 from drinfeld.series import TruncSeries
 from drinfeld.tate import TateDrinfeld, lattice_inverse, td_instance
 
@@ -181,6 +182,91 @@ class TestNu:
             assert transported == scaled
 
 
+def horner_nu(td, g, s):
+    """nu_g by the Horner oracle: s(F_g) truncated to the working window;
+    the PrecisionError class when nothing can be certified."""
+    try:
+        return s.substitute(lattice_inverse(td.field, g, td.prec)).truncate(td.prec)
+    except PrecisionError:
+        return PrecisionError
+
+
+def table_nu(td, g, s):
+    try:
+        return td.nu(g, s)
+    except PrecisionError:
+        return PrecisionError
+
+
+class TestNuPowerTable:
+    """nu_g from the table of powers of F_g against ``substitute``, in prec
+    and every coefficient, over units, wp, f, a Laurent tail, short and zero
+    inputs, and F_g zero to precision."""
+
+    @staticmethod
+    def _inputs(td):
+        A, N = td.A, td.prec
+        t = A.gen
+        short = TruncSeries(A, 1, [t, A.one, A.zero, t * t + A.one], N - 3)
+        return [td.a1, td.a2, td.exp_coeff(1), short, TruncSeries.zero(A, N),
+                td.a1.shift(-1)]
+
+    @staticmethod
+    def _check(td, g, s):
+        ref, out = horner_nu(td, g, s), table_nu(td, g, s)
+        if ref is PrecisionError or out is PrecisionError:
+            assert ref is out
+            return
+        assert out.prec == ref.prec
+        for k in range(min(out.val, ref.val), out.prec):
+            assert out.coeff(k) == ref.coeff(k)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("wp_degree", [1, 2])
+    @pytest.mark.parametrize("f_name", ["1", "t"])
+    def test_matches_horner(self, q, wp_degree, f_name):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        wp = next(a for a in A.monic_polys(wp_degree) if is_irreducible(a))
+        f = {"1": A.one, "t": t}[f_name]
+        td = TateDrinfeld(field, wp, f, (q - 1) * q ** f.degree + 6)
+        units = [A.coerce(c) for c in field.elements() if c and c != field.one]
+        for g in [wp] + [f] * (f != A.one) + units[:1]:
+            for s in self._inputs(td):
+                self._check(td, g, s)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_lattice_inverse_zero_to_precision(self, F2, A2, N):
+        # q^deg wp = 4 >= N: F_wp vanishes mod x^N, the table holds F^0, F
+        t = A2.gen
+        wp = t * t + t + A2.one
+        td = TateDrinfeld(F2, wp, A2.one, N)
+        assert lattice_inverse(F2, wp, N).is_zero()
+        for s in self._inputs(td):
+            self._check(td, wp, s)
+        assert len(td._powers[wp.coeffs]) == 2
+        assert td.nu(wp, td.a1) == TruncSeries.one(A2, N)
+
+
+class TestLevelFrobenius:
+    """nu_wp(a_i) = a_i^(q^d) mod wp, because Psi = tau^d mod wp; the
+    difference has wp-valuation exactly 1, so a wrong nu_wp breaks it."""
+
+    @pytest.mark.parametrize("q,wp,N", [(2, "t", 24), (2, "t2+t+1", 40),
+                                        (3, "t+1", 40)])
+    def test_nu_wp_is_frobenius_mod_wp(self, q, wp, N):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        wp = {"t": t, "t+1": t + A.one, "t2+t+1": t * t + t + A.one}[wp]
+        td = TateDrinfeld(field, wp, A.one, N)
+        for a in (td.a1, td.a2):
+            diff = (td.nu(wp, a) - a.frob(wp.degree)).truncate(N)
+            assert diff.prec == N
+            assert series_wp_valuation(diff, wp, 3) == 1
+
+
 def carlitz_reciprocal(A, a, prec):
     """f_a(x) = x^(q^deg a) Phi^C_a(1/x), a polynomial with constant term 1."""
     qr = A.q ** a.degree
@@ -351,8 +437,8 @@ class TestLayerTruncation:
 
 
 class TestOneTimeWork:
-    """nu_wp(e_i) runs once per instance, and F_g is memoised on the
-    instance, not in a module-level table."""
+    """nu_wp(e_i) runs once per instance, and the powers of F_g are
+    memoised on the instance, not in a module-level table."""
 
     @staticmethod
     def _module_dicts():
@@ -386,14 +472,54 @@ class TestOneTimeWork:
         t = A2.gen
         before = self._module_dicts()
         td = TateDrinfeld(F2, t, A2.one, 10)
-        assert td._lattice == {}
+        assert td._powers == {}
         td.canonical_isogeny()
         td.expp_residuals()
         assert td.verify_tdquot(t)
-        assert list(td._lattice) == [t.coeffs]
-        assert td._lattice[t.coeffs] == lattice_inverse(F2, t, 10)
-        assert TateDrinfeld(F2, t, A2.one, 10)._lattice == {}
+        assert list(td._powers) == [t.coeffs]
+        powers = td._powers[t.coeffs]
+        F = lattice_inverse(F2, t, 10)
+        assert powers[1] == F
+        # F_t has valuation 2, so F_t^0 .. F_t^4 are all visible mod x^10
+        assert len(powers) == 5
+        assert powers[0] == TruncSeries.one(A2, 10)
+        assert all(powers[k] == (F ** k).truncate(10) for k in range(1, 5))
+        assert TateDrinfeld(F2, t, A2.one, 10)._powers == {}
         assert self._module_dicts() == before
+
+    def test_nu_makes_no_horner_substitution(self, monkeypatch, F3, A3):
+        def refuse(series, g):
+            raise AssertionError("nu ran TruncSeries.substitute")
+
+        td = TateDrinfeld(F3, A3.gen, A3.one, 12)
+        monkeypatch.setattr(TruncSeries, "substitute", refuse)
+        td.canonical_isogeny()
+        assert all(r.is_zero() for r in td.expp_residuals())
+        assert td.verify_tdquot(A3.gen)
+        td.nu(A3.from_int(2), td.a1.shift(-1))
+
+    @pytest.mark.parametrize("q,wp", [(2, "t"), (2, "t2"), (3, "t")])
+    def test_power_table_is_built_once(self, monkeypatch, q, wp):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        wp = {"t": t, "t2": t * t + t + A.one}[wp]
+        td = TateDrinfeld(field, wp, A.one, 16)
+        built = []
+        inverse = tate.lattice_inverse
+
+        def counting_inverse(field, g, prec):
+            built.append(g)
+            return inverse(field, g, prec)
+
+        monkeypatch.setattr(tate, "lattice_inverse", counting_inverse)
+        td.canonical_isogeny()
+        powers = td._powers[wp.coeffs]
+        assert all(r.is_zero() for r in td.expp_residuals())
+        assert td.verify_tdquot(t) and td.verify_tdquot(wp)
+        assert built == [wp]
+        assert list(td._powers) == [wp.coeffs]
+        assert td._powers[wp.coeffs] is powers
 
 
     def test_a2_is_inverted_once(self, monkeypatch, F2, A2):

@@ -76,10 +76,8 @@ def _apoly(field, s):
     return parse_apoly(polyring(field), str(s))
 
 
-def _require(params, *names):
-    for n in names:
-        if params.get(n) is None:
-            raise DomainError("missing required parameter --%s" % n.replace("_", "-"))
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _int_param(params, name, minimum=None, default=None):
@@ -91,7 +89,7 @@ def _int_param(params, name, minimum=None, default=None):
     value = params.get(name)
     if value is None:
         return default
-    flag = "--" + name.replace("_", "-")
+    flag = _flag(name)
     if isinstance(value, bool) or not (
             isinstance(value, int)
             or isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value)):
@@ -118,14 +116,13 @@ def _int_list_param(params, name):
     try:
         return tuple(_int_param({name: c}, name) for c in items)
     except DomainError:
-        raise DomainError("--%s must be comma-separated integers, got %r"
-                          % (name.replace("_", "-"), value)) from None
+        raise DomainError("%s must be comma-separated integers, got %r"
+                          % (_flag(name), value)) from None
 
 
 # -- handlers: params dict -> result dict ----------------------------------
 
 def run_carlitz_eisenstein(params):
-    _require(params, "q", "wp")
     field = _field(params)
     wp = _apoly(field, params["wp"])
     ok, witness = check_eisenstein(field, wp)
@@ -134,7 +131,6 @@ def run_carlitz_eisenstein(params):
 
 
 def run_carlitz_phi(params):
-    _require(params, "q", "a")
     field = _field(params)
     a = _apoly(field, params["a"])
     phi = carlitz_phi(polyring(field), a)
@@ -142,7 +138,6 @@ def run_carlitz_phi(params):
 
 
 def run_carlitz_cyclotomic(params):
-    _require(params, "q", "factors")
     field = _field(params)
     factors = [_apoly(field, part) for part in str(params["factors"]).split(",")]
     w = carlitz_cyclotomic(field, factors)
@@ -151,7 +146,6 @@ def run_carlitz_cyclotomic(params):
 
 
 def _module_over_char_wp(params):
-    _require(params, "q", "wp", "a1", "a2")
     field = _field(params)
     wp = _apoly(field, params["wp"])
     ext = _int_param(params, "ext", 1, default=1)
@@ -226,10 +220,10 @@ def run_vsheaf_points(params):
 
 
 def _td(params):
-    _require(params, "q", "wp", "prec")
     field = _field(params)
     wp = _apoly(field, params["wp"])
-    f = _apoly(field, params.get("f", "1") or "1")
+    f = params.get("f")
+    f = _apoly(field, "1" if f is None else f)
     return td_instance(field, wp, f, _int_param(params, "prec", 1))
 
 
@@ -284,12 +278,13 @@ def run_tate_ks(params):
 
 def _parse_monomial(field, wp, prec, spec):
     """a1^alpha * a2^beta * g^gamma; each exponent is optional and must be
-    a non-negative decimal integer."""
+    a non-negative decimal integer.  No factor may be empty, so neither may
+    the monomial: the constant form is a1^0."""
     alpha = beta = gamma = 0
     for part in str(spec).split("*"):
         part = part.strip()
         if not part:
-            continue
+            raise DomainError("monomial %r has an empty factor" % spec)
         name, caret, exp = part.partition("^")
         if caret and not (exp.isascii() and exp.isdigit()):
             raise DomainError("monomial exponent must be a non-negative "
@@ -310,7 +305,6 @@ def _parse_monomial(field, wp, prec, spec):
 
 
 def run_forms_hasse(params):
-    _require(params, "q", "wp", "prec")
     field = _field(params)
     wp = _apoly(field, params["wp"])
     g = hasse_lift_expansion(field, wp, _int_param(params, "prec", 1))
@@ -320,7 +314,6 @@ def run_forms_hasse(params):
 
 
 def run_forms_audit(params):
-    _require(params, "q", "wp", "prec", "f1", "f2")
     field = _field(params)
     wp = _apoly(field, params["wp"])
     prec = _int_param(params, "prec", 1)
@@ -339,7 +332,6 @@ def run_forms_audit(params):
 
 
 def run_forms_limit(params):
-    _require(params, "q", "wp", "prec", "chi", "steps")
     field = _field(params)
     wp = _apoly(field, params["wp"])
     prec = _int_param(params, "prec", 1)
@@ -363,26 +355,7 @@ def run_forms_limit(params):
             "expansions": [series_json(h.series) for _, h in seq]}
 
 
-HANDLERS = {
-    "carlitz eisenstein": run_carlitz_eisenstein,
-    "carlitz phi": run_carlitz_phi,
-    "carlitz cyclotomic": run_carlitz_cyclotomic,
-    "drinfeld dual": run_drinfeld_dual,
-    "drinfeld classify": run_drinfeld_classify,
-    "vsheaf kernel": run_vsheaf_kernel,
-    "vsheaf dual": run_vsheaf_dual,
-    "vsheaf points": run_vsheaf_points,
-    "tate expand": run_tate_expand,
-    "tate canonical": run_tate_canonical,
-    "tate ks": run_tate_ks,
-    "forms hasse": run_forms_hasse,
-    "forms audit": run_forms_audit,
-    "forms limit": run_forms_limit,
-}
-
-
 def run_suite(params):
-    _require(params, "manifest")
     with open(params["manifest"]) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -400,6 +373,7 @@ def run_suite(params):
             return {"index": idx, "ok": False, "code": 1,
                     "error": "unknown command %r" % (command,)}
         try:
+            check_params(command, job)
             return {"index": idx, "ok": True, "result": handler(job)}
         except InternalConsistencyError as exc:
             return {"index": idx, "ok": False, "code": 2, "error": str(exc)}
@@ -418,79 +392,82 @@ def run_suite(params):
     return out
 
 
+# command -> (handler, required parameters, optional parameters).  The
+# parser makes one flag per parameter, "_" written "-"; every command but
+# suite also takes --q-modulus, and --p-poly is the other spelling of --wp
+# on the P_POLY_COMMANDS.
+_MODULE = ("q", "wp", "a1", "a2")
+_SERIES = ("q", "wp", "prec")
+COMMANDS = {
+    "carlitz eisenstein": (run_carlitz_eisenstein, ("q", "wp"), ()),
+    "carlitz phi": (run_carlitz_phi, ("q", "a"), ()),
+    "carlitz cyclotomic": (run_carlitz_cyclotomic, ("q", "factors"), ()),
+    "drinfeld dual": (run_drinfeld_dual, _MODULE, ("ext",)),
+    "drinfeld classify": (run_drinfeld_classify, _MODULE, ("ext",)),
+    "vsheaf kernel": (run_vsheaf_kernel, _MODULE, ("ext", "u")),
+    "vsheaf dual": (run_vsheaf_dual, _MODULE, ("ext", "u")),
+    "vsheaf points": (run_vsheaf_points, _MODULE, ("ext", "u", "ext_degree")),
+    "tate expand": (run_tate_expand, _SERIES, ("f",)),
+    "tate canonical": (run_tate_canonical, _SERIES, ("f",)),
+    "tate ks": (run_tate_ks, _SERIES, ("f",)),
+    "forms hasse": (run_forms_hasse, _SERIES, ()),
+    "forms audit": (run_forms_audit, _SERIES + ("f1", "f2"),
+                    ("k1", "k2", "max_n")),
+    "forms limit": (run_forms_limit, _SERIES + ("chi", "steps"),
+                    ("monomial",)),
+    "suite": (run_suite, ("manifest",), ("threads",)),
+}
+P_POLY_COMMANDS = ("carlitz eisenstein", "tate expand", "tate canonical",
+                   "tate ks")
+# the job handlers; run_suite and the benchmark tracer look them up here
+HANDLERS = {c: row[0] for c, row in COMMANDS.items() if c != "suite"}
+
+
+def check_params(command, params):
+    """Refuse a missing required parameter or a key ``command`` does not
+    take; ``command`` itself and q_modulus are always allowed."""
+    _, required, optional = COMMANDS[command]
+    for name in required:
+        if params.get(name) is None:
+            raise DomainError("missing required parameter %s" % _flag(name))
+    unknown = sorted(set(params).difference(required, optional,
+                                            ("command", "q_modulus")))
+    if unknown:
+        raise DomainError("%s takes no parameter %s"
+                          % (command, ", ".join(map(repr, unknown))))
+
+
 def build_parser():
     parser = CliParser(prog="drinfeld")
     sub = parser.add_subparsers(dest="group", required=True)
-
-    def add(group, name, *flags):
-        p = group.add_parser(name)
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
-        return p
-
-    common = [("--q", {"required": True}),
-              ("--q-modulus", {"dest": "q_modulus"})]
-
-    wp_flags = [("--wp", {}), ("--p-poly", {"dest": "wp"})]
-
-    g_car = sub.add_parser("carlitz")
-    s_car = g_car.add_subparsers(dest="op", required=True)
-    add(s_car, "eisenstein", *common, *wp_flags)
-    add(s_car, "phi", *common, ("--a", {"required": True}))
-    add(s_car, "cyclotomic", *common, ("--factors", {"required": True}))
-
-    g_dr = sub.add_parser("drinfeld")
-    s_dr = g_dr.add_subparsers(dest="op", required=True)
-    mod_flags = common + [("--wp", {"required": True}),
-                          ("--ext", {}),
-                          ("--a1", {"required": True}),
-                          ("--a2", {"required": True})]
-    add(s_dr, "dual", *mod_flags)
-    add(s_dr, "classify", *mod_flags)
-
-    g_vs = sub.add_parser("vsheaf")
-    s_vs = g_vs.add_subparsers(dest="op", required=True)
-    vs_flags = mod_flags + [("--u", {})]
-    add(s_vs, "kernel", *vs_flags)
-    add(s_vs, "dual", *vs_flags)
-    add(s_vs, "points", *vs_flags, ("--ext-degree", {"dest": "ext_degree"}))
-
-    g_ta = sub.add_parser("tate")
-    s_ta = g_ta.add_subparsers(dest="op", required=True)
-    ta_flags = common + wp_flags + [("--f", {}), ("--prec", {"required": True})]
-    add(s_ta, "expand", *ta_flags)
-    add(s_ta, "canonical", *ta_flags)
-    add(s_ta, "ks", *ta_flags)
-
-    g_fo = sub.add_parser("forms")
-    s_fo = g_fo.add_subparsers(dest="op", required=True)
-    fo_base = common + [("--wp", {"required": True}),
-                        ("--prec", {"required": True})]
-    add(s_fo, "hasse", *fo_base)
-    add(s_fo, "audit", *(fo_base + [("--f1", {"required": True}),
-                                    ("--f2", {"required": True}),
-                                    ("--k1", {}), ("--k2", {}),
-                                    ("--max-n", {"dest": "max_n"})]))
-    add(s_fo, "limit", *(fo_base + [("--chi", {"required": True}),
-                                    ("--steps", {"required": True}),
-                                    ("--monomial", {})]))
-
-    g_su = sub.add_parser("suite")
-    g_su.add_argument("--manifest", required=True)
-    g_su.add_argument("--threads")
+    groups = {}
+    for command, (_, required, optional) in COMMANDS.items():
+        group, _, op = command.partition(" ")
+        if not op:
+            p = sub.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group).add_subparsers(
+                    dest="op", required=True)
+            p = groups[group].add_parser(op)
+        alias = command in P_POLY_COMMANDS
+        q_modulus = ("q_modulus",) if command in HANDLERS else ()
+        for name in required + optional + q_modulus:
+            # with --p-poly, a missing --wp is left to check_params (exit 1)
+            p.add_argument(_flag(name), required=name in required
+                           and not (alias and name == "wp"))
+        if alias:
+            p.add_argument("--p-poly", dest="wp")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     params = {k: v for k, v in vars(ns).items() if v is not None}
-    group = params.pop("group")
-    if group == "suite":
-        handler = run_suite
-    else:
-        handler = HANDLERS["%s %s" % (group, params.pop("op"))]
+    command = " ".join(params.pop(k) for k in ("group", "op") if k in params)
     try:
+        check_params(command, params)
+        handler = run_suite if command == "suite" else HANDLERS[command]
         result = handler(params)
     except InternalConsistencyError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal-consistency"},
@@ -502,7 +479,7 @@ def main(argv=None):
                          sort_keys=True), file=sys.stderr)
         return 1
     print(json.dumps(result, sort_keys=True))
-    return result["exit_code"] if group == "suite" else 0
+    return result["exit_code"] if command == "suite" else 0
 
 
 if __name__ == "__main__":

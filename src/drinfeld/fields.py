@@ -40,6 +40,12 @@ _MAX_TABLE_Q = 128
 # find_root scans them element by element.
 _MAX_INPUT_SIZE = 2 ** 16
 
+# padic_limit_sequence costs about one Hasse-lift power per step, linearly
+# in steps (q = 7, x-precision 12: about 4 s for 5000 steps on a 2-vCPU
+# x86 machine); its own p-adic bound lp(steps, p) <= 12 still admits about
+# 1.4e10 steps at p = 7.  The catalogued and tested runs take at most 5.
+_MAX_LIMIT_STEPS = 64
+
 
 def _is_prime(n):
     if n < 2:

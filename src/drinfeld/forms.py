@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
-from .fields import polyring, wp_valuation
+from .fields import _MAX_LIMIT_STEPS, polyring, wp_valuation
 from .series import TruncSeries
 from .tate import td_instance
 
@@ -226,6 +226,9 @@ def padic_limit_sequence(f, chi, wp, steps, hasse):
     qd1 = chi.qd1
     if qd1 > 1 and (k - chi.s0) % qd1 != 0:
         raise DomainError("weight character disagrees with f mod q^d - 1")
+    if steps > _MAX_LIMIT_STEPS:
+        raise DomainError("steps = %d exceeds the input bound %d"
+                          % (steps, _MAX_LIMIT_STEPS))
     if lp(steps, p) > chi.stored_lp:
         raise DomainError("insufficient stored p-adic precision")
     out = []

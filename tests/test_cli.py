@@ -1,12 +1,16 @@
+import argparse
 import json
 import re
 import threading
+from pathlib import Path
 
 import pytest
 
 from drinfeld import cli
 from drinfeld.errors import InternalConsistencyError
 
+
+CATALOGUE = Path(__file__).resolve().parents[1] / "perfbench" / "catalogue.json"
 
 INTEGER_OPTIONS = {"--q", "--prec", "--k1", "--k2", "--max-n", "--steps",
                    "--ext", "--ext-degree", "--threads", "--q-modulus"}
@@ -145,6 +149,15 @@ class TestExitCodes:
          "--chi", "0,0", "--steps", "2", "--monomial", "a1^-2"),
         ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
          "--chi", "0,0", "--steps", "2", "--monomial", "a1^"),
+        # monomial factors are joined by single "*"s, and none is empty
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f2", "a1*a2*g^2", "--f1", "a1**a2"),
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f1", "a1*a2", "--f2", "*a1*a2*"),
+        ("forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--f2", "g", "--f1", ""),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
+         "--chi", "0,0", "--steps", "2", "--monomial", ""),
         # --chi is exactly two integers
         ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "12",
          "--chi", "1", "--steps", "2"),
@@ -157,6 +170,11 @@ class TestExitCodes:
          "--chi", "1_0,7", "--steps", "2"),
         ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "8",
          "--chi", "\u0663,7", "--steps", "2"),
+        # an empty lattice scale is malformed; only an absent one means 1
+        ("tate", "expand", "--q", "2", "--wp", "t", "--prec", "6", "--f", ""),
+        ("tate", "canonical", "--q", "2", "--wp", "t", "--prec", "6",
+         "--f", ""),
+        ("tate", "ks", "--q", "2", "--wp", "t", "--prec", "6", "--f", ""),
         # integer options: malformed or below their minimum (the last two
         # arguments), each named in the error
         ("tate", "expand", "--q", "2", "--wp", "t", "--prec", "abc"),
@@ -201,6 +219,19 @@ class TestExitCodes:
             assert "--chi" in error
         elif argv[-2] in INTEGER_OPTIONS:
             assert argv[-2] in error
+
+    def test_constant_monomial_is_a1_to_the_zero(self, capsys):
+        code, out, _ = run(capsys, "forms", "audit", "--q", "2", "--wp", "t",
+                           "--prec", "8", "--f1", "a1^0", "--f2", "g^2")
+        assert code == 0
+        assert json.loads(out)["delta_k"] == -2
+
+    def test_limit_steps_at_bound_is_0(self, capsys):
+        # 65 is refused in test_input_degree_above_bound_is_1
+        code, out, _ = run(capsys, "forms", "limit", "--q", "2", "--wp", "t",
+                           "--prec", "8", "--chi", "0,3", "--steps", "64")
+        assert code == 0
+        assert len(json.loads(out)["weights"]) == 64
 
     def test_q_modulus_of_wrong_length_gives_the_degree(self, capsys):
         code, _, err = run(capsys, "carlitz", "phi", "--q", "4", "--a", "t",
@@ -249,10 +280,13 @@ class TestExitCodes:
          "--a2", "1", "--ext", "4"),
         ("vsheaf", "points", "--q", "7", "--wp", "t^2+1", "--a1", "1",
          "--a2", "1", "--ext-degree", "4"),
+        ("forms", "limit", "--q", "2", "--wp", "t", "--prec", "8",
+         "--chi", "0,3", "--steps", "65"),
     ])
     def test_input_degree_above_bound_is_1(self, capsys, argv):
         # q^deg > 2^16: the work of Phi^C_a grows like q^deg a, and an
-        # extension field of order 7^8 would be searched element by element
+        # extension field of order 7^8 would be searched element by element;
+        # forms limit costs one Hasse-lift power per step, up to 64 steps
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "input bound" in json.loads(err)["error"]
@@ -389,3 +423,95 @@ class TestSuite:
         loaded = json.loads(path.read_text())
         assert json.dumps(loaded, sort_keys=True) == json.dumps(
             MANIFEST, sort_keys=True)
+
+
+class TestParameterTable:
+    """cli.COMMANDS declares each command's parameters once; the parser,
+    the required check and the suite's key check all read it."""
+
+    P_POLY = {"carlitz eisenstein", "tate expand", "tate canonical",
+              "tate ks"}
+
+    @staticmethod
+    def flags():
+        """command -> {option string: dest} as the parser builds them."""
+        out = {}
+
+        def walk(parser, prefix):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        walk(child, prefix + [name])
+                elif action.dest != "help":
+                    for option in action.option_strings:
+                        out.setdefault(" ".join(prefix), {})[option] = action.dest
+        walk(cli.build_parser(), [])
+        return out
+
+    def test_parser_flags_are_the_table(self):
+        flags = self.flags()
+        assert set(flags) == set(cli.COMMANDS)
+        assert set(cli.HANDLERS) == set(cli.COMMANDS) - {"suite"}
+        for command, (_, required, optional) in cli.COMMANDS.items():
+            expected = {"--" + n.replace("_", "-"): n
+                        for n in required + optional}
+            if command != "suite":
+                expected["--q-modulus"] = "q_modulus"
+            if command in self.P_POLY:
+                expected["--p-poly"] = "wp"
+            assert flags[command] == expected, command
+        assert set(cli.P_POLY_COMMANDS) == self.P_POLY
+
+    def test_p_poly_with_missing_wp_is_checked_after_parsing(self, capsys):
+        for command in sorted(self.P_POLY):
+            prec = ("--prec", "6") if command.startswith("tate") else ()
+            code, out, err = run(capsys, *command.split(), "--q", "2", *prec)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == (
+                "missing required parameter --wp")
+
+    def test_unknown_job_key_is_job_error(self, tmp_path, capsys):
+        audit = {"command": "forms audit", "q": 2, "wp": "t", "prec": 12,
+                 "f1": "a1^2*a2", "f2": "a1^2*a2*g^4"}
+        jobs = [dict(audit, maxn=2),
+                {"command": "tate expand", "q": 2, "wp": "t", "prec": 6,
+                 "F": "t"},
+                {"command": "carlitz eisenstein", "q": 2, "p_poly": "t"},
+                {"command": "carlitz phi", "q": 2, "a": "t", "wp": "t",
+                 "threads": 1},
+                dict(audit, max_n=6, q_modulus=[0, 1])]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"jobs": jobs}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] == 1 and doc["failed"] == 4
+        errors = [j.get("error") for j in doc["jobs"]]
+        assert errors[:4] == [
+            "forms audit takes no parameter 'maxn'",
+            "tate expand takes no parameter 'F'",
+            "missing required parameter --wp",
+            "carlitz phi takes no parameter 'threads', 'wp'"]
+        assert [j.get("code") for j in doc["jobs"]] == [1, 1, 1, 1, None]
+        assert doc["jobs"][4]["result"]["depth"] == 4
+
+    def test_lattice_scale_job_values(self, tmp_path, capsys):
+        # absent or null means f = 1; empty, 0 and [] are the zero scale
+        base = {"command": "tate ks", "q": 2, "wp": "t", "prec": 6}
+        jobs = [base, dict(base, f=None), dict(base, f="1"),
+                dict(base, f=""), dict(base, f=0), dict(base, f=[])]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"jobs": jobs}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        doc = json.loads(out)["jobs"]
+        assert code == 1
+        assert doc[0]["result"] == doc[1]["result"] == doc[2]["result"]
+        assert [j.get("code") for j in doc] == [None, None, None, 1, 1, 1]
+
+    def test_every_catalogued_job_passes_the_check(self):
+        catalogue = json.loads(CATALOGUE.read_text())
+        jobs = (catalogue["tate"] + catalogue["suite"]["manifest"]
+                + [j for cell in catalogue["suite"]["cells"]
+                   for j in cell["jobs"]])
+        assert jobs
+        for job in jobs:
+            cli.check_params(job["command"], job)

@@ -7,6 +7,9 @@ engine recomputes them constantly.
 
 from __future__ import annotations
 
+import collections
+import itertools
+
 from .errors import DomainError, InternalConsistencyError
 from .fields import Poly, polyring, is_irreducible
 from .tau import DrinfeldAction, TauPoly
@@ -80,36 +83,19 @@ def check_eisenstein(field, wp):
 
 
 def _divisors_from_factorization(field, factors):
-    """All monic divisors with their Moebius value mu(n/m).
+    """The monic divisors m of n with mu(n/m) != 0, with that value.
 
     ``factors`` lists the monic irreducible factors of n with multiplicity.
-    Yields (divisor m, mu(n/m)); mu vanishes unless n/m is squarefree.
+    mu(n/m) vanishes unless n/m is squarefree, so each divisor keeps or
+    drops one copy of each distinct prime: yields (m, (-1)^(number dropped)).
     """
-    A = polyring(field)
-    distinct = []
-    mult = []
-    for f in factors:
-        if f in distinct:
-            mult[distinct.index(f)] += 1
-        else:
-            distinct.append(f)
-            mult.append(1)
-    r = len(distinct)
-
-    def rec(i, m, comu):
-        if i == r:
-            yield m, comu
-            return
-        f, e = distinct[i], mult[i]
-        power = A.one  # f^k
-        for k in range(e + 1):
-            # mu(n/m) vanishes unless the cofactor exponent e - k is 0 or 1
-            if e - k <= 1:
-                yield from rec(i + 1, m * power,
-                               comu * (-1 if e - k == 1 else 1))
-            power = power * f
-
-    yield from rec(0, A.one, 1)
+    one = polyring(field).one
+    mult = collections.Counter(factors)
+    for drop in itertools.product((0, 1), repeat=len(mult)):
+        m = one
+        for (f, e), d in zip(mult.items(), drop):
+            m = m * f ** (e - d)
+        yield m, (-1) ** sum(drop)
 
 
 def carlitz_cyclotomic(field, factors):
@@ -129,8 +115,6 @@ def carlitz_cyclotomic(field, factors):
     den = None
     expected_degree = 0
     for m, mu in _divisors_from_factorization(field, factors):
-        if mu == 0:
-            continue
         phi_m = carlitz_torsion_poly(field, m)  # Phi^C_1(X) = X for m = 1
         expected_degree += mu * (field.q ** m.degree)
         if mu == 1:

@@ -182,7 +182,8 @@ def run_drinfeld_classify(params):
 
 def _kernel_from_params(params):
     field, wp, K, E = _module_over_char_wp(params)
-    spec = str(params.get("u", "wp"))
+    spec = params.get("u")
+    spec = "wp" if spec is None else str(spec)
     if spec == "wp":
         u = E.phi(wp)
     elif spec == "tau^d":
@@ -343,7 +344,8 @@ def run_forms_limit(params):
                           % params["chi"])
     chi = WeightChar(*chi, field.q ** d - 1, field.p, 12)
     g = hasse_lift_expansion(field, wp, prec)
-    f = _parse_monomial(field, wp, prec, params.get("monomial", "g"))
+    monomial = params.get("monomial")
+    f = _parse_monomial(field, wp, prec, "g" if monomial is None else monomial)
     seq = padic_limit_sequence(f, chi, wp, steps, g)
     depths = []
     for i in range(1, len(seq)):

@@ -6,11 +6,11 @@ Conventions shared by the whole package:
 * q = p^e is fixed once by the base field; ``frob`` always means the q-power
   map, even on extension rings where it is not the identity.
 * Polynomials are dense, stored low degree first, with no trailing zeros.
-  ``DensePoly`` holds that storage and its coefficientwise operations for
-  ``Poly``, ``tau.TauPoly`` and ``AResidue`` (an element of A/(m) as its
-  reduced representative); each subclass supplies its own operand coercion
-  (``_coerce``) and product, ``Poly`` adds division and gcd, and
-  ``AResidue`` inverses and Frobenius.
+  ``DensePoly`` holds that storage, its coefficientwise operations, powers
+  and the Frobenius twist for ``Poly``, ``tau.TauPoly`` and ``AResidue``
+  (an element of A/(m) as its reduced representative).  Each subclass
+  supplies its operand coercion (``_coerce``), its product, ``pth_power``
+  and, where units exist, ``inv``; ``Poly`` adds division and gcd.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -411,18 +411,12 @@ def fq(q, modulus=None):
     if q > _MAX_TABLE_Q:
         # before the trial division, whose cost grows with q
         raise DomainError("field order %d too large for table arithmetic" % q)
-    p = None
-    for cand in range(2, q + 1):
-        if _is_prime(cand):
-            e = 0
-            qq = q
-            while qq % cand == 0:
-                qq //= cand
-                e += 1
-            if qq == 1:
-                p = cand
-                break
-    if p is None:
+    # the least divisor p >= 2 of q is prime; q is a prime power iff p^e = q
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    e = 0
+    while p is not None and q % p ** (e + 1) == 0:
+        e += 1
+    if p is None or p ** e != q:
         raise DomainError("%d is not a prime power" % q)
     field = Fq(p, e, modulus)
     _FQ_CACHE[key] = field
@@ -436,9 +430,11 @@ class DensePoly:
     ``AResidue`` the handle is the quotient ring A/(m) and the coefficients
     are those of the reduced representative, over F_q.  Sums, negation,
     equality and hashing act coefficientwise and keep the operand's own
-    type, so no two of these classes mix or compare equal.
-    ``_coerce(other)`` is the subclass's: ``other`` over the same ring (a
-    scalar as a constant), or NotImplemented.
+    type, so no two of these classes mix or compare equal.  Powers and the
+    Frobenius twist are defined here once, on top of what each subclass
+    supplies: ``_coerce(other)``, ``other`` over the same ring (a scalar as
+    a constant) or NotImplemented; its product; ``pth_power(k)``, the
+    p^k-th power; and, where units exist, ``inv``.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -507,6 +503,20 @@ class DensePoly:
     def map_coeffs(self, func, ring):
         return type(self)(ring, tuple(func(c) for c in self.coeffs))
 
+    def __pow__(self, n):
+        if n < 0:
+            return self.inv() ** (-n)
+        if n == 0:
+            return self._coerce(1)
+        return power(self, n)
+
+    def inv(self):
+        raise DomainError("%s has no inverse" % type(self).__name__)
+
+    def frob(self, k=1):
+        """The q^k-th power, q = p^e the order of the base field."""
+        return self.pth_power(self.ring.base_field.e * k)
+
 
 def _schoolbook(a, b, zero):
     """The product of two nonempty coefficient sequences, low degree first,
@@ -552,13 +562,6 @@ class Poly(DensePoly):
         except (DomainError, TypeError):
             return NotImplemented
         return Poly(self.ring, (c,))
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative power of a polynomial")
-        if n == 0:
-            return Poly(self.ring, (self.ring.one,), normalize=False)
-        return power(self, n)
 
     def __divmod__(self, other):
         if not isinstance(other, Poly) or other.ring is not self.ring:
@@ -623,9 +626,6 @@ class Poly(DensePoly):
             if c:
                 out[i * step] = c.pth_power(k)
         return Poly(self.ring, out, normalize=False)
-
-    def frob(self, k=1):
-        return self.pth_power(self.ring.base_field.e * k)
 
     def gcd(self, other):
         a, b = self, other
@@ -781,13 +781,6 @@ class AResidue(DensePoly):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        if n == 0:
-            return self.ring.one
-        return power(self, n)
-
     def inv(self):
         g, s = _half_xgcd(self.value, self.ring.modulus)
         if g.degree != 0:
@@ -815,9 +808,6 @@ class AResidue(DensePoly):
                     acc[j] = acc[j] + x * c
         return AResidue(self.ring, acc)
 
-    def frob(self, k=1):
-        return self.pth_power(self.ring.base_field.e * k)
-
     def __repr__(self):
         return "(%s mod %s)" % (poly_to_tstring(self.value),
                                 poly_to_tstring(self.ring.modulus))
@@ -840,13 +830,13 @@ def _half_xgcd(a, m):
 class ResidueRing:
     """A/(modulus), with lift and reduce maps.
 
-    When the modulus is irreducible this is the field F_(q^d); ``theta``
-    defaults to the class of t, which is then a root of the modulus.  For
-    extension fields built around a root of some other prime, theta is set
-    explicitly and ``structure`` evaluates A at it.
+    When the modulus is irreducible this is the field F_(q^d); ``theta`` is
+    the class of t, which is then a root of the modulus.  An extension field
+    built around a root of some other prime (``extension_with_embedding``)
+    resets theta to that root, and ``structure`` evaluates A at it.
     """
 
-    def __init__(self, modulus, theta=None):
+    def __init__(self, modulus):
         if not isinstance(modulus.ring, Fq):
             raise DomainError("residue ring expects a modulus over F_q")
         if not modulus.is_monic() or modulus.degree < 1:
@@ -861,9 +851,7 @@ class ResidueRing:
         self.order = self.q ** self.degree
         # over F_p, p prime: series over A/(m) multiply by kronecker_mul
         self.packed = self.field.e == 1
-        if theta is None:
-            theta = self._residue(polyring(self.field).gen)
-        self.theta = theta
+        self.theta = self._residue(polyring(self.field).gen)
         self._pth = {}
 
     @property

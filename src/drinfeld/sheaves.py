@@ -233,7 +233,9 @@ def dual_points(S, m=1):
 
     Solves V x = x^[q] by restriction of scalars to F_q: each coordinate is
     expanded over the power basis of the extension, turning the q-semilinear
-    system into an F_q-linear one.  Output is sorted for determinism.
+    system into an F_q-linear one.  The column of x_j = b, for b in that
+    basis, holds the coordinates of V_ij b - delta_ij b^q for i = 0..r-1.
+    Output is sorted for determinism.
     """
     ring = S.ring
     if not hasattr(ring, "elements"):
@@ -252,24 +254,17 @@ def dual_points(S, m=1):
         c = elem.coeffs
         return tuple(c[i] if i < len(c) else field.zero for i in range(s))
 
-    def mult_matrix(c):
-        return mat_transpose(mat([coords(c * b) for b in basis]))
-
-    frob_mat = mat_transpose(mat([coords(b.frob()) for b in basis]))
     V_K = tuple(tuple(embed(x) for x in row) for row in S.V)
-    big = []
-    for i in range(r):
-        block_rows = [[field.zero] * (r * s) for _ in range(s)]
-        for j in range(r):
-            mm = mult_matrix(V_K[i][j])
-            for a in range(s):
-                for b in range(s):
-                    block_rows[a][j * s + b] = block_rows[a][j * s + b] + mm[a][b]
-        for a in range(s):
-            for b in range(s):
-                block_rows[a][i * s + b] = block_rows[a][i * s + b] - frob_mat[a][b]
-        big.extend(tuple(row) for row in block_rows)
-    basis_vecs = kernel_basis(field, mat(big))
+
+    def column(j, b):
+        out = []
+        for i in range(r):
+            img = V_K[i][j] * b
+            out.extend(coords(img - b.frob() if i == j else img))
+        return out
+
+    basis_vecs = kernel_basis(field, mat_transpose(
+        [column(j, b) for j in range(r) for b in basis]))
     # the F_q-span of an independent kernel basis: no point repeats
     points = []
     span = [tuple(field.zero for _ in range(r * s))]

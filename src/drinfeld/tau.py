@@ -6,17 +6,18 @@ a tau^i * b tau^j = a b^(q^i) tau^(i+j).  Only right division is provided:
 the quotient step needs b^(q^s) powers of the divisor's inverted leading
 coefficient, never q-th roots.
 
-``TauPoly`` shares its dense coefficient storage with ``fields.Poly`` through
-``fields.DensePoly``.  It supplies the twisted product, right division,
-evaluation as an additive polynomial and the coefficient twist, and its
-``_coerce`` refuses an operand over another coefficient ring with
-DomainError instead of handing it on.
+``TauPoly`` shares its dense coefficient storage, sums and powers with
+``fields.Poly`` through ``fields.DensePoly``.  It supplies the twisted
+product, right division, evaluation as an additive polynomial and the
+coefficient twist, and its ``_coerce`` refuses an operand over another
+coefficient ring with DomainError instead of handing it on.  It has no
+inverse, so a negative power raises DomainError from ``DensePoly.inv``.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .fields import DensePoly, horner, power
+from .fields import DensePoly, horner
 
 
 class TauPoly(DensePoly):
@@ -69,13 +70,6 @@ class TauPoly(DensePoly):
         return TauPoly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative power of a twisted polynomial")
-        if n == 0:
-            return TauPoly.one(self.ring)
-        return power(self, n)
 
     def __call__(self, x):
         """Evaluate the additive polynomial: sum b_i x^(q^i)."""

@@ -3,10 +3,12 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld.carlitz import (carlitz_action, carlitz_cyclotomic, carlitz_phi,
+from drinfeld.carlitz import (_divisors_from_factorization, carlitz_action,
+                              carlitz_cyclotomic, carlitz_phi,
                               carlitz_torsion_poly, check_eisenstein)
 from drinfeld.errors import DomainError
-from drinfeld.fields import Poly, fq, is_irreducible, polyring, wp_valuation
+from drinfeld.fields import (Poly, fq, is_irreducible, parse_apoly, polyring,
+                             wp_valuation)
 from drinfeld.tau import TauPoly
 
 
@@ -182,6 +184,32 @@ class TestCyclotomic:
                     if mu:
                         divisor_degs.append(mu * q ** dd)
             assert w.degree == sum(divisor_degs)
+
+    @pytest.mark.parametrize("q, factors", [
+        (2, ["t", "t", "t", "t+1", "t+1"]),
+        (2, ["t", "t+1", "t^2+t+1"]),
+        (2, ["t^2+t+1", "t^2+t+1", "t"]),
+        (3, ["t", "t", "t+1"]),
+        (3, ["t^2+1", "t", "t+2", "t"]),
+    ])
+    def test_divisors_brute_force_oracle(self, q, factors):
+        # every monic divisor m of n with mu(n/m) != 0, found by trial
+        # division and _mu, against the keep/drop enumeration
+        field = fq(q)
+        A = polyring(field)
+        factors = [parse_apoly(A, f) for f in factors]
+        n = A.one
+        for f in factors:
+            n = n * f
+        expected = set()
+        for dd in range(n.degree + 1):
+            for m in A.monic_polys(dd):
+                quot, rem = divmod(n, m)
+                if rem.is_zero() and _mu(A, quot):
+                    expected.add((m, _mu(A, quot)))
+        got = list(_divisors_from_factorization(field, factors))
+        assert len(got) == len(set(got)) == len(expected)
+        assert set(got) == expected
 
 
 def _mu(A, n):

@@ -507,6 +507,24 @@ class TestParameterTable:
         assert doc[0]["result"] == doc[1]["result"] == doc[2]["result"]
         assert [j.get("code") for j in doc] == [None, None, None, 1, 1, 1]
 
+    @pytest.mark.parametrize("base, key", [
+        ({"command": "vsheaf kernel", "q": 2, "wp": "t+1", "a1": "0",
+          "a2": "1"}, "u"),
+        ({"command": "vsheaf points", "q": 3, "wp": "t+1", "a1": "0",
+          "a2": "1"}, "u"),
+        ({"command": "forms limit", "q": 2, "wp": "t", "prec": 10,
+          "chi": "0,3", "steps": 2}, "monomial"),
+    ])
+    def test_null_optional_text_is_absent(self, tmp_path, capsys, base, key):
+        # JSON null for u or monomial means the default (wp, g), as for
+        # every other optional parameter
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"jobs": [base, dict(base, **{key: None})]}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        absent, null = json.loads(out)["jobs"]
+        assert code == 0
+        assert null["ok"] and null["result"] == absent["result"]
+
     def test_every_catalogued_job_passes_the_check(self):
         catalogue = json.loads(CATALOGUE.read_text())
         jobs = (catalogue["tate"] + catalogue["suite"]["manifest"]

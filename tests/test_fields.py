@@ -308,6 +308,81 @@ class TestFrobeniusOracle:
         assert x.frob(41) == x ** 5
 
 
+class TestPowerProtocol:
+    """``**`` and ``frob`` are defined once, on ``DensePoly``: x ** 0 is the
+    ring's one, a negative power inverts first, and frob(k) is the
+    p^(e k)-th power."""
+
+    @staticmethod
+    def rings():
+        A4 = polyring(fq(4))
+        t = A4.gen
+        yield A4.one, t * t + fq(4).gen * t + A4.one
+        for q in (2, 4):
+            R = frobenius_ring(q, "irreducible")
+            yield R.one, R.theta + R.one
+
+    def test_zero_power_is_one(self):
+        for one, x in self.rings():
+            got = x ** 0
+            assert type(got) is type(x) and got.ring is x.ring
+            assert got == one and hash(got) == hash(one)
+
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    def test_negative_power_of_a_constant(self, q):
+        field = fq(q)
+        for c in field.elements()[1:]:
+            got = Poly(field, (c,)) ** -2
+            assert got == Poly(field, (c.inv() * c.inv(),))
+            assert got * Poly(field, (c * c,)) == polyring(field).one
+
+    def test_negative_power_of_a_nonunit_raises(self, A2):
+        for x in (A2.gen, A2.gen + A2.one, A2.zero):
+            with pytest.raises(DomainError):
+                x ** -1
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_residue_negative_power_oracle(self, q):
+        # x ** -n is the unique y with y * x^n = 1, found by search
+        R = frobenius_ring(q, "two primes")
+        elements = list(R.elements())
+        for x in elements:
+            for n in (1, 2, 3):
+                units = [y for y in elements if y * x ** n == R.one]
+                if units:
+                    assert [x ** -n] == units
+                else:
+                    with pytest.raises(DomainError):
+                        x ** -n
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_frob_is_pth_power(self, q):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        x = t ** 3 + field.gen * t + A.one
+        R = ResidueRing(next(A.monic_irreducibles(3)))
+        for k in range(4):
+            assert x.frob(k) == x.pth_power(field.e * k) == x ** (q ** k)
+            r = R.reduce(x)
+            assert r.frob(k) == r.pth_power(field.e * k) == r ** (q ** k)
+
+    def test_least_divisor_split_matches_trial_factorization(self,
+                                                              monkeypatch):
+        # q from -3 to 128: accepted iff a prime power p^e, with that p, e;
+        # the field itself is not built
+        monkeypatch.setattr(fields, "_FQ_CACHE", {})
+        monkeypatch.setattr(fields, "Fq", lambda p, e, modulus: (p, e))
+        for q in range(-3, 129):
+            split = [(p, e) for p in range(2, q + 1) if fields._is_prime(p)
+                     for e in range(1, 8) if p ** e == q]
+            if split:
+                assert [fq(q)] == split
+            else:
+                with pytest.raises(DomainError, match="is not a prime power"):
+                    fq(q)
+
+
 class TestAResidueDifferential:
     """AResidue against the reference (a op b) % m on Polys, for monic m
     of degree 1-4, not necessarily irreducible."""

@@ -6,6 +6,8 @@ from drinfeld.fields import Poly, fq, polyring, residue_field_with_theta
 from drinfeld.series import SeriesRing, TruncSeries
 from drinfeld.tau import TauPoly
 
+from conftest import td_config
+
 
 def tau_polys(data, ring, elements, max_deg=3):
     coeffs = data.draw(st.lists(elements, max_size=max_deg + 1))
@@ -209,3 +211,40 @@ class TestSharedDenseCore:
     def test_no_instance_dict(self, F2, A2):
         assert not hasattr(TauPoly(A2, (A2.one,)), "__dict__")
         assert not hasattr(Poly(F2, (F2.one,)), "__dict__")
+
+
+class TestPower:
+    """``TauPoly ** n`` is ``DensePoly``'s: n = 0 gives the ring's one, a
+    positive n the n-fold composition, and a negative n a DomainError."""
+
+    @staticmethod
+    def rings():
+        K = residue_field_with_theta(polyring(fq(2)).poly([1, 1, 1]))
+        yield K, K.theta
+        S = td_config((2, "t", "1")).S
+        yield S, S.theta
+
+    def test_zero_power_is_one(self):
+        for ring, theta in self.rings():
+            f = TauPoly(ring, (theta, ring.one))
+            got = f ** 0
+            assert type(got) is TauPoly and got.ring is ring
+            assert got == TauPoly.one(ring)
+            assert got * f == f
+
+    def test_zero_power_hashes_as_one(self):
+        ring, theta = next(self.rings())
+        got = TauPoly(ring, (theta, ring.one)) ** 0
+        assert hash(got) == hash(TauPoly.one(ring))
+
+    def test_positive_power_is_composition(self):
+        for ring, theta in self.rings():
+            f = TauPoly(ring, (theta, ring.one))
+            assert f ** 3 == f * f * f
+            assert TauPoly.tau(ring) ** 2 == TauPoly.tau(ring, 2)
+
+    def test_negative_power_raises(self):
+        for ring, theta in self.rings():
+            for f in (TauPoly(ring, (theta, ring.one)), TauPoly.one(ring)):
+                with pytest.raises(DomainError):
+                    f ** -1

@@ -23,19 +23,15 @@ def main(argv=None):
     print("q = %d, wp = %s, weight = %d, type = %d"
           % (args.q, poly_to_tstring(wp), g.weight, g.type_m))
     print("alpha_d(x) through x^%d:" % (args.prec - 1))
+    diff_vals = []
     for k in range(args.prec):
         c = g.series.coeff(k)
-        if not c and k > 0:
-            continue
-        marker = "== 1 mod wp" if k == 0 else \
-            "val_wp = %d" % wp_valuation(c - (A.one if k == 0 else A.zero), wp)
-        print("  x^%-3d  %-30s %s" % (k, poly_to_tstring(c), marker))
-    diff_vals = []
-    one = A.one
-    for k in range(args.prec):
-        c = g.series.coeff(k) - (one if k == 0 else A.zero)
-        if c:
-            diff_vals.append(wp_valuation(c, wp))
+        diff = c - A.one if k == 0 else c
+        if diff:
+            diff_vals.append(wp_valuation(diff, wp))
+        if k == 0 or c:
+            marker = "== 1 mod wp" if k == 0 else "val_wp = %d" % diff_vals[-1]
+            print("  x^%-3d  %-30s %s" % (k, poly_to_tstring(c), marker))
     print("min val_wp(alpha_d - 1) over the window: %s"
           % (min(diff_vals) if diff_vals else "infinite"))
     return 0

@@ -8,7 +8,9 @@ engine recomputes them constantly.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
+import operator
 
 from .errors import DomainError, InternalConsistencyError
 from .fields import Poly, polyring, is_irreducible
@@ -92,10 +94,8 @@ def _divisors_from_factorization(field, factors):
     one = polyring(field).one
     mult = collections.Counter(factors)
     for drop in itertools.product((0, 1), repeat=len(mult)):
-        m = one
-        for (f, e), d in zip(mult.items(), drop):
-            m = m * f ** (e - d)
-        yield m, (-1) ** sum(drop)
+        powers = (f ** (e - d) for (f, e), d in zip(mult.items(), drop))
+        yield functools.reduce(operator.mul, powers, one), (-1) ** sum(drop)
 
 
 def carlitz_cyclotomic(field, factors):
@@ -111,26 +111,19 @@ def carlitz_cyclotomic(field, factors):
     for f in factors:
         if not is_irreducible(f):
             raise DomainError("factor %r is not monic irreducible" % (f,))
-    num = None
-    den = None
-    expected_degree = 0
-    for m, mu in _divisors_from_factorization(field, factors):
-        phi_m = carlitz_torsion_poly(field, m)  # Phi^C_1(X) = X for m = 1
-        expected_degree += mu * (field.q ** m.degree)
-        if mu == 1:
-            num = phi_m if num is None else num * phi_m
-        else:
-            den = phi_m if den is None else den * phi_m
-    if num is None:
-        raise DomainError("empty divisor set")
-    w = num if den is None else num.exact_div(den)
+    divisors = list(_divisors_from_factorization(field, factors))
+    expected_degree = sum(mu * field.q ** m.degree for m, mu in divisors)
+    # Phi^C_1(X) = X for m = 1; r >= 1 distinct primes give 2^(r-1) divisors
+    # of each sign, so neither product is empty
+    phis = [(carlitz_torsion_poly(field, m), mu) for m, mu in divisors]
+    num = functools.reduce(operator.mul, (phi for phi, mu in phis if mu == 1))
+    den = functools.reduce(operator.mul, (phi for phi, mu in phis if mu == -1))
+    w = num.exact_div(den)
     if w.degree != expected_degree:
         raise InternalConsistencyError(
             "cyclotomic degree %r does not match the Moebius count %d"
             % (w.degree, expected_degree))
-    n = factors[0]
-    for f in factors[1:]:
-        n = n * f
+    n = functools.reduce(operator.mul, factors)
     phi_n = carlitz_torsion_poly(field, n)
     if not (phi_n % w).is_zero():
         raise InternalConsistencyError("W_n does not divide Phi^C_n exactly")

@@ -622,9 +622,7 @@ class Poly(DensePoly):
         step = self.ring.p ** k
         zero = self.ring.zero
         out = [zero] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c.pth_power(k)
+        out[::step] = [c.pth_power(k) for c in self.coeffs]
         return Poly(self.ring, out, normalize=False)
 
     def gcd(self, other):
@@ -1004,8 +1002,6 @@ def wp_valuation(a, wp, cap=64):
             return v
         a = q
         v += 1
-        if a.is_zero():
-            return cap
     return cap
 
 

@@ -248,9 +248,7 @@ class TruncSeries:
             return TruncSeries.zero(self.ring, prec)
         zero = self.ring.zero
         out = [zero] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c.pth_power(k)
+        out[::step] = [c.pth_power(k) for c in self.coeffs]
         return TruncSeries(self.ring, self.val * step, out, prec, normalize=False)
 
     def frob(self, k=1):

@@ -13,6 +13,8 @@ and Taguchi duality is the transpose-swap (P, Psi, V) -> (V^T, Psi^T, P^T).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
@@ -36,31 +38,17 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _dot(u, v):
+    return functools.reduce(operator.add, map(operator.mul, u, v))
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    bt = list(zip(*b))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for l in range(k):
-                term = a[i][l] * bt[j][l]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    bt = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    return tuple(_dot(row, v) for row in a)
 
 
 def mat_transpose(a):

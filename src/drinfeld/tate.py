@@ -117,10 +117,8 @@ class TateDrinfeld:
             for _ in range(D):
                 powers.append((powers[-1].frob(1).truncate(N) * Fq1)
                               .truncate(N))
-            sigma = zero
-            for i, ei in enumerate(e):
-                sigma = sigma + ei * powers[D - i].frob(i)
-            sigma = sigma.truncate(N)
+            sigma = sum((ei * powers[D - i].frob(i) for i, ei in enumerate(e)),
+                        zero).truncate(N)
             if sigma.order() != self._exp_valuation(D):
                 raise InternalConsistencyError(
                     "Ore step %d: sigma has x-valuation %s, expected %d"
@@ -221,10 +219,9 @@ class TateDrinfeld:
         prec = min(certified, self.prec)
         val = series.val
         # F_g^e with e >= len(powers) vanishes mod x^N, so zip drops it
-        acc = TruncSeries.zero(self.A, self.prec)
-        for c, P in zip(series.coeffs[:top], powers[max(val, 0):]):
-            if c:
-                acc = acc + P.scale(c)
+        acc = sum((P.scale(c) for c, P in zip(series.coeffs[:top],
+                                              powers[max(val, 0):]) if c),
+                  TruncSeries.zero(self.A, self.prec))
         if val < 0 and series.coeffs:
             acc = acc * (powers[1].inv() ** (-val))
         return acc.truncate(prec)
@@ -276,10 +273,9 @@ class TateDrinfeld:
     def _psi_lhs(self, c, k):
         """Z^(q^k) coefficient of sum_j c_j e(Z)^(q^j) over the given c_j,
         j <= k: sum_j c_j e_(k-j)^(q^j)."""
-        acc = TruncSeries.zero(self.A, self.prec)
-        for j, cj in enumerate(c):
-            acc = acc + cj * self.exp_coeff(k - j).frob(j)
-        return acc
+        return sum((cj * self.exp_coeff(k - j).frob(j)
+                    for j, cj in enumerate(c)),
+                   TruncSeries.zero(self.A, self.prec))
 
     def _expp_rhs(self, k):
         """Z^(q^k) coefficient of e'(Phi^C_wp(Z)), e' = nu_wp(e):
@@ -288,11 +284,9 @@ class TateDrinfeld:
             self._eprime = (carlitz_phi(self.A, self.wp).coeffs,
                             tuple(self.nu(self.wp, ei) for ei in self.e))
         w, eprime = self._eprime
-        acc = TruncSeries.zero(self.A, self.prec)
-        for i in range(max(0, k - self.d), k + 1):
-            if w[k - i]:
-                acc = acc + eprime[i].scale(w[k - i].frob(i))
-        return acc.truncate(self.prec)
+        return sum((eprime[i].scale(w[k - i].frob(i))
+                    for i in range(max(0, k - self.d), k + 1) if w[k - i]),
+                   TruncSeries.zero(self.A, self.prec)).truncate(self.prec)
 
     def expp_residuals(self):
         """Residuals of the defining identity at indices d+1..i_max."""
@@ -425,13 +419,10 @@ class TateDrinfeld:
     def _scatter(self, M, terms):
         """sum s * r(Z) over (series s, Z-polynomial r) pairs, as the list of
         the deg(M) Z-coefficients."""
-        out = [TruncSeries.zero(self.A, self.prec)] * M.degree
-        for s, r in terms:
-            if s:
-                for jpos, cz in enumerate(r.coeffs):
-                    if cz:
-                        out[jpos] = out[jpos] + s.scale(cz)
-        return [s.truncate(self.prec) for s in out]
+        terms = [(s, r.coeffs) for s, r in terms if s]
+        zero = TruncSeries.zero(self.A, self.prec)
+        return [sum((s.scale(r[j]) for s, r in terms if j < len(r) and r[j]),
+                    zero).truncate(self.prec) for j in range(M.degree)]
 
 
 _TD_CACHE = {}

@@ -11,10 +11,15 @@ coefficient, never q-th roots.
 product, right division, evaluation as an additive polynomial and the
 coefficient twist, and its ``_coerce`` refuses an operand over another
 coefficient ring with DomainError instead of handing it on.  It has no
-inverse, so a negative power raises DomainError from ``DensePoly.inv``.
+inverse, so a negative power raises DomainError from ``DensePoly.inv``, and
+``frob`` raises DomainError too: the coefficient twist is ``twist``.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
 
 from .errors import DomainError
 from .fields import DensePoly, horner
@@ -75,17 +80,17 @@ class TauPoly(DensePoly):
         """Evaluate the additive polynomial: sum b_i x^(q^i)."""
         if not self.coeffs:
             return x - x
-        acc = None
-        power = x
-        for i, c in enumerate(self.coeffs):
-            if i > 0:
-                power = power.frob()
-            if c:
-                term = power.scale(c) if hasattr(power, "scale") else c * power
-                acc = term if acc is None else acc + term
-        if acc is None:
-            return x - x
-        return acc
+        powers = itertools.accumulate(range(1, len(self.coeffs)),
+                                      lambda p, _: p.frob(), initial=x)
+        # the leading b_i is nonzero: the sum starts at its first term, not
+        # at x - x, which has the lower precision of x for a series
+        return functools.reduce(operator.add, (
+            p.scale(c) if hasattr(p, "scale") else c * p
+            for c, p in zip(self.coeffs, powers) if c))
+
+    def frob(self, k=1):
+        raise DomainError("TauPoly has no Frobenius power; use twist for the "
+                          "coefficientwise q^k-power")
 
     def twist(self, k=1):
         """Coefficientwise q^k-power; the base change along Frobenius."""

@@ -78,6 +78,18 @@ class TestApoly:
         assert A2.zero.degree < 0
         assert not isinstance(A2.zero.degree, int)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_pth_power_is_the_power(self, data):
+        """Spreading c_i^(p^k) to t^(i p^k) is x ** (p^k), zero coefficients
+        included, and leaves the leading coefficient nonzero."""
+        field = fq(data.draw(st.sampled_from([2, 4, 8, 9])))
+        x = Poly(field, data.draw(st.lists(elems(field), max_size=5)))
+        k = data.draw(st.integers(0, 2))
+        y = x.pth_power(k)
+        assert y == x ** (field.p ** k)
+        assert not y.coeffs or y.coeffs[-1]
+
     def test_irreducible_examples(self, A2, A3):
         t = A2.gen
         assert is_irreducible(t * t + t + A2.one)

@@ -650,6 +650,26 @@ class TestFrobenius:
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
+    def test_pth_power_spreads_coefficients(self, data):
+        """c_i x^i goes to c_i^(p^k) x^(i p^k), zero coefficients included;
+        the valuation and the precision multiply by p^k, and the value is
+        f ** (p^k)."""
+        S = sring(data.draw(st.sampled_from([2, 3, 4])), 5)
+        f = random_series(data, S, allow_laurent=True)
+        k = data.draw(st.integers(1, 2))
+        step = S.ring.p ** k
+        g = f.pth_power(k)
+        assert g.prec == f.prec * step
+        assert g.val == f.val * step or not f.coeffs
+        for n in range(f.val * step, g.prec):
+            want = f.coeff(n // step).pth_power(k) if n % step == 0 \
+                else S.ring.zero
+            assert g.coeff(n) == want
+        if f.val >= 0:
+            assert g.agrees_with(f ** step)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
     def test_frobenius_is_additive(self, data):
         S = sring(data.draw(st.sampled_from([2, 3])), 6)
         a = random_series(data, S)

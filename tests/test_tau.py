@@ -80,6 +80,20 @@ class TestEval:
         assert val.coeff(4) == S.ring.one and val.coeff(8) == S.ring.one
         assert all(not val.coeff(k) for k in range(16) if k not in (4, 8))
 
+    def test_series_value_starts_at_the_first_nonzero_term(self):
+        """With b_0 = 0 the value is the sum of the nonzero terms alone, so
+        it keeps their precision (x^(q^i) has q^i times that of x) instead
+        of the lower one of x - x."""
+        S = SeriesRing(polyring(fq(2)), 8)
+        A = S.ring
+        t = A.gen
+        x = S.x() + S.x() ** 3
+        val = TauPoly.tau(A, 2)(x)
+        assert val.prec == 32 and val.agrees_with(x.frob(2))
+        val = TauPoly(A, (A.zero, t, A.one))(x)
+        want = x.frob(1).scale(t) + x.frob(2)
+        assert val.prec == want.prec == 16 and val.agrees_with(want)
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_eval_is_composition_hom(self, data):
@@ -168,6 +182,18 @@ class TestTwist:
         b = TauPoly(F4, (F4.one, u))
         assert (a * b).twist(1) == a.twist(1) * b.twist(1)
         assert (a + b).twist(1) == a.twist(1) + b.twist(1)
+
+    def test_frob_is_refused(self):
+        """A TauPoly has no Frobenius power of its own: ``frob`` raises
+        DomainError and names ``twist``, over a field and over a series
+        ring alike."""
+        for ring, theta in TestPower.rings():
+            f = TauPoly(ring, (theta, ring.one))
+            for k in (0, 1, 2):
+                with pytest.raises(DomainError, match="twist"):
+                    f.frob(k)
+            assert f.twist(1) == TauPoly(ring, (theta.frob(1),
+                                                ring.one.frob(1)))
 
 
 class TestSharedDenseCore:

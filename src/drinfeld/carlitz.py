@@ -37,8 +37,6 @@ def carlitz_phi(ring, a):
 def _tau_to_zpoly(f, zring):
     """Rewrite sum b_i tau^i as the additive polynomial sum b_i Z^(q^i)."""
     q = f.ring.q
-    if f.is_zero():
-        return zring.zero
     out = [zring.base.zero] * (q ** f.degree + 1)
     for i, c in enumerate(f.coeffs):
         if c:

@@ -5,12 +5,14 @@ Conventions shared by the whole package:
 
 * q = p^e is fixed once by the base field; ``frob`` always means the q-power
   map, even on extension rings where it is not the identity.
+* ``FqElem``, ``DensePoly`` and ``series.TruncSeries`` share one element
+  base, ``RingElement``: ``x ** n``, ``frob`` and reflected subtraction.
 * Polynomials are dense, stored low degree first, with no trailing zeros.
-  ``DensePoly`` holds that storage, its coefficientwise operations, powers
-  and the Frobenius twist for ``Poly``, ``tau.TauPoly`` and ``AResidue``
-  (an element of A/(m) as its reduced representative).  Each subclass
-  supplies its operand coercion (``_coerce``), its product, ``pth_power``
-  and, where units exist, ``inv``; ``Poly`` adds division and gcd.
+  ``DensePoly`` holds that storage, its coefficientwise operations and
+  operand coercion (``_coerce``) for ``Poly``, ``tau.TauPoly`` and
+  ``AResidue`` (an element of A/(m) as its reduced representative).  Each
+  subclass supplies its product, ``pth_power`` and, where units exist,
+  ``inv``; ``Poly`` adds division and gcd.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -27,7 +29,7 @@ import re
 import sys
 from array import array
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 NEG_INF = float("-inf")
 
@@ -195,8 +197,31 @@ def _divmod_ints(vals, dm, fold, p):
         vals[i] %= p
 
 
-class FqElem:
-    """Element of a small finite field, interned and table driven."""
+class RingElement:
+    """Powers, the Frobenius and reflected subtraction, defined once on a
+    subclass's ``_one()`` (the value of ``x ** 0``), ``inv``, ``pth_power(k)``
+    (the p^k-th power), ``__neg__`` and ``__add__``."""
+
+    __slots__ = ()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inv() ** -n
+        if n == 0:
+            return self._one()
+        return power(self, n)
+
+    def frob(self, k=1):
+        """The q^k-th power, q = p^e the order of the base field."""
+        return self.pth_power(self.ring.base_field.e * k)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class FqElem(RingElement):
+    """Element of a small finite field, interned and table driven.  Its
+    ``frob`` is the identity: pth_power(e k) runs no table step."""
 
     __slots__ = ("ring", "idx")
 
@@ -226,12 +251,8 @@ class FqElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        if n == 0:
-            return self.ring.one
-        return power(self, n)
+    def _one(self):
+        return self.ring.one
 
     def inv(self):
         j = self.ring._inv[self.idx]
@@ -244,10 +265,6 @@ class FqElem:
         for _ in range(k % self.ring.e if self.ring.e > 1 else 0):
             i = self.ring._frobp[i]
         return self.ring._els[i]
-
-    def frob(self, k=1):
-        # r^(q^k) = r on F_q itself.
-        return self
 
     def __bool__(self):
         return self.idx != 0
@@ -423,18 +440,16 @@ def fq(q, modulus=None):
     return field
 
 
-class DensePoly:
+class DensePoly(RingElement):
     """Coefficients over a ring handle, low degree first, no trailing zeros.
 
     The core of ``Poly``, ``tau.TauPoly`` and ``AResidue``; for an
     ``AResidue`` the handle is the quotient ring A/(m) and the coefficients
     are those of the reduced representative, over F_q.  Sums, negation,
-    equality and hashing act coefficientwise and keep the operand's own
-    type, so no two of these classes mix or compare equal.  Powers and the
-    Frobenius twist are defined here once, on top of what each subclass
-    supplies: ``_coerce(other)``, ``other`` over the same ring (a scalar as
-    a constant) or NotImplemented; its product; ``pth_power(k)``, the
-    p^k-th power; and, where units exist, ``inv``.
+    equality, hashing and operand coercion act coefficientwise and keep the
+    operand's own type, so no two of these classes mix or compare equal.
+    Powers and the Frobenius come from ``RingElement``; each subclass
+    supplies its product, ``pth_power(k)`` and, where units exist, ``inv``.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -489,8 +504,22 @@ class DensePoly:
         out += a[len(b):] if len(a) > len(b) else [-c for c in b[len(a):]]
         return type(self)(self.ring, out)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def _coerce(self, other):
+        """other over this ring, a scalar as a constant (an element of A is
+        a scalar of a polynomial over A), or NotImplemented."""
+        cls = type(self)
+        if type(other) is cls and other.ring is self.ring:
+            return other
+        try:
+            c = self.ring.coerce(other)
+        except (DomainError, TypeError):
+            return NotImplemented
+        if type(c) is cls and c.ring is self.ring:
+            return c
+        return cls(self.ring, (c,))
+
+    def _one(self):
+        return self._coerce(1)
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -503,19 +532,8 @@ class DensePoly:
     def map_coeffs(self, func, ring):
         return type(self)(ring, tuple(func(c) for c in self.coeffs))
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        if n == 0:
-            return self._coerce(1)
-        return power(self, n)
-
     def inv(self):
         raise DomainError("%s has no inverse" % type(self).__name__)
-
-    def frob(self, k=1):
-        """The q^k-th power, q = p^e the order of the base field."""
-        return self.pth_power(self.ring.base_field.e * k)
 
 
 def _schoolbook(a, b, zero):
@@ -553,15 +571,6 @@ class Poly(DensePoly):
         return Poly(self.ring, _schoolbook(a, b, self.ring.zero))
 
     __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, Poly) and other.ring is self.ring:
-            return other
-        try:
-            c = self.ring.coerce(other)
-        except (DomainError, TypeError):
-            return NotImplemented
-        return Poly(self.ring, (c,))
 
     def __divmod__(self, other):
         if not isinstance(other, Poly) or other.ring is not self.ring:
@@ -607,13 +616,6 @@ class Poly(DensePoly):
         if self.degree != 0:
             raise DomainError("non-constant polynomial is not a unit")
         return Poly(self.ring, (self.coeffs[0].inv(),), normalize=False)
-
-    def shift(self, k):
-        """Multiply by the k-th power of the variable (k >= 0)."""
-        if not self.coeffs:
-            return self
-        return Poly(self.ring, (self.ring.zero,) * k + self.coeffs,
-                    normalize=False)
 
     def pth_power(self, k=1):
         """Freshman's-dream power: (sum a_i t^i)^(p^k) = sum a_i^(p^k) t^(i p^k)."""
@@ -675,8 +677,6 @@ class PolyRing:
     def coerce(self, x):
         if isinstance(x, Poly) and x.ring is self.base:
             return x
-        if isinstance(x, int):
-            return self.from_int(x)
         c = self.base.coerce(x)
         return Poly(self.base, (c,))
 
@@ -749,17 +749,10 @@ def is_irreducible(f):
 class AResidue(DensePoly):
     """Element of A/(m): the coefficients over F_q of its reduced
     representative (degree < deg m), with the quotient-ring handle as
-    ``ring``.  Sums, negation, equality and hashing are ``DensePoly``'s."""
+    ``ring``.  Sums, negation, equality, hashing and coercion are
+    ``DensePoly``'s."""
 
     __slots__ = ()
-
-    def _coerce(self, other):
-        if isinstance(other, AResidue) and other.ring is self.ring:
-            return other
-        try:
-            return self.ring.coerce(other)
-        except DomainError:
-            return NotImplemented
 
     @property
     def value(self):
@@ -952,19 +945,18 @@ def extension_with_embedding(k, m):
     ring = polyring(k.field)
     target = k.degree * m
     _check_field_order(ring.q, target)
-    for cand in ring.monic_polys(target):
-        if is_irreducible(cand):
-            K = ResidueRing(cand)
-            root = find_root(k.modulus, K)
-            if root is None:  # pragma: no cover
-                continue
+    # irreducibles of every degree exist, and K holds every root of k.modulus
+    K = ResidueRing(next(c for c in ring.monic_polys(target)
+                         if is_irreducible(c)))
+    root = find_root(k.modulus, K)
+    if root is None:
+        raise InternalConsistencyError("%r has no root in %r" % (k.modulus, K))
 
-            def embed(r):
-                return horner(r.coeffs, root, K.zero)
+    def embed(r):
+        return horner(r.coeffs, root, K.zero)
 
-            K.theta = embed(k.theta)
-            return K, embed
-    raise DomainError("no extension of degree %d found" % m)
+    K.theta = embed(k.theta)
+    return K, embed
 
 
 def _check_field_order(q, degree):

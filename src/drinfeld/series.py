@@ -11,7 +11,9 @@ propagated through every operation:
 * p-th powers via the freshman's dream multiply precision by p.
 
 The zero-to-precision element is stored with an empty coefficient window and
-val == prec.
+val == prec.  ``x ** n`` and ``frob`` come from the element base shared with
+F_q and A (``fields.RingElement``); ``x ** 0`` is one to the relative
+precision prec - val of x, at least 1.
 
 Products over A = F_p[t] and over its quotients A/(m), p prime, are
 Kronecker-packed (``fields.kronecker_mul``): the n = prec - val coefficients
@@ -39,10 +41,10 @@ powers of F_g under the same rule (``tate.TateDrinfeld.nu``), so Horner's
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
-from .fields import horner, kronecker_mul, power
+from .fields import RingElement, horner, kronecker_mul
 
 
-class TruncSeries:
+class TruncSeries(RingElement):
     __slots__ = ("ring", "val", "coeffs", "prec")
 
     def __init__(self, ring, val, coeffs, prec, normalize=True):
@@ -174,9 +176,6 @@ class TruncSeries:
         out = [self.coeff(k) - o.coeff(k) for k in range(lo, hi)]
         return TruncSeries(self.ring, lo, out, prec)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._zip(other)
         if o is None:
@@ -231,12 +230,9 @@ class TruncSeries:
                                       relprec, self.ring)
         return TruncSeries(self.ring, -self.val, out, relprec - self.val)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        if n == 0:
-            return TruncSeries.one(self.ring, max(1, self.prec - self.val))
-        return power(self, n)
+    def _one(self):
+        """The unit of ``x ** 0``, to the relative precision of self."""
+        return TruncSeries.one(self.ring, max(1, self.prec - self.val))
 
     def pth_power(self, k=1):
         """(sum c_i x^i)^(p^k) = sum c_i^(p^k) x^(i p^k); precision multiplies."""
@@ -250,10 +246,6 @@ class TruncSeries:
         out = [zero] * ((len(self.coeffs) - 1) * step + 1)
         out[::step] = [c.pth_power(k) for c in self.coeffs]
         return TruncSeries(self.ring, self.val * step, out, prec, normalize=False)
-
-    def frob(self, k=1):
-        e = self.ring.base_field.e
-        return self.pth_power(e * k)
 
     def derivative(self):
         """Termwise d/dx; the integer factor is reduced into the prime field."""
@@ -443,9 +435,7 @@ class SeriesRing:
     def coerce(self, x):
         if isinstance(x, TruncSeries) and x.ring is self.ring:
             return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        return self.constant(self.ring.coerce(x))
+        return self.constant(x)
 
     def structure(self, a):
         return self.constant(self.ring.structure(a))

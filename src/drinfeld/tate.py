@@ -118,7 +118,7 @@ class TateDrinfeld:
                 powers.append((powers[-1].frob(1).truncate(N) * Fq1)
                               .truncate(N))
             sigma = sum((ei * powers[D - i].frob(i) for i, ei in enumerate(e)),
-                        zero).truncate(N)
+                        zero)
             if sigma.order() != self._exp_valuation(D):
                 raise InternalConsistencyError(
                     "Ore step %d: sigma has x-valuation %s, expected %d"
@@ -129,9 +129,10 @@ class TateDrinfeld:
                 raise InternalConsistencyError(
                     "Ore step %d: beta has x-valuation %s, expected %d"
                     % (D, beta.order(), self._beta_valuation(D)))
-            # e_V(X) - beta^(q-1) e_V(X)^q, at X^(q^i) for i = 0..D+1
+            # e_V(X) - beta^(q-1) e_V(X)^q, at X^(q^i) for i = 0..D+1; a
+            # difference keeps the lower precision, so e_i stays at most N
             b = (beta ** (q - 1)).truncate(N)
-            e = [e[0]] + [(ei - b * prev.frob(1).truncate(N)).truncate(N)
+            e = [e[0]] + [ei - b * prev.frob(1).truncate(N)
                           for ei, prev in zip(e[1:] + [zero], e)]
             D += 1
         e = tuple(e[:self.i_max + 1]) + (zero,) * (self.i_max + 1 - len(e))
@@ -165,9 +166,8 @@ class TateDrinfeld:
         th = self.A.gen
         e1 = self.exp_coeff(1)
         e2 = self.exp_coeff(2)
-        a1 = (e1.scale(th.frob(1) - th) + self.S.one).truncate(self.prec)
-        a2 = (e2.scale(th.frob(2) - th) + e1
-              - a1 * e1.frob(1)).truncate(self.prec)
+        a1 = e1.scale(th.frob(1) - th) + self.S.one
+        a2 = e2.scale(th.frob(2) - th) + e1 - a1 * e1.frob(1)
         self.a1, self.a2 = a1, a2
         # the Z^(q^3) relation is a free self-check
         res = self._fe_residual(3)
@@ -186,14 +186,14 @@ class TateDrinfeld:
     def _fe_residual(self, i):
         """Coefficient of Z^(q^i) in Phi_t(e(Z)) - e(theta Z + Z^q), i.e.
         theta e_i + a1 e_(i-1)^q + a2 e_(i-2)^(q^2) - theta^(q^i) e_i - e_(i-1)
-        truncated to x^N."""
+        at precision at most N, that of e_(i-1)."""
         th = self.A.gen
         ei = self.exp_coeff(i)
         e1 = self.exp_coeff(i - 1)
         e2 = self.exp_coeff(i - 2)
         lhs = ei.scale(th) + self.a1 * e1.frob(1) + self.a2 * e2.frob(2)
         rhs = ei.scale(th.frob(i)) + e1
-        return (lhs - rhs).truncate(self.prec)
+        return lhs - rhs
 
     def functional_equation_residuals(self):
         """One series per index i <= i_max; all must vanish to precision."""
@@ -265,8 +265,7 @@ class TateDrinfeld:
             return self._psi
         c = [TruncSeries.constant(self.wp, self.A, self.prec)]
         for k in range(1, self.d + 1):
-            c.append((self._expp_rhs(k) - self._psi_lhs(c, k))
-                     .truncate(self.prec))
+            c.append(self._expp_rhs(k) - self._psi_lhs(c, k))
         self._psi = tuple(c)
         return self._psi
 
@@ -286,12 +285,12 @@ class TateDrinfeld:
         w, eprime = self._eprime
         return sum((eprime[i].scale(w[k - i].frob(i))
                     for i in range(max(0, k - self.d), k + 1) if w[k - i]),
-                   TruncSeries.zero(self.A, self.prec)).truncate(self.prec)
+                   TruncSeries.zero(self.A, self.prec))
 
     def expp_residuals(self):
         """Residuals of the defining identity at indices d+1..i_max."""
         c = self.canonical_isogeny()
-        return [(self._psi_lhs(c, k) - self._expp_rhs(k)).truncate(self.prec)
+        return [self._psi_lhs(c, k) - self._expp_rhs(k)
                 for k in range(self.d + 1, self.i_max + 1)]
 
     def psi_tau(self):
@@ -405,8 +404,7 @@ class TateDrinfeld:
             powed = self._scatter(M, [(c.frob(k), R[k].pow_mod(j, M))
                                       for j, c in enumerate(lam) if c])
             rhs = [r + coef * s for r, s in zip(rhs, powed)]
-        return all((l - r).truncate(self.prec).is_zero()
-                   for l, r in zip(lhs, rhs))
+        return all((l - r).is_zero() for l, r in zip(lhs, rhs))
 
     def _level_image(self, M):
         """(R, lambda): R_i = Z^(q^i) mod M for i <= i_max + 1, maintained by
@@ -422,7 +420,7 @@ class TateDrinfeld:
         terms = [(s, r.coeffs) for s, r in terms if s]
         zero = TruncSeries.zero(self.A, self.prec)
         return [sum((s.scale(r[j]) for s, r in terms if j < len(r) and r[j]),
-                    zero).truncate(self.prec) for j in range(M.degree)]
+                    zero) for j in range(M.degree)]
 
 
 _TD_CACHE = {}

@@ -46,15 +46,9 @@ class TauPoly(DensePoly):
         return self.ring.zero
 
     def _coerce(self, other):
-        if isinstance(other, TauPoly):
-            if other.ring is not self.ring:
-                raise DomainError("mismatched coefficient rings")
-            return other
-        try:
-            c = self.ring.coerce(other)
-        except (DomainError, TypeError):
-            return NotImplemented
-        return TauPoly(self.ring, (c,))
+        if isinstance(other, TauPoly) and other.ring is not self.ring:
+            raise DomainError("mismatched coefficient rings")
+        return super()._coerce(other)
 
     def __mul__(self, other):
         """Composition product: (f*g)(X) = f(g(X))."""

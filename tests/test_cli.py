@@ -116,6 +116,41 @@ class TestSubcommands:
         assert len(doc["weights"]) == 3
 
 
+    def test_vsheaf_kernel_of_a_t_polynomial(self, capsys):
+        # --u names an element a of A and takes the kernel of Phi_a; at
+        # wp = t, --u t is the default --u wp
+        args = ["--q", "2", "--wp", "t", "--a1", "1", "--a2", "1"]
+        _, default, _ = run(capsys, "vsheaf", "kernel", *args)
+        assert run(capsys, "vsheaf", "kernel", *args, "--u", "t") \
+            == (0, default, "")
+        code, out, _ = run(capsys, "vsheaf", "kernel", *args, "--u", "t^2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["valid"] is True and doc["rank"] == 4
+
+    def test_forms_audit_weight_overrides(self, capsys):
+        # --k1/--k2 replace the weight tags of f1/f2: with k1 = 0 the
+        # difference is -w2, with k2 = 0 it is w1, and w1 - w2 is the default
+        args = ["forms", "audit", "--q", "2", "--wp", "t", "--prec", "12",
+                "--f1", "a1^2*a2", "--f2", "a1^2*a2*g^4", "--max-n", "6"]
+
+        def audit(*extra):
+            code, out, _ = run(capsys, *args, *extra)
+            assert code == 0
+            return json.loads(out)
+
+        default = audit()
+        minus_w2 = audit("--k1", "0")
+        w1 = audit("--k2", "0")
+        assert w1["delta_k"] + minus_w2["delta_k"] == default["delta_k"]
+        both = audit("--k1", "7", "--k2", "6")
+        assert both["delta_k"] == 1
+        assert both["depth"] == default["depth"] > 1
+        assert both["modulus"] == default["modulus"] > 1
+        assert both["pass"] is False
+        assert audit("--k1", "6", "--k2", "6")["pass"] is True
+
+
 class TestExitCodes:
     def test_domain_error_is_1(self, capsys):
         code, out, err = run(capsys, "carlitz", "eisenstein", "--q", "2",
@@ -352,6 +387,43 @@ class TestSuite:
         doc = json.loads(out)
         assert doc["failed"] == 1
         assert doc["jobs"][0]["code"] == 1
+
+    def test_unknown_command_is_job_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        jobs = [{"command": "carlitz nope", "q": 2}, {"q": 2},
+                {"command": "carlitz phi", "q": 2, "a": "t"}]
+        path.write_text(json.dumps({"jobs": jobs}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 1 and doc["exit_code"] == 1
+        assert [j["ok"] for j in doc["jobs"]] == [False, False, True]
+        assert doc["jobs"][0] == {"index": 0, "ok": False, "code": 1,
+                                  "error": "unknown command 'carlitz nope'"}
+        assert doc["jobs"][1]["error"] == "unknown command None"
+
+    def test_internal_error_job_is_2(self, tmp_path, capsys, monkeypatch):
+        def broken(params):
+            raise InternalConsistencyError("identity violated")
+        monkeypatch.setitem(cli.HANDLERS, "carlitz phi", broken)
+        path = tmp_path / "manifest.json"
+        jobs = [{"command": "carlitz phi", "q": 2, "a": "t"},
+                {"command": "carlitz eisenstein", "q": 2, "wp": "t^2"},
+                {"command": "carlitz eisenstein", "q": 2, "wp": "t"}]
+        path.write_text(json.dumps({"jobs": jobs}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 2 and doc["exit_code"] == 2
+        assert doc["jobs"][0] == {"index": 0, "ok": False, "code": 2,
+                                  "error": "identity violated"}
+        assert doc["jobs"][1]["code"] == 1 and doc["jobs"][2]["ok"]
+
+    def test_output_key_writes_stdout(self, tmp_path, capsys):
+        target = tmp_path / "result.json"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(dict(MANIFEST, output=str(target))))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        assert code == 0
+        assert target.read_text() == out
 
     def test_bad_job_isolated(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"

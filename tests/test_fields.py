@@ -1,13 +1,17 @@
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld import fields
 from drinfeld.errors import DomainError
-from drinfeld.fields import (NEG_INF, Poly, ResidueRing, fq, is_irreducible,
-                             parse_apoly, poly_to_bracket, poly_to_tstring,
-                             polyring, residue_field_with_theta, wp_valuation)
+from drinfeld.fields import (NEG_INF, AResidue, Poly, ResidueRing, fq,
+                             is_irreducible, parse_apoly, poly_to_bracket,
+                             poly_to_tstring, polyring,
+                             residue_field_with_theta, wp_valuation)
+
+from drinfeld.series import SeriesRing
 
 from conftest import divmod_valuation
 
@@ -321,8 +325,8 @@ class TestFrobeniusOracle:
 
 
 class TestPowerProtocol:
-    """``**`` and ``frob`` are defined once, on ``DensePoly``: x ** 0 is the
-    ring's one, a negative power inverts first, and frob(k) is the
+    """``**`` and ``frob`` are defined once, on ``RingElement``: x ** 0 is
+    the ring's one, a negative power inverts first, and frob(k) is the
     p^(e k)-th power."""
 
     @staticmethod
@@ -379,6 +383,37 @@ class TestPowerProtocol:
             r = R.reduce(x)
             assert r.frob(k) == r.pth_power(field.e * k) == r ** (q ** k)
 
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_fq_power_matches_repeated_products(self, q):
+        field = fq(q)
+        for c in field.elements():
+            for n in range(-3, 7):
+                if n < 0 and not c:
+                    continue
+                base = c if n >= 0 else c.inv()
+                want = functools.reduce(operator.mul, [base] * abs(n),
+                                        field.one)
+                assert c ** n is want
+                if n < 0:
+                    assert c ** n * c ** -n is field.one
+
+    def test_no_instance_dict(self):
+        # the shared base adds no __dict__ to the slotted elements
+        R = frobenius_ring(2, "irreducible")
+        for x in (fq(4).gen, R.theta, SeriesRing(R, 4).x()):
+            assert not hasattr(x, "__dict__")
+
+    @pytest.mark.parametrize("q", [2, 4, 9])
+    def test_fq_zero_negative_power_raises(self, q):
+        with pytest.raises(DomainError):
+            fq(q).zero ** -1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+    def test_fq_frob_is_the_identity(self, q):
+        for c in fq(q).elements():
+            for k in range(4):
+                assert c.frob(k) is c
+
     def test_least_divisor_split_matches_trial_factorization(self,
                                                               monkeypatch):
         # q from -3 to 128: accepted iff a prime power p^e, with that p, e;
@@ -393,6 +428,37 @@ class TestPowerProtocol:
             else:
                 with pytest.raises(DomainError, match="is not a prime power"):
                     fq(q)
+
+
+class TestCoercion:
+    """``DensePoly._coerce``: an operand over the same ring is used as it
+    is, and a scalar of the ring becomes a constant of the operand's type."""
+
+    def test_zpoly_over_a_times_an_element_of_a(self, A2):
+        t = A2.gen
+        a = t + A2.one
+        M = Poly(A2, (t, A2.one))  # t + Z over A
+        got = M * a
+        assert type(got) is Poly and got.ring is A2
+        assert got == Poly(A2, (t * a, a))
+        assert M + a == M - a == Poly(A2, (A2.one, A2.one))
+        # both are Polys, so Python never tries M.__rmul__ for a * M
+        with pytest.raises(TypeError):
+            a * M
+
+    def test_residue_plus_int_and_field_element(self, A3):
+        F3 = A3.base
+        t = A3.gen
+        R = ResidueRing(t * t + A3.one)
+        x = R.theta
+        want = R.reduce(t + A3.from_int(2))
+        for c in (2, -1, F3.from_int(2)):
+            for got in (x + c, c + x):
+                assert type(got) is AResidue and got.ring is R
+                assert got == want
+        assert 1 - x == R.reduce(A3.one - t)
+        with pytest.raises(TypeError):
+            x + fq(5).one
 
 
 class TestAResidueDifferential:

@@ -678,6 +678,25 @@ class TestFrobenius:
         assert (a * b).frob(1).agrees_with(a.frob(1) * b.frob(1))
 
 
+class TestPowerProtocol:
+    def test_zero_power_keeps_the_relative_precision(self):
+        """x ** 0 is one to precision max(1, prec - val): Laurent, unit,
+        high-valuation and zero-to-precision series at prec 8."""
+        S = sring(2, 8)
+        laurent = TruncSeries(S.ring, -3, (S.ring.one,), 8)
+        cases = [(laurent, 11), (S.one + S.x(), 8), (S.x(3), 5), (S.x(7), 1),
+                 (S.zero, 1)]
+        for f, prec in cases:
+            assert f ** 0 == TruncSeries.one(S.ring, prec)
+
+    def test_negative_power_inverts(self):
+        S = sring(3, 6)
+        f = S.one + S.x().scale(S.ring.gen)
+        assert (f ** -2).agrees_with((f * f).inv())
+        with pytest.raises(PrecisionError):
+            S.zero ** -1
+
+
 def test_newton_slopes():
     hull = newton_slopes([(1, 3), (2, 1), (4, 0), (8, 2)])
     assert hull == [(1, 3), (2, 1), (4, 0), (8, 2)]

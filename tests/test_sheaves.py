@@ -87,6 +87,20 @@ class TestValidator:
         assert not ok
         assert "psi_t = theta + phi o v" in violations
 
+    @pytest.mark.parametrize("broken", ["V", "P"])
+    def test_each_commutation_axiom_alone(self, broken):
+        """Rank 1 over F_4 = A/(t^2+t+1) with Psi = theta, so axiom 1 holds
+        for P V = 0.  theta^q != theta, so a nonzero V alone breaks only
+        Psi^[q] V = V Psi, and a nonzero P alone only P Psi^[q] = Psi P."""
+        _, A, wp, K = carlitz_setup(2, "t2")
+        zero, one = ((K.zero,),), ((K.one,),)
+        P, V = (zero, one) if broken == "V" else (one, zero)
+        S = VSheafData(K, 1, P, ((K.theta,),), V)
+        ok, violations = vsheaf_validate(S)
+        assert not ok
+        assert violations == [{"V": "(psi_t (x) 1) o v = v o psi_t",
+                               "P": "psi_t commutes with phi"}[broken]]
+
     @pytest.mark.parametrize("q,wp_name", [(2, "t"), (2, "t2"), (3, "t")])
     def test_carlitz_kernel_validates_and_matches_direct_formula(self, q, wp_name):
         field, A, wp, K, S = carlitz_wp_sheaf(q, wp_name)

@@ -205,6 +205,18 @@ class TestSharedDenseCore:
         with pytest.raises(DomainError):
             TauPoly(A2, (A2.one,)) - TauPoly(A3, (A3.one,))
 
+    def test_tau_product_over_different_rings_is_a_domain_error(self, A2):
+        K = residue_field_with_theta(A2.poly([1, 1, 1]))
+        with pytest.raises(DomainError, match="mismatched coefficient"):
+            TauPoly.one(A2) * TauPoly.one(K)
+
+    def test_tau_times_a_scalar_twists_it(self, A2):
+        # a scalar is the constant tau^0 term: tau * theta = theta^q tau
+        K = residue_field_with_theta(A2.poly([1, 1, 1]))
+        f = TauPoly.tau(K)
+        assert f + K.theta == TauPoly(K, (K.theta, K.one))
+        assert f * K.theta == TauPoly(K, (K.zero, K.theta.frob(1)))
+
     def test_poly_sum_over_different_rings_is_a_type_error(self, F2, F3):
         with pytest.raises(TypeError):
             Poly(F2, (F2.one,)) + Poly(F3, (F3.one,))

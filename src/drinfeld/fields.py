@@ -109,10 +109,10 @@ def kronecker_mul(a, b, n, ring):
     bytes) holds that sum, so one bigint product carries nothing from slot
     to slot.  Only the n product rows asked for are read back, one at a
     time, and each is reduced mod p.  Over A/(m) a row of t-length above
-    deg m is then reduced mod m on its integers (``_divmod_ints``) before
-    any element is built: reduction is A-linear, so this equals the sum of
-    the reduced products, and the canonical representative (degree < deg m)
-    is the schoolbook one; over A/(t^k) that remainder is the low slice, and
+    deg m is then reduced mod m on its integers (``_divmod_ints`` with the
+    ring's ``fold``, computed once per ring) before any element is built:
+    reduction is A-linear, so this equals the sum of the reduced products,
+    and the canonical representative (degree < deg m) is the schoolbook one; over A/(t^k) that remainder is the low slice, and
     no slot above it is read.  Rows that are zero after reduction share
     ``ring.zero``.  The operands hold fewer than 2^40 coefficients, so the
     slot sum stays below 2^54 and w never exceeds 8.
@@ -125,7 +125,7 @@ def kronecker_mul(a, b, n, ring):
     else:
         cls, owner = AResidue, ring
         dm = modulus.degree
-        fold = _fold(modulus)
+        fold = ring.fold
     da = max(len(c.coeffs) for c in a)
     db = max(len(c.coeffs) for c in b)
     S = da + db - 1
@@ -840,8 +840,10 @@ class ResidueRing:
         self.one = AResidue(self, (self.field.one,), normalize=False)
         self.degree = modulus.degree
         self.order = self.q ** self.degree
-        # over F_p, p prime: series over A/(m) multiply by kronecker_mul
+        # over F_p, p prime: series over A/(m) multiply by kronecker_mul,
+        # which reduces its rows with this ring's fold of the modulus
         self.packed = self.field.e == 1
+        self.fold = _fold(modulus) if self.packed else None
         self.theta = self._residue(polyring(self.field).gen)
         self._pth = {}
 
@@ -965,28 +967,36 @@ def _check_field_order(q, degree):
                           "2^16" % (q, degree))
 
 
+def _wp_valuation_ints(vals, dm, fold, p, cap):
+    """wp-adic valuation, capped, of the nonzero polynomial sum vals[i] t^i
+    over F_p, p prime, with wp of degree dm and ``fold`` = ``_fold(wp)``.
+
+    vals holds ints in [0, p), low degree first, and is consumed: it is
+    divided by the monic associate of wp one power at a time
+    (``_divmod_ints``) until the first nonzero remainder.
+    """
+    v = 0
+    while v < cap:
+        _divmod_ints(vals, dm, fold, p)
+        if any(vals[:dm]):
+            return v
+        del vals[:dm]
+        v += 1
+    return cap
+
+
 def wp_valuation(a, wp, cap=64):
     """wp-adic valuation of a in A (cap for the zero polynomial).
 
-    Over F_p, p prime, a is divided on its integer coefficients by the monic
-    associate of wp (``_divmod_ints``), one power at a time, until the first
-    nonzero remainder; over F_q with q = p^e, e > 1, by ``Poly`` division.
+    Over F_p, p prime, a is valued on its integer coefficients by
+    ``_wp_valuation_ints``; over F_q with q = p^e, e > 1, by ``Poly``
+    division.
     """
     if a.is_zero():
         return cap
     if a.ring is wp.ring and a.ring.e == 1:
-        p = a.ring.p
-        dm = wp.degree
-        fold = _fold(wp)
-        vals = [c.idx for c in a.coeffs]
-        v = 0
-        while v < cap:
-            _divmod_ints(vals, dm, fold, p)
-            if any(vals[:dm]):
-                return v
-            del vals[:dm]
-            v += 1
-        return cap
+        return _wp_valuation_ints([c.idx for c in a.coeffs], wp.degree,
+                                  _fold(wp), a.ring.p, cap)
     v = 0
     while v < cap:
         q, r = divmod(a, wp)

@@ -5,14 +5,23 @@ type) tags; products multiply expansions and add tags.  The Hasse lift is
 the tau^d coefficient of Phi_wp on the Tate-Drinfeld module: it has weight
 q^d - 1, type 0, and expansion congruent to 1 mod wp, which is everything
 the congruence machinery uses.
+
+The congruence depth of f1 and f2 is the least wp-valuation of the
+coefficients of f1 - f2.  Over A = F_p[t] and its views A/(wp^n), p prime,
+the difference is never built: each coefficient of it is formed as a list
+of integers mod p and valued there (``fields._wp_valuation_ints``), and
+orders where f1 and f2 agree are skipped.  Over F_q with q = p^e, e > 1,
+the difference series is built and valued by ``fields.wp_valuation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import DomainError, InternalConsistencyError
-from .fields import _MAX_LIMIT_STEPS, polyring, wp_valuation
+from .fields import (_MAX_LIMIT_STEPS, _fold, _wp_valuation_ints, polyring,
+                     wp_valuation)
 from .series import TruncSeries
 from .tate import td_instance
 
@@ -93,24 +102,86 @@ def lp(n, p):
     return N
 
 
-def _coeff_wp_valuation(c, wp, cap):
-    # coefficients may live in A or in a view A/(wp^N); lift the latter
-    if hasattr(c, "value"):
-        n_exp = c.ring.modulus.degree // wp.degree
-        return wp_valuation(c.value, wp, min(cap, n_exp))
-    return wp_valuation(c, wp, cap)
+def _valued_on_ints(ring, wp):
+    """Coefficients in ``ring`` are valued on their integer t-coefficients:
+    ring is A = F_p[t] or A/(m), p prime, over the field of wp."""
+    return getattr(ring, "packed", False) and ring.base_field is wp.ring
+
+
+def _min_wp_valuation(rows, wp, cap):
+    """min(cap, least wp-valuation over rows), cap when there is no row.
+
+    Each row lists the t-coefficients (ints in [0, p), low degree first) of
+    a nonzero element of a ring valued on integers (``_valued_on_ints``)
+    and is consumed.
+    """
+    dm = wp.degree
+    fold = _fold(wp)
+    p = wp.ring.p
+    v = cap
+    for vals in rows:
+        # capped at the running minimum: no division past the answer
+        v = _wp_valuation_ints(vals, dm, fold, p, v)
+        if v == 0:
+            return 0
+    return v
 
 
 def series_wp_valuation(series, wp, cap):
-    """min over known coefficients of the wp-valuation, capped."""
+    """min over known coefficients of the wp-valuation, capped.
+
+    A coefficient in a view A/(wp^n) is valued by its representative, of
+    degree below n deg wp, so a nonzero one has valuation below n; only a
+    series zero to precision reaches a cap above n.  Over F_p each
+    coefficient is valued on its integer t-coefficients, with ``_fold(wp)``
+    computed once per call; over F_q, q = p^e with e > 1, by
+    ``fields.wp_valuation``.
+    """
+    if _valued_on_ints(series.ring, wp):
+        return _min_wp_valuation(([x.idx for x in c.coeffs]
+                                  for c in series.coeffs if c), wp, cap)
     v = cap
     for c in series.coeffs:
         if c:
-            # capped at the running minimum: no division past the answer
-            v = _coeff_wp_valuation(c, wp, v)
+            v = wp_valuation(getattr(c, "value", c), wp, v)
             if v == 0:
                 return 0
     return v
+
+
+def _coeff_tuples(s, lo, hi):
+    """The t-coefficient tuples of s at the orders lo <= k < hi, where
+    lo <= s.val; () at the orders where s is zero."""
+    head = min(s.val, hi) - lo
+    body = [c.coeffs for c in s.coeffs[:hi - lo - head]]
+    return [()] * head + body + [()] * (hi - lo - head - len(body))
+
+
+def _difference_wp_valuation(s1, s2, wp, cap):
+    """``series_wp_valuation(s1 - s2, wp, cap)``.
+
+    Over F_p the difference is never built: over the window that
+    ``TruncSeries.__sub__`` keeps (orders min(val1, val2) up to
+    min(prec, max(end1, end2)), prec = min(prec1, prec2)), each order whose
+    coefficient tuples differ gives the row [(a - b) % p ...] of integers.
+    Elements are interned, so equal tuples compare by identity and a row
+    is never zero.  Over F_q, q = p^e with e > 1, the index of an element
+    is not additive, and the difference series is built and valued.
+    """
+    ring = s1.ring
+    if s2.ring is not ring:
+        raise DomainError("mismatched series rings")
+    if not _valued_on_ints(ring, wp):
+        return series_wp_valuation(s1 - s2, wp, cap)
+    prec = min(s1.prec, s2.prec)
+    lo = min(s1.val, s2.val)
+    hi = min(prec, max(s1.val + len(s1.coeffs), s2.val + len(s2.coeffs)))
+    p = ring.p
+    zero = ring.base_field.zero
+    rows = ([(x.idx - y.idx) % p for x, y in zip_longest(a, b, fillvalue=zero)]
+            for a, b in zip(_coeff_tuples(s1, lo, hi), _coeff_tuples(s2, lo, hi))
+            if a != b)
+    return _min_wp_valuation(rows, wp, cap)
 
 
 def reduce_mod_wp(form, ring, n):
@@ -135,13 +206,15 @@ def congruence_depth(f1, f2, wp, max_n):
 
     The two failure modes are flagged separately: no congruence at n = 1,
     and congruence only in the range where f1 vanishes mod wp^n (the
-    excluded zero-congruence case).
+    excluded zero-congruence case).  The valuation of f1 - f2 is taken by
+    ``_difference_wp_valuation``: over F_p coefficient by coefficient on
+    integers, without building the difference series.
     """
     s1 = f1.series if isinstance(f1, FormExpansion) else f1
     s2 = f2.series if isinstance(f2, FormExpansion) else f2
     if s1.ring is not s2.ring:
         raise DomainError("expansions live over different rings")
-    D = series_wp_valuation(s1 - s2, wp, max_n)
+    D = _difference_wp_valuation(s1, s2, wp, max_n)
     Z = series_wp_valuation(s1, wp, max_n)
     if D == 0:
         return CongruenceDepth(0, True, False, D, Z)
@@ -244,7 +317,8 @@ def padic_limit_sequence(f, chi, wp, steps, hasse):
             need = p ** lp(n - 1, p)
             if h.wp_prec is not None:
                 need = min(need, h.wp_prec)
-            if series_wp_valuation(h.series - prev.series, wp, need) < need:
+            if _difference_wp_valuation(h.series, prev.series, wp,
+                                        need) < need:
                 raise InternalConsistencyError(
                     "successive congruence h_%d = h_%d mod wp^%d failed"
                     % (n, n - 1, need))

@@ -68,7 +68,13 @@ class TauPoly(DensePoly):
                     out[i + j] = out[i + j] + ai * bj.frob(i)
         return TauPoly(self.ring, out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        """c * f for a scalar c: the constant c composed on the left, so c
+        multiplies the coefficients untwisted (``scale_left``)."""
+        c = self._coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return c * self
 
     def __call__(self, x):
         """Evaluate the additive polynomial: sum b_i x^(q^i)."""

@@ -95,8 +95,10 @@ def valuation_case(q, wp_name, n):
     field = fq(q)
     A = polyring(field)
     t = A.gen
-    wp = {"t": t, "t+1": t + A.one, "deg2": t * t + A.one if q == 3
-          else t * t + t + A.one}[wp_name]
+    deg2 = t * t + A.one if q == 3 else t * t + t + A.one
+    if q == 4:  # t^2 + t + 1 splits over F_4; t^2 + t + u does not
+        deg2 = t * t + t + A.poly([field.elements()[2]])
+    wp = {"t": t, "t+1": t + A.one, "deg2": deg2}[wp_name]
     R = None if n is None else ResidueRing(wp ** n)
     return field, wp, R
 
@@ -148,6 +150,80 @@ class TestSeriesWpValuation:
         assert series_wp_valuation(early, wp, cap) == 0
         descending = valuation_series(wp, R, shapes["descending"], 6)
         assert series_wp_valuation(descending, wp, cap) == 1
+        # a difference zero to precision is worth cap, also over A/(wp^4),
+        # where a nonzero coefficient saturates at 4
+        for coeffs in shapes.values():
+            s = valuation_series(wp, R, coeffs, 6)
+            assert congruence_depth(s, s, wp, cap).diff_valuation == cap
+            assert congruence_depth(s, s.truncate(2), wp, cap) \
+                .diff_valuation == cap
+
+
+class TestDifferenceWpValuation:
+    """congruence_depth values f1 - f2 coefficient by coefficient without
+    building it (on integers over F_p); its D must equal the reference on
+    the difference series that TruncSeries.__sub__ builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        q = data.draw(st.sampled_from([2, 3, 4, 5]))
+        n = data.draw(st.sampled_from([None, 1, 3, 5]))
+        field, wp, R = valuation_case(q, data.draw(
+            st.sampled_from(["t", "t+1", "deg2"])), n)
+        A = polyring(field)
+        cap = data.draw(st.integers(0, 7))
+        unit = st.lists(st.sampled_from(field.elements()), max_size=3).map(
+            lambda cs: Poly(field, cs))
+        coeff = st.tuples(st.integers(0, cap + 1), unit).map(
+            lambda eu: wp ** eu[0] * eu[1])
+
+        def draw_series():
+            val = data.draw(st.integers(-2, 4))
+            prec = data.draw(st.integers(val, 10))
+            coeffs = data.draw(st.lists(coeff, max_size=prec - val))
+            return TruncSeries(A, val, coeffs, prec)
+
+        s1 = draw_series()
+        kind = data.draw(st.sampled_from(
+            ["independent", "perturbed", "term", "equal", "copy", "zero"]))
+        if kind == "independent":
+            s2 = draw_series()
+        elif kind == "term":
+            # one term c x^k, below, inside or beyond the window of s1
+            k = data.draw(st.integers(-2, 11))
+            s2 = s1 + TruncSeries(A, k, [data.draw(coeff)], 12)
+        elif kind == "perturbed":
+            s2 = s1 + draw_series().scale(wp ** data.draw(st.integers(0, 8)))
+        elif kind == "equal":
+            s2 = s1
+        elif kind == "copy":
+            s2 = TruncSeries(A, s1.val, s1.coeffs, data.draw(
+                st.integers(s1.val + len(s1.coeffs), 12)))
+        else:
+            s2 = TruncSeries.zero(A, data.draw(st.integers(-2, 10)))
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+        if R is not None:
+            s1, s2 = (s.map_coeffs(R.reduce, R) for s in (s1, s2))
+        res = congruence_depth(s1, s2, wp, cap)
+        assert res.diff_valuation == valuation_reference(s1 - s2, wp, cap)
+        assert res.f1_valuation == valuation_reference(s1, wp, cap)
+
+    @pytest.mark.parametrize("n", [None, 4])
+    @pytest.mark.parametrize("q,wp_name", [(2, "t"), (3, "deg2"), (4, "t+1")])
+    def test_window_edges(self, q, wp_name, n):
+        # s1 = wp x + O(x^8); the other side adds one term below the
+        # window of s1, beyond its end, or beyond the joint precision
+        field, wp, R = valuation_case(q, wp_name, n)
+        A = polyring(field)
+        s1 = TruncSeries(A, 1, [wp], 8)
+        cases = [(0, wp ** 2, 2), (5, wp ** 2, 2), (7, A.one, 0), (8, A.one, 6)]
+        for k, c, want in cases:
+            a, b = (s if R is None else s.map_coeffs(R.reduce, R)
+                    for s in (s1, s1 + TruncSeries(A, k, [c], 12)))
+            assert congruence_depth(a, b, wp, 6).diff_valuation == want
+            assert congruence_depth(b, a, wp, 6).diff_valuation == want
 
 
 class TestAudit:

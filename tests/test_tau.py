@@ -217,6 +217,15 @@ class TestSharedDenseCore:
         assert f + K.theta == TauPoly(K, (K.theta, K.one))
         assert f * K.theta == TauPoly(K, (K.zero, K.theta.frob(1)))
 
+    def test_scalar_times_tau_poly_multiplies_on_the_left(self, A2):
+        # c * f is the constant c composed on the left: c is not twisted,
+        # so theta * tau = theta tau, not theta^q tau
+        K = residue_field_with_theta(A2.poly([1, 1, 1]))
+        f = TauPoly(K, (K.one, K.theta, K.theta + K.one))
+        for c in (K.theta, K.theta + K.one, K.field.one, 1, 3, 0):
+            assert c * f == TauPoly(K, (K.coerce(c),)) * f == f.scale_left(c)
+        assert K.theta * TauPoly.tau(K) == TauPoly(K, (K.zero, K.theta))
+
     def test_poly_sum_over_different_rings_is_a_type_error(self, F2, F3):
         with pytest.raises(TypeError):
             Poly(F2, (F2.one,)) + Poly(F3, (F3.one,))

@@ -13,6 +13,13 @@ Conventions shared by the whole package:
   ``AResidue`` (an element of A/(m) as its reduced representative).  Each
   subclass supplies its product, ``pth_power`` and, where units exist,
   ``inv``; ``Poly`` adds division and gcd.
+* Over a prime field F_p, coefficient arithmetic runs on integer indices
+  below the element layer: ``Poly`` products and division, and the
+  products, p-th powers and sums of products (``ResidueRing.dot``) of
+  A/(m), convolve and eliminate on ints (``_mul_ints``, ``_divmod_ints``)
+  and reduce once, building elements only for the result.  Over F_q with
+  q = p^e, e > 1, an index is not additive, and the same operations run on
+  the field elements.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -176,13 +183,34 @@ def _fold(m):
     return [(j, -c.idx * inv % p) for j, c in enumerate(m.coeffs[:-1]) if c]
 
 
+def _elems(field, vals):
+    """The elements of the prime field ``field`` at the ints vals, each in
+    [0, p), as a tuple with trailing zeros dropped."""
+    return tuple(map(field._els.__getitem__, bytes(vals).rstrip(b"\0")))
+
+
+def _mul_ints(a, b, out=None):
+    """The integer convolution of two nonempty int lists, low degree first,
+    unreduced: out[i + j] gains a_i b_j.  Added into ``out`` when given (of
+    length at least len(a) + len(b) - 1), else into a new list of zeros."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _divmod_ints(vals, dm, fold, p):
     """Divide sum vals[i] t^i by a monic m of degree dm over F_p, in place.
 
-    vals holds ints in [0, p), low degree first, and ``fold`` is
+    vals holds ints >= 0 of any size, low degree first, and ``fold`` is
     ``_fold(m)``.  Eliminating from the top down leaves the remainder in
-    vals[:dm] and the quotient in vals[dm:], every entry again in [0, p).
-    For m = t^dm (empty fold) nothing moves: the remainder is the low slice.
+    vals[:dm] and the quotient in vals[dm:], every entry reduced to
+    [0, p).  For m = t^dm (empty fold) nothing moves and nothing is
+    reduced: the remainder is the low slice, as given, so a caller with
+    entries beyond [0, p) reduces it itself.
     """
     if not fold:
         return
@@ -538,7 +566,12 @@ class DensePoly(RingElement):
 
 def _schoolbook(a, b, zero):
     """The product of two nonempty coefficient sequences, low degree first,
-    as a list that may end in zeros."""
+    as a list that may end in zeros.  Over a prime field it is the integer
+    convolution of the indices (``_mul_ints``), reduced once mod p."""
+    if type(zero) is FqElem and zero.ring.e == 1:
+        p, els = zero.ring.p, zero.ring._els
+        return [els[v % p] for v in _mul_ints([c.idx for c in a],
+                                               [c.idx for c in b])]
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -577,14 +610,23 @@ class Poly(DensePoly):
             raise DomainError("mismatched rings in division")
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        lead = other.leading()
-        inv_lead = lead.inv() if lead != self.ring.one else None
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly(self.ring, (), normalize=False), self
+        field, db = self.ring, other.degree
+        if type(field) is Fq and field.e == 1:
+            # on the indices, by the monic associate of other
+            p = field.p
+            vals = [c.idx for c in rem]
+            _divmod_ints(vals, db, _fold(other), p)
+            inv = pow(other.coeffs[-1].idx, -1, p)
+            return (Poly(field, _elems(field, [v * inv % p for v in vals[db:]]),
+                         normalize=False),
+                    Poly(field, _elems(field, vals[:db]), normalize=False))
+        lead = other.leading()
+        inv_lead = lead.inv() if lead != self.ring.one else None
         quot = [self.ring.zero] * (dq + 1)
-        db = other.degree
         while len(rem) - 1 >= db:
             top = rem[-1]
             if not top:
@@ -767,6 +809,9 @@ class AResidue(DensePoly):
         ring = self.ring
         if not a or not b:
             return ring.zero
+        if ring.packed:
+            return ring._from_ints(_mul_ints([c.idx for c in a],
+                                             [c.idx for c in b]))
         field = ring.field
         return ring._residue(Poly(field, _schoolbook(a, b, field.zero)))
 
@@ -790,14 +835,23 @@ class AResidue(DensePoly):
         """
         if k == 0 or not self.coeffs:
             return self
-        field = self.ring.field
-        acc = [field.zero] * self.ring.degree
-        for img, c in zip(self.ring._pth_images(k), self.coeffs):
+        ring = self.ring
+        if ring.packed:  # x_i^(p^k) = x_i over F_p
+            acc = [0] * ring.degree
+            for img, c in zip(ring._pth_images(k), self.coeffs):
+                if c:
+                    x = c.idx
+                    for j, y in enumerate(img.coeffs):
+                        acc[j] += x * y.idx
+            return ring._from_ints(acc)
+        field = ring.field
+        acc = [field.zero] * ring.degree
+        for img, c in zip(ring._pth_images(k), self.coeffs):
             if c:
                 c = c.pth_power(k)
                 for j, x in enumerate(img.coeffs):
                     acc[j] = acc[j] + x * c
-        return AResidue(self.ring, acc)
+        return AResidue(ring, acc)
 
     def __repr__(self):
         return "(%s mod %s)" % (poly_to_tstring(self.value),
@@ -871,6 +925,29 @@ class ResidueRing:
     def _residue(self, a):
         """The class of a, an element of A over this ring's field."""
         return AResidue(self, (a % self.modulus).coeffs, normalize=False)
+
+    def _from_ints(self, vals):
+        """The class of sum vals[i] t^i over a packed ring, vals a list of
+        ints >= 0 of any size (consumed): reduced once mod m and mod p by
+        ``_divmod_ints`` with the ring's fold, then built as an element."""
+        dm, p = self.degree, self.p
+        _divmod_ints(vals, dm, self.fold, p)
+        del vals[dm:]
+        if not self.fold:  # m = c t^dm: _divmod_ints reduced nothing
+            vals = [v % p for v in vals]
+        row = _elems(self.field, vals)
+        return AResidue(self, row, normalize=False) if row else self.zero
+
+    def dot(self, u, v):
+        """sum u_i v_i over a packed ring, for sequences u and v of its
+        elements: the products are summed as one integer list
+        (``_mul_ints``), reduced once by ``_from_ints``."""
+        acc = [0] * (2 * self.degree - 1)
+        for x, y in zip(u, v):
+            if x.coeffs and y.coeffs:
+                _mul_ints([c.idx for c in x.coeffs], [c.idx for c in y.coeffs],
+                          acc)
+        return self._from_ints(acc)
 
     def reduce(self, a):
         if not (isinstance(a, Poly) and a.ring is self.field):

@@ -1,6 +1,6 @@
 import pytest
 
-from drinfeld.fields import fq, polyring
+from drinfeld.fields import Poly, fq, polyring
 from drinfeld.tate import td_instance
 
 
@@ -29,13 +29,29 @@ def A3(F3):
     return polyring(F3)
 
 
+def long_divmod(a, b):
+    """(quotient, remainder) of Polys over F_q, b nonzero, by long division
+    on the field elements.  It shares no code with ``Poly.__divmod__``,
+    which runs on integer indices over F_p."""
+    rem = list(a.coeffs)
+    d = b.degree
+    inv = b.leading().inv()
+    quot = [a.ring.zero] * max(len(rem) - d, 0)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top] * inv
+        quot[top - d] = c
+        for i, bc in enumerate(b.coeffs):
+            rem[top - d + i] = rem[top - d + i] - c * bc
+    return Poly(a.ring, quot), Poly(a.ring, rem[:d])
+
+
 def divmod_valuation(a, wp, cap):
-    """v_wp(a) capped at cap (cap for a = 0) by one Poly long division per
-    power of wp: the reference for fields.wp_valuation, which runs on
-    integer coefficients over F_p."""
+    """v_wp(a) capped at cap (cap for a = 0) by one long division per power
+    of wp: the reference for fields.wp_valuation, which runs on integer
+    coefficients over F_p."""
     v = 0
     while a and v < cap:
-        a, r = divmod(a, wp)
+        a, r = long_divmod(a, wp)
         if r:
             return v
         v += 1

@@ -13,7 +13,7 @@ from drinfeld.fields import (NEG_INF, AResidue, Poly, ResidueRing, fq,
 
 from drinfeld.series import SeriesRing
 
-from conftest import divmod_valuation
+from conftest import divmod_valuation, long_divmod
 
 
 def elems(field):
@@ -129,11 +129,13 @@ class TestApoly:
         assert a + b == b + a
         assert a - b == a + (-b) and a - a == A.zero
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_divmod_roundtrip(self, data):
-        field = fq(2)
-        A = polyring(field)
+        """Over F_3, F_5 and F_7 most divisors are not monic, so the integer
+        quotient's scaling by the inverse leading coefficient is exercised;
+        F_4 takes the object path."""
+        field = fq(data.draw(st.sampled_from([2, 3, 5, 7, 4])))
         polys = st.lists(elems(field), max_size=6).map(lambda cs: Poly(field, cs))
         a = data.draw(polys)
         b = data.draw(polys.filter(lambda f: not f.is_zero()))
@@ -202,6 +204,17 @@ class TestWpValuation:
         assert wp_valuation(a, wp, 8) == 4
         assert wp_valuation(a, t, 8) == 0
         assert wp_valuation(a * t ** 9, t, 8) == 8
+
+    @pytest.mark.parametrize("q", [2, 5, 4])
+    def test_constant_wp_reads_the_cap(self, q):
+        """A nonzero constant wp divides every power of itself: each
+        division leaves a zero remainder, so the valuation is the cap."""
+        field = fq(q)
+        A = polyring(field)
+        wp = Poly(field, [field.elements()[-1]])
+        assert wp.degree == 0
+        a = A.gen ** 2 + A.one
+        assert wp_valuation(a, wp, 5) == divmod_valuation(a, wp, 5) == 5
 
     def test_nonprime_field_keeps_poly_division(self, monkeypatch, F4):
         A = polyring(F4)
@@ -461,9 +474,27 @@ class TestCoercion:
             x + fq(5).one
 
 
+def ref_rem(a, m):
+    """a mod m by conftest's long division on the field elements: the
+    reference for Poly.__divmod__ and AResidue, which run on integer
+    indices over F_p."""
+    return long_divmod(a, m)[1]
+
+
+def ref_mul(a, b):
+    """a * b for Polys over F_q by a convolution on the field elements."""
+    zero = a.ring.zero
+    out = [zero] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(a.ring, out)
+
+
 class TestAResidueDifferential:
-    """AResidue against the reference (a op b) % m on Polys, for monic m
-    of degree 1-4, not necessarily irreducible."""
+    """AResidue against the reference (a op b) mod m on Polys, for monic m
+    of degree 1-4, not necessarily irreducible; products and remainders of
+    the reference are the test-local ``ref_mul`` and ``ref_rem``."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -478,12 +509,13 @@ class TestAResidueDifferential:
         x, y = R.reduce(a), R.reduce(b)
         n = data.draw(st.integers(0, 6))
         k = data.draw(st.integers(0, 3))
-        cases = [(x + y, a + b), (x - y, a - b), (-x, -a), (x * y, a * b),
-                 (x ** n, a ** n), (x.pth_power(k), a.pth_power(k)),
-                 (x.frob(k), a.frob(k))]
+        power = functools.reduce(ref_mul, [a] * n, polyring(field).one)
+        cases = [(x + y, a + b), (x - y, a - b), (-x, -a),
+                 (x * y, ref_mul(a, b)), (x ** n, power),
+                 (x.pth_power(k), a.pth_power(k)), (x.frob(k), a.frob(k))]
         for got, ref in cases:
             assert type(got) is fields.AResidue and got.ring is R
-            assert R.lift(got) == ref % m
+            assert R.lift(got) == ref_rem(ref, m)
         if a.gcd(m).degree == 0:
             u = x.inv()
             assert R.lift(u * x) == polyring(field).one
@@ -492,6 +524,129 @@ class TestAResidueDifferential:
         else:
             with pytest.raises(DomainError):
                 x.inv()
+
+
+def residue_ring(data, p):
+    """A/(m) over F_p with m drawn among t^k (empty fold), (t+1)^k and an
+    irreducible of degree 2-3."""
+    A = polyring(fq(p))
+    t = A.gen
+    kind = data.draw(st.sampled_from(["t^k", "(t+1)^k", "irreducible"]))
+    if kind == "irreducible":
+        d = data.draw(st.integers(2, 3))
+        m = data.draw(st.sampled_from(
+            [f for f in A.monic_irreducibles(d) if f.degree == d]))
+    else:
+        m = (t if kind == "t^k" else t + A.one) ** data.draw(st.integers(1, 4))
+    return ResidueRing(m)
+
+
+def polys(field, max_size):
+    return st.lists(elems(field), max_size=max_size).map(
+        lambda cs: Poly(field, cs))
+
+
+class TestIntegerPaths:
+    """Over F_p, p prime, Poly division, AResidue products and p-th powers
+    and ResidueRing.dot run on integer indices; each is checked against
+    the long division and convolution on field elements kept in the tests
+    (``long_divmod``, ``ref_mul``)."""
+
+    primes = st.sampled_from([2, 3, 5, 7])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_poly_divmod(self, data):
+        field = fq(data.draw(self.primes))
+        # zero dividends, dividends shorter than the divisor, degree-0 and
+        # non-monic divisors are all drawn; equal Polys have no trailing
+        # zeros on either side
+        a = data.draw(polys(field, 8))
+        b = data.draw(polys(field, 5).filter(bool))
+        assert divmod(a, b) == long_divmod(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_residue_mul(self, data):
+        R = residue_ring(data, data.draw(self.primes))
+        a, b = (data.draw(polys(R.field, R.degree)) for _ in range(2))
+        x, y = AResidue(R, a.coeffs), AResidue(R, b.coeffs)
+        want = ref_rem(ref_mul(a, b), R.modulus)
+        assert R.lift(x * y) == R.lift(y * x) == want
+        assert (x * y == R.zero) is want.is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_residue_pth_power(self, data):
+        R = residue_ring(data, data.draw(self.primes))
+        a = data.draw(polys(R.field, R.degree))
+        k = data.draw(st.integers(0, 3))
+        # Poly.pth_power spreads a_i to t^(i p^k): no product, no division
+        assert R.lift(AResidue(R, a.coeffs).pth_power(k)) == ref_rem(
+            a.pth_power(k), R.modulus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_residue_dot(self, data):
+        R = residue_ring(data, data.draw(self.primes))
+        n = data.draw(st.integers(1, 6))
+        u, v = ([data.draw(polys(R.field, R.degree)) for _ in range(n)]
+                for _ in range(2))
+        want = ref_rem(functools.reduce(operator.add, map(ref_mul, u, v)),
+                       R.modulus)
+        assert R.lift(R.dot([AResidue(R, a.coeffs) for a in u],
+                            [AResidue(R, b.coeffs) for b in v])) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_from_ints_reduces_unreduced_rows_with_an_empty_fold(self, p):
+        """m = t^3 has an empty fold, for which _divmod_ints leaves its
+        input as given; _from_ints, fed unreduced ints as a sum of integer
+        products gives, must still reduce the remainder into [0, p)."""
+        vals = [p + 1, 2 * p, 5 * p + 3, 7 * p * p, p * p + 1, 3 * p + 2]
+        A = polyring(fq(p))
+        m = A.gen ** 3
+        assert fields._fold(m) == []
+        row = list(vals)
+        fields._divmod_ints(row, 3, [], p)
+        assert row == vals
+        R = ResidueRing(m)
+        got = R._from_ints(vals)
+        assert all(0 <= c.idx < p for c in got.coeffs)
+        assert R.lift(got) == A.poly([1, 0, 3 % p])
+
+    def test_packed_ring_skips_poly_division(self, monkeypatch):
+        R = ResidueRing(parse_apoly(polyring(fq(5)), "t^3+2*t+3"))
+        x = R.reduce(parse_apoly(polyring(fq(5)), "4*t^2+t+2"))
+
+        R._pth_images(2)  # the table is built once, by Poly.pow_mod
+        square = R.reduce(R.lift(x) * R.lift(x))
+
+        def refuse(*args):
+            raise AssertionError("Poly.__divmod__ reached over F_5")
+
+        monkeypatch.setattr(Poly, "__divmod__", refuse)
+        assert x * x == R.dot([x], [x]) == R.dot([x, R.zero], [x, x]) == square
+        assert x.pth_power(2) == x.frob(2) == x ** 25
+
+    def test_nonprime_field_keeps_the_object_path(self, monkeypatch, F4):
+        A = polyring(F4)
+        u = F4.gen
+        m = A.gen ** 3 + A.poly([u, 1])
+        R = ResidueRing(m)
+        assert not R.packed
+        x = R.reduce(A.poly([1, u, u]))
+        a = A.poly([u, 0, 1, u, 1])
+
+        def refuse(*args):
+            raise AssertionError("integer path reached over F_4")
+
+        monkeypatch.setattr(fields, "_mul_ints", refuse)
+        monkeypatch.setattr(fields, "_divmod_ints", refuse)
+        assert R.lift(x * x) == ref_rem(ref_mul(R.lift(x), R.lift(x)), m)
+        assert R.lift(x.pth_power(3)) == ref_rem(R.lift(x).pth_power(3), m)
+        q, r = divmod(a, m)
+        assert r == ref_rem(a, m) and ref_mul(q, m) + r == a
+        assert a * m == ref_mul(a, m)
 
 
 class TestAResidueIdentity:

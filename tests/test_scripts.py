@@ -54,3 +54,18 @@ def test_n_table(capsys):
     assert (row["q"], row["wp"], row["f"], row["N"]) == (2, "t", "1", 16)
     assert row["i_max"] == 3 and row["tdquot_ok"] is True
     assert all(row[k] >= 0 for k in ("build_s", "psi_s", "verify_tdquot_s"))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_residue_table(capsys, q):
+    code = load("residue_table").main(["--q", str(q), "--deg", "2",
+                                       "--r", "2", "--tau-degree", "2",
+                                       "--reps", "2"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert [row["op"] for row in rows] == [
+        "residue_mul", "residue_pth_power", "poly_divmod", "mat_mul",
+        "tau_mul", "tau_rdivmod"]
+    assert all(row["q"] == q and row["deg"] == 2 and row["us"] > 0
+               for row in rows)
+    assert rows[3]["r"] == 2 and rows[4]["tau_degree"] == 2

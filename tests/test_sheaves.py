@@ -1,14 +1,19 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.carlitz import carlitz_action, carlitz_phi
 from drinfeld.errors import DomainError
-from drinfeld.fields import ResidueRing, fq, polyring, residue_field_with_theta
+from drinfeld.fields import (AResidue, Poly, ResidueRing, fq, polyring,
+                             residue_field_with_theta)
 from drinfeld.modules import DrinfeldRank2
 from drinfeld.sheaves import (VSheafData, column_echelon, coker_reduce,
                               dual_point_t_action, dual_points, htt_evaluate,
                               kernel_basis, kernel_sheaf, mat_identity,
-                              mat_mul, mat_transpose, taguchi_dual_sheaf,
+                              mat_mul, mat_transpose, mat_vec,
+                              taguchi_dual_sheaf,
                               vsheaf_validate)
 from drinfeld.tau import TauPoly
 
@@ -468,3 +473,47 @@ class TestRowReduction:
         assert column_echelon(ring, a) == ref_column_echelon(ring, a) == []
         v = tuple(ring.one for _ in range(n))
         assert coker_reduce(ring, column_echelon(ring, a), v) == v
+
+
+class TestMatMulOnIntegers:
+    """Over a packed residue ring (p prime) mat_mul and mat_vec sum each
+    row-by-column product on integers with ResidueRing.dot; every entry
+    must equal the sum of the element products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_sum_of_products(self, data):
+        field = fq(data.draw(st.sampled_from([2, 3, 5, 4])))
+        els = st.sampled_from(field.elements())
+        m = Poly(field, data.draw(st.lists(els, min_size=1, max_size=3))
+                 + [field.one])
+        R = ResidueRing(m)
+        entries = st.lists(els, max_size=m.degree).map(
+            lambda cs: AResidue(R, cs))
+        r, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        a = tuple(tuple(data.draw(entries) for _ in range(n))
+                  for _ in range(r))
+        b = tuple(tuple(data.draw(entries) for _ in range(r))
+                  for _ in range(n))
+        v = tuple(data.draw(entries) for _ in range(n))
+
+        def dot(u, w):
+            return functools.reduce(operator.add, map(operator.mul, u, w))
+
+        assert mat_mul(a, b) == tuple(
+            tuple(dot(row, col) for col in zip(*b)) for row in a)
+        assert mat_vec(a, v) == tuple(dot(row, v) for row in a)
+
+    def test_packed_ring_makes_no_element_products(self, monkeypatch):
+        field, A, wp, K, S = carlitz_wp_sheaf(2, "t2")
+        assert K.packed
+
+        def refuse(*args):
+            raise AssertionError("AResidue.__mul__ reached in mat_mul")
+
+        want = mat_mul(S.P, S.V)
+        monkeypatch.setattr(AResidue, "__mul__", refuse)
+        monkeypatch.setattr(AResidue, "__rmul__", refuse)
+        assert mat_mul(S.P, S.V) == want
+        assert mat_vec(S.V, S.V[0]) == tuple(
+            K.dot(row, S.V[0]) for row in S.V)

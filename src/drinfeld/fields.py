@@ -19,7 +19,9 @@ Conventions shared by the whole package:
   A/(m), convolve and eliminate on ints (``_mul_ints``, ``_divmod_ints``)
   and reduce once, building elements only for the result.  Over F_q with
   q = p^e, e > 1, an index is not additive, and the same operations run on
-  the field elements.
+  the field elements.  Sums, differences and negations of ``DensePoly``
+  rows over any F_q index the field's addition and negation tables
+  inline.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -30,6 +32,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -102,6 +105,36 @@ def horner(coeffs, x, zero):
 _SLOT_TYPES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+@functools.cache
+def _lane_tables(p, w):
+    """For each byte of a w-byte slot, in native byte order, the translate
+    table v -> v 256^k mod p, with 256^k the byte's weight; built on first
+    use and kept per (p, w)."""
+    weights = range(w) if sys.byteorder == "little" else range(w - 1, -1, -1)
+    return tuple(bytes(v * pow(256, k, p) % p for v in range(256))
+                 for k in weights)
+
+
+def _reduce_slots(raw, p, w):
+    """The w-byte unsigned slots of raw (native byte order), each reduced
+    mod p, as bytes, one per slot.
+
+    w = 1 is one translate through v -> v mod p.  For w > 1 byte lane j
+    (``raw[j::w]``) is translated by v -> v 256^k mod p, its weight reduced;
+    while w (p - 1) < 256 the lanes add as little-endian ints with no carry
+    from byte to byte, and one more mod-p translate finishes.  Beyond that
+    each slot is reduced on its own.
+    """
+    if w * (p - 1) >= 256:
+        return bytes([v % p for v in memoryview(raw).cast(_SLOT_TYPES[w])])
+    if w == 1:
+        return raw.translate(_lane_tables(p, 1)[0])
+    acc = sum(int.from_bytes(raw[j::w].translate(table), "little")
+              for j, table in enumerate(_lane_tables(p, w)))
+    return acc.to_bytes(len(raw) // w, "little").translate(
+        _lane_tables(p, 1)[0])
+
+
 def kronecker_mul(a, b, n, ring):
     """The first n coefficients of (sum a_i x^i)(sum b_j x^j) over F_p[t] or
     over a quotient A/(m) of it.
@@ -114,15 +147,19 @@ def kronecker_mul(a, b, n, ring):
     slots per row (the t-length of a product row).  A slot of the product
     sums at most min(len) * min(t-len) terms below p^2, and w (1, 2, 4 or 8
     bytes) holds that sum, so one bigint product carries nothing from slot
-    to slot.  Only the n product rows asked for are read back, one at a
-    time, and each is reduced mod p.  Over A/(m) a row of t-length above
-    deg m is then reduced mod m on its integers (``_divmod_ints`` with the
-    ring's ``fold``, computed once per ring) before any element is built:
-    reduction is A-linear, so this equals the sum of the reduced products,
-    and the canonical representative (degree < deg m) is the schoolbook one; over A/(t^k) that remainder is the low slice, and
-    no slot above it is read.  Rows that are zero after reduction share
-    ``ring.zero``.  The operands hold fewer than 2^40 coefficients, so the
-    slot sum stays below 2^54 and w never exceeds 8.
+    to slot.  The operands hold fewer than 2^40 coefficients, so the slot
+    sum stays below 2^54 and w never exceeds 8.
+
+    Read-back: the bytes of the n product rows asked for are reduced mod p
+    all at once (``_reduce_slots``: byte translates, no call per slot while
+    w (p - 1) < 256), and each row is a slice of the reduced bytes.  Over
+    A/(m) a row of t-length above deg m is then reduced mod m on its
+    integers (``_divmod_ints`` with the ring's ``fold``, computed once per
+    ring) before any element is built.  Reduction is A-linear, so this
+    equals the sum of the reduced products, and the canonical
+    representative (degree < deg m) is the schoolbook one.  Over A/(t^k)
+    that remainder is the low slice of the row.  Rows that are zero after
+    reduction share ``ring.zero``.
     """
     field = ring.base_field
     p = field.p
@@ -153,20 +190,21 @@ def kronecker_mul(a, b, n, ring):
     rows = min(n, len(a) + len(b) - 1)
     prod = pack(a) * pack(b)
     nbytes = rows * S * w
-    slots = memoryview(
-        (prod & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, sys.byteorder)
-    ).cast(code)
+    reduced = _reduce_slots(
+        (prod & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, sys.byteorder),
+        p, w)
     del prod  # freed before the rows are built
     els = field._els
     zero = ring.zero
     out = []
     width = min(S, dm) if modulus is not None and not fold else S
     for i in range(rows):
-        vals = [v % p for v in slots[i * S:i * S + width]]
+        row = reduced[i * S:i * S + width]
         if modulus is not None and width > dm:
+            vals = list(row)
             _divmod_ints(vals, dm, fold, p)
-            del vals[dm:]
-        row = bytes(vals).rstrip(b"\0")
+            row = bytes(vals[:dm])
+        row = row.rstrip(b"\0")
         if not row:
             out.append(zero)
             continue
@@ -269,7 +307,8 @@ class FqElem(RingElement):
 
     def __sub__(self, other):
         if isinstance(other, FqElem) and other.ring is self.ring:
-            return self + (-other)
+            ring = self.ring
+            return ring._els[ring._add[self.idx][ring._neg[other.idx]]]
         return NotImplemented
 
     def __mul__(self, other):
@@ -468,6 +507,15 @@ def fq(q, modulus=None):
     return field
 
 
+def _coeff_field(coeffs):
+    """The field of a coefficient tuple whose entries are ``FqElem``, else
+    None: over F_q the coefficientwise sums of ``DensePoly`` index the
+    field's tables inline instead of calling an element method per entry."""
+    if coeffs and type(coeffs[0]) is FqElem:
+        return coeffs[0].ring
+    return None
+
+
 class DensePoly(RingElement):
     """Coefficients over a ring handle, low degree first, no trailing zeros.
 
@@ -512,24 +560,43 @@ class DensePoly(RingElement):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        field = _coeff_field(a)
+        if field is not None:
+            add, els = field._add, field._els
+            out = [els[add[x.idx][y.idx]] for x, y in zip(a, b)]
+            out += a[len(b):]
+        else:
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] = out[i] + c
         return type(self)(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.ring, tuple(-c for c in self.coeffs),
-                          normalize=False)
+        a = self.coeffs
+        field = _coeff_field(a)
+        if field is not None:
+            neg, els = field._neg, field._els
+            out = tuple([els[neg[c.idx]] for c in a])
+        else:
+            out = tuple(-c for c in a)
+        return type(self)(self.ring, out, normalize=False)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        out = [x - y for x, y in zip(a, b)]
-        out += a[len(b):] if len(a) > len(b) else [-c for c in b[len(a):]]
+        field = _coeff_field(a or b)
+        if field is not None:
+            add, neg, els = field._add, field._neg, field._els
+            out = [els[add[x.idx][neg[y.idx]]] for x, y in zip(a, b)]
+            out += a[len(b):] if len(a) > len(b) else \
+                [els[neg[c.idx]] for c in b[len(a):]]
+        else:
+            out = [x - y for x, y in zip(a, b)]
+            out += a[len(b):] if len(a) > len(b) else [-c for c in b[len(a):]]
         return type(self)(self.ring, out)
 
     def _coerce(self, other):
@@ -666,7 +733,10 @@ class Poly(DensePoly):
         step = self.ring.p ** k
         zero = self.ring.zero
         out = [zero] * ((len(self.coeffs) - 1) * step + 1)
-        out[::step] = [c.pth_power(k) for c in self.coeffs]
+        if type(self.ring) is Fq and self.ring.e == 1:  # c^p = c in F_p
+            out[::step] = self.coeffs
+        else:
+            out[::step] = [c.pth_power(k) for c in self.coeffs]
         return Poly(self.ring, out, normalize=False)
 
     def gcd(self, other):

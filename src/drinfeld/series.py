@@ -18,11 +18,12 @@ precision prec - val of x, at least 1.
 Products over A = F_p[t] and over its quotients A/(m), p prime, are
 Kronecker-packed (``fields.kronecker_mul``): the n = prec - val coefficients
 in the product's window of each operand become one integer, one bigint
-product replaces the n^2 polynomial products, and the n rows are read back;
-over A/(m) each row is reduced mod m on its integer coefficients before any
-element is built.  The coefficients are those of the schoolbook product, bit
-for bit.  Over F_q[t] and A/(m) with q = p^e, e > 1, and over F_q itself the
-schoolbook loop runs.
+product replaces the n^2 polynomial products, and the n rows are read back
+as slices of the product's bytes, reduced mod p all at once by byte
+translates; over A/(m) each row is then reduced mod m on its integer
+coefficients before any element is built.  The coefficients are those of
+the schoolbook product, bit for bit.  Over F_q[t] and A/(m) with q = p^e,
+e > 1, and over F_q itself the schoolbook loop runs.
 
 Inversion follows the same split.  Over the packed rings it is Newton's
 iteration y <- y + y (1 - u y) (Brent & Kung, J. ACM 25, 1978), which

@@ -228,17 +228,25 @@ class TateDrinfeld:
 
     def _lattice_powers(self, g):
         """[F_g^0, ..., F_g^(K-1)] to precision N, K = ceil(N / val F_g) but
-        at least 2, built once per g by successive truncated products: every
-        higher power of F_g vanishes mod x^N.  An F_g that is zero to
-        precision (q^deg g >= N) counts as having valuation N."""
+        at least 2, built once per g: every higher power of F_g vanishes mod
+        x^N.  An F_g that is zero to precision (q^deg g >= N) counts as
+        having valuation N.
+
+        Entry k with p | k needs no product: in characteristic p the
+        freshman's dream (sum c_i x^i)^p = sum c_i^p x^(ip) gives
+        F_g^k = (F_g^(k/p)).pth_power(1).  Every other entry is the
+        truncated product F_g^(k-1) F_g."""
         powers = self._powers.get(g.coeffs)
         if powers is None:
             N = self.prec
+            p = self.field.p
             F = lattice_inverse(self.field, g, N)
             gval = F.order() if F else F.prec
             powers = [self.S.one, F]
             while len(powers) * gval < N:
-                powers.append((powers[-1] * F).truncate(N))
+                k = len(powers)
+                powers.append(powers[k // p].pth_power(1).truncate(N)
+                              if k % p == 0 else (powers[-1] * F).truncate(N))
             self._powers[g.coeffs] = powers
         return powers
 

@@ -12,6 +12,7 @@ from drinfeld.fields import (NEG_INF, AResidue, Poly, ResidueRing, fq,
                              residue_field_with_theta, wp_valuation)
 
 from drinfeld.series import SeriesRing
+from drinfeld.tau import TauPoly
 
 from conftest import divmod_valuation, long_divmod
 
@@ -647,6 +648,81 @@ class TestIntegerPaths:
         q, r = divmod(a, m)
         assert r == ref_rem(a, m) and ref_mul(q, m) + r == a
         assert a * m == ref_mul(a, m)
+
+
+def coefficient_rows(kind, q):
+    """(ring handle, element class, field) for the F_q-coefficient rows of
+    DensePoly: Poly and TauPoly over F_q, and A/((t+1)^3) over F_q."""
+    field = fq(q)
+    if kind == "residue":
+        A = polyring(field)
+        R = ResidueRing((A.gen + A.one) ** 3)
+        return R, AResidue, field
+    return field, {"poly": Poly, "tau": TauPoly}[kind], field
+
+
+def elementwise(a, b, op, zero):
+    """a op b coefficient by coefficient through FqElem's own methods,
+    trailing zeros dropped; op is "+" or "-"."""
+    n = max(len(a), len(b))
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    out = [x + (y if op == "+" else -y) for x, y in zip(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+class TestCoefficientSums:
+    """DensePoly +, - and negation with F_q coefficients index the field
+    tables inline; they must match the element-by-element sums, keep the
+    operand's type and ring, and call no FqElem method."""
+
+    rows = st.sampled_from([("poly", 2), ("poly", 3), ("poly", 4),
+                            ("poly", 9), ("tau", 4), ("residue", 3),
+                            ("residue", 4)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_elementwise(self, data):
+        ring, cls, field = coefficient_rows(*data.draw(self.rows))
+        top = ring.degree if cls is AResidue else 6
+        x, y = (cls(ring, data.draw(st.lists(elems(field), max_size=top)))
+                for _ in range(2))
+        operands = [x, y]
+        if x.coeffs:
+            # the length of x, and the top of x or of -x: x - z or x + z
+            # cancels at the top, and x - x, x + (-x) cancel to zero
+            low = (y.coeffs + (field.zero,) * top)[:len(x.coeffs) - 1]
+            operands += [cls(ring, low + (c,))
+                         for c in (x.coeffs[-1], -x.coeffs[-1])]
+        want = {(i, j, op): elementwise(a.coeffs, b.coeffs, op, field.zero)
+                for i, a in enumerate(operands)
+                for j, b in enumerate(operands) for op in "+-"}
+        negs = [tuple(-c for c in a.coeffs) for a in operands]
+
+        def refuse(*args):
+            raise AssertionError("an FqElem method ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("__add__", "__radd__", "__sub__", "__neg__"):
+                mp.setattr(fields.FqElem, name, refuse)
+            for (i, j, op), coeffs in want.items():
+                a, b = operands[i], operands[j]
+                got = a + b if op == "+" else a - b
+                assert type(got) is cls and got.ring is ring
+                assert got.coeffs == coeffs
+            for a, coeffs in zip(operands, negs):
+                assert type(-a) is cls and (-a).ring is ring
+                assert (-a).coeffs == coeffs
+                assert (a - a).coeffs == () and (a + (-a)).coeffs == ()
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_fq_difference_is_adding_the_negation(self, q):
+        field = fq(q)
+        for x in field.elements():
+            for y in field.elements():
+                assert x - y == x + (-y)
 
 
 class TestAResidueIdentity:

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.carlitz import carlitz_phi
 from drinfeld.errors import DomainError, PrecisionError
-from drinfeld import series as series_module
+from drinfeld import fields, series as series_module
 from drinfeld.fields import AResidue, Poly, ResidueRing, fq, polyring
 from drinfeld.series import SeriesRing, TruncSeries, newton_slopes
 from drinfeld.tate import lattice_inverse
@@ -374,6 +376,104 @@ class TestPackedResidueProduct:
                      for i in range(max(0, k - 2), min(k, 2) + 1)), R.zero)
                 for k in range(4)]
         assert f * f == TruncSeries(R, 0, want, 4)
+
+
+def lane_spy(monkeypatch):
+    """Record the (p, w) of every lane-table lookup of the read-back."""
+    seen = []
+    tables = fields._lane_tables
+
+    def spy(p, w):
+        seen.append((p, w))
+        return tables(p, w)
+
+    monkeypatch.setattr(fields, "_lane_tables", spy)
+    return seen
+
+
+class TestReadBack:
+    """kronecker_mul reduces the product bytes mod p by translate, in byte
+    lanes while w (p - 1) < 256, and slot by slot beyond; every route must
+    give the schoolbook product, over F_p[t] and over A/(m) with an empty
+    and a nonempty fold."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 31, 37, 127]))
+        kind = data.draw(st.sampled_from([None, "t", "t+1", 2]))
+        ring = polyring(fq(p)) if kind is None else \
+            residue_view(p, kind, data.draw(st.integers(1, 4)))
+        field = ring.base_field
+        lift = ring.reduce if kind is not None else (lambda c: c)
+        # 0, 1 and p - 1 make slot sums that cancel mod p and mod m
+        idx = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+        elem = st.lists(idx, max_size=9).map(
+            lambda cs: lift(Poly(field, [field.from_int(c) for c in cs])))
+
+        def series():
+            coeffs = data.draw(st.lists(elem, max_size=10))
+            val = data.draw(st.integers(-1, 2))
+            prec = val + data.draw(st.integers(0, 12))
+            return TruncSeries(ring, val, coeffs, prec)
+
+        f, g = series(), series()
+        assert f * g == schoolbook_mul(f, g)
+
+    @pytest.mark.parametrize("p,rows,tlen,width,lanes", [
+        (127, 1, 1, 2, True), (127, 2, 3, 4, False),
+        (31, 10, 8, 4, True), (37, 6, 9, 4, True), (7, 20, 92, 4, True)])
+    def test_lane_rule_on_products(self, monkeypatch, p, rows, tlen, width,
+                                   lanes):
+        # every coefficient p - 1: the middle slots reach the slot bound
+        S = sring(p, rows)
+        f = dense_series(S, rows, tlen)
+        assert packed_slot_bytes(f, f, rows) == width
+        seen = lane_spy(monkeypatch)
+        assert f * f == schoolbook_mul(f, f)
+        assert ((p, width) in seen) is lanes
+
+    @pytest.mark.parametrize("kind,k", [("t", 3), ("t+1", 2), (2, 2)])
+    def test_residue_rows_at_p127(self, kind, k):
+        R = residue_view(127, kind, k)
+        f = dense_residue_series(R, 4)
+        t = R.reduce(polyring(R.field).gen)
+        g = TruncSeries(R, 0, [t, R.one - t, t * t, R.zero, -R.one], 4)
+        for a, b in ((f, f), (f, g), (g, g)):
+            assert a * b == schoolbook_mul(a, b)
+
+    def test_rows_that_vanish(self):
+        # (1 + x)(1 - x) = 1 - x^2 over F_p[t]; t * t = 0 in A/(t^2)
+        for p in (2, 3, 31, 127):
+            A = polyring(fq(p))
+            one = A.one
+            f = TruncSeries(A, 0, [one, one], 3)
+            g = TruncSeries(A, 0, [one, -one], 3)
+            assert (f * g).coeffs == (one, A.zero, -one)
+            assert f * g == schoolbook_mul(f, g)
+            R = residue_view(p, "t", 2)
+            t = R.reduce(A.gen)
+            h = TruncSeries(R, 0, [t, t], 3)
+            assert (h * h).is_zero() and h * h == schoolbook_mul(h, h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 31, 37, 127]),
+           st.sampled_from([1, 2, 4, 8]), st.data())
+    def test_reduce_slots_is_slotwise_mod_p(self, p, w, data):
+        vals = data.draw(st.lists(st.integers(0, 256 ** w - 1), max_size=12))
+        raw = b"".join(v.to_bytes(w, sys.byteorder) for v in vals)
+        assert fields._reduce_slots(raw, p, w) == bytes(v % p for v in vals)
+
+    @pytest.mark.parametrize("p,lanes", [(2, True), (31, True), (37, False),
+                                         (127, False)])
+    def test_lane_rule_at_eight_bytes(self, monkeypatch, p, lanes):
+        # w = 8 needs a slot bound of 2^32, beyond a product in a test:
+        # 8 (p - 1) < 256 holds at p = 31 and fails at p = 37
+        vals = [0, 1, p, 2 ** 54 - 1, 256 ** 8 - 1, 123456789 * p + 5]
+        raw = b"".join(v.to_bytes(8, sys.byteorder) for v in vals)
+        seen = lane_spy(monkeypatch)
+        assert fields._reduce_slots(raw, p, 8) == bytes(v % p for v in vals)
+        assert ((p, 8) in seen) is lanes
 
 
 def recurrence_inv(f):

@@ -249,6 +249,59 @@ class TestNuPowerTable:
         assert td.nu(wp, td.a1) == TruncSeries.one(A2, N)
 
 
+class TestFrobeniusPowerTable:
+    """The power table builds F_g^k with p | k as a p-th power of
+    F_g^(k/p), with no series product; it equals the table of successive
+    truncated products entry for entry, in val, coeffs and prec."""
+
+    @staticmethod
+    def _instance(q, wp_degree, f_name, N):
+        field = fq(q)
+        A = polyring(field)
+        wp = next(a for a in A.monic_polys(wp_degree) if is_irreducible(a))
+        f = {"1": A.one, "t": A.gen}[f_name]
+        # the engine needs N above (q-1) q^deg f: 72 at q = 9, f = t
+        N = max(N, (q - 1) * q ** f.degree + 4)
+        return TateDrinfeld(field, wp, f, N), [wp] + [A.gen] * (wp_degree > 1)
+
+    @pytest.mark.parametrize("q,N", [(2, 64), (3, 48), (4, 40), (5, 30),
+                                     (9, 64)])
+    @pytest.mark.parametrize("wp_degree", [1, 2])
+    @pytest.mark.parametrize("f_name", ["1", "t"])
+    def test_matches_successive_products(self, q, N, wp_degree, f_name):
+        td, gs = self._instance(q, wp_degree, f_name, N)
+        N = td.prec
+        for g in gs:
+            F = lattice_inverse(td.field, g, N)
+            want = [TruncSeries.one(td.A, N), F]
+            while len(want) * (F.order() or N) < N:
+                want.append((want[-1] * F).truncate(N))
+            got = td._lattice_powers(g)
+            assert len(got) == len(want)
+            for P, Q in zip(got, want):
+                assert (P.val, P.coeffs, P.prec) == (Q.val, Q.coeffs, Q.prec)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_multiples_of_p_take_no_product(self, monkeypatch, q):
+        td, (g,) = self._instance(q, 1, "1", 64)
+        p = td.field.p
+        assert td._powers == {}
+        left = []
+        mul = TruncSeries.__mul__
+
+        def counting_mul(a, b):
+            left.append(a)
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counting_mul)
+        powers = td._lattice_powers(g)
+        # each product is F^(k-1) F for an entry k prime to p
+        made = [next(i for i, P in enumerate(powers) if P is a) + 1
+                for a in left]
+        assert made == [k for k in range(2, len(powers)) if k % p]
+        assert any(k % p == 0 for k in range(2, len(powers)))
+
+
 class TestLevelFrobenius:
     """nu_wp(a_i) = a_i^(q^d) mod wp, because Psi = tau^d mod wp; the
     difference has wp-valuation exactly 1, so a wrong nu_wp breaks it."""

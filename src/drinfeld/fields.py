@@ -14,14 +14,15 @@ Conventions shared by the whole package:
   subclass supplies its product, ``pth_power`` and, where units exist,
   ``inv``; ``Poly`` adds division and gcd.
 * Over a prime field F_p, coefficient arithmetic runs on integer indices
-  below the element layer: ``Poly`` products and division, and the
-  products, p-th powers and sums of products (``ResidueRing.dot``) of
-  A/(m), convolve and eliminate on ints (``_mul_ints``, ``_divmod_ints``)
-  and reduce once, building elements only for the result.  Over F_q with
+  below the element layer: ``Poly`` products and division, the products,
+  p-th powers and sums of products (``ResidueRing.dot``) of A/(m), and the
+  wp-adic valuation of coefficient differences (``min_wp_valuation``)
+  convolve and eliminate on ints (``_mul_ints``, ``_divmod_ints``) and
+  reduce once, building elements only for the result.  Over F_q with
   q = p^e, e > 1, an index is not additive, and the same operations run on
   the field elements.  Sums, differences and negations of ``DensePoly``
   rows over any F_q index the field's addition and negation tables
-  inline.
+  inline.  No other module reads the indices.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -51,12 +52,6 @@ _MAX_TABLE_Q = 128
 # q = 7 with deg a = 4: 2401).  Extension fields share the bound, since
 # find_root scans them element by element.
 _MAX_INPUT_SIZE = 2 ** 16
-
-# padic_limit_sequence costs about one Hasse-lift power per step, linearly
-# in steps (q = 7, x-precision 12: about 4 s for 5000 steps on a 2-vCPU
-# x86 machine); its own p-adic bound lp(steps, p) <= 12 still admits about
-# 1.4e10 steps at p = 7.  The catalogued and tested runs take at most 5.
-_MAX_LIMIT_STEPS = 64
 
 
 def _is_prime(n):
@@ -1009,9 +1004,12 @@ class ResidueRing:
         return AResidue(self, row, normalize=False) if row else self.zero
 
     def dot(self, u, v):
-        """sum u_i v_i over a packed ring, for sequences u and v of its
-        elements: the products are summed as one integer list
-        (``_mul_ints``), reduced once by ``_from_ints``."""
+        """sum u_i v_i for sequences u and v of this ring's elements.  Over
+        a packed ring the products are summed as one integer list
+        (``_mul_ints``), reduced once by ``_from_ints``; otherwise an index
+        is not additive, and the element products are summed."""
+        if not self.packed:
+            return sum(map(operator.mul, u, v), self.zero)
         acc = [0] * (2 * self.degree - 1)
         for x, y in zip(u, v):
             if x.coeffs and y.coeffs:
@@ -1114,44 +1112,60 @@ def _check_field_order(q, degree):
                           "2^16" % (q, degree))
 
 
-def _wp_valuation_ints(vals, dm, fold, p, cap):
-    """wp-adic valuation, capped, of the nonzero polynomial sum vals[i] t^i
-    over F_p, p prime, with wp of degree dm and ``fold`` = ``_fold(wp)``.
+def min_wp_valuation(pairs, wp, cap):
+    """min(cap, least wp-adic valuation of a - b) over the pairs (a, b).
 
-    vals holds ints in [0, p), low degree first, and is consumed: it is
-    divided by the monic associate of wp one power at a time
-    (``_divmod_ints``) until the first nonzero remainder.
+    a and b are the coefficient tuples (``coeffs``) of elements of A, or
+    of reduced representatives in A/(m), over the field of wp; () is zero.
+    Equal pairs are skipped, and each difference is valued only up to the
+    running minimum.  Over F_p, p prime, a difference is a list of
+    integers mod p, divided by the monic associate of wp one power at a
+    time (``_divmod_ints`` with ``_fold(wp)``, computed once per call);
+    over F_q with q = p^e, e > 1, an index is not additive, and it is a
+    ``Poly`` divided by wp.  A nonempty tuple over another field raises
+    DomainError.
     """
-    v = 0
-    while v < cap:
-        _divmod_ints(vals, dm, fold, p)
-        if any(vals[:dm]):
-            return v
-        del vals[:dm]
-        v += 1
-    return cap
+    field = wp.ring
+    prime = field.e == 1
+    if prime:
+        p, dm, fold, zero = field.p, wp.degree, _fold(wp), field.zero
+    v = cap
+    for a, b in pairs:
+        if a == b:
+            continue
+        if a and a[0].ring is not field or b and b[0].ring is not field:
+            raise DomainError("mismatched rings in division")
+        w = 0
+        if prime:
+            if b:
+                vals = [(x.idx - y.idx) % p for x, y in
+                        itertools.zip_longest(a, b, fillvalue=zero)]
+            else:
+                vals = [x.idx for x in a]
+            while w < v:
+                _divmod_ints(vals, dm, fold, p)
+                if any(vals[:dm]):
+                    break
+                del vals[:dm]
+                w += 1
+        else:
+            r = Poly(field, a) - Poly(field, b)
+            while w < v:
+                r, rem = divmod(r, wp)
+                if rem:
+                    break
+                w += 1
+        v = w
+        if v == 0:
+            return 0
+    return v
 
 
 def wp_valuation(a, wp, cap=64):
-    """wp-adic valuation of a in A (cap for the zero polynomial).
-
-    Over F_p, p prime, a is valued on its integer coefficients by
-    ``_wp_valuation_ints``; over F_q with q = p^e, e > 1, by ``Poly``
-    division.
-    """
-    if a.is_zero():
-        return cap
-    if a.ring is wp.ring and a.ring.e == 1:
-        return _wp_valuation_ints([c.idx for c in a.coeffs], wp.degree,
-                                  _fold(wp), a.ring.p, cap)
-    v = 0
-    while v < cap:
-        q, r = divmod(a, wp)
-        if not r.is_zero():
-            return v
-        a = q
-        v += 1
-    return cap
+    """wp-adic valuation of a in A, capped (cap for the zero polynomial):
+    ``min_wp_valuation`` of the one pair (a, 0), so over F_p it runs on
+    the integer coefficients and never divides a ``Poly``."""
+    return min_wp_valuation(((a.coeffs, ()),), wp, cap)
 
 
 # -- text encodings ------------------------------------------------------

@@ -44,18 +44,17 @@ def _dot(u, v):
 
 def _dot_for(x, y):
     """The sum of products for entries like x and y: ``ResidueRing.dot``
-    when both are residues of one packed ring, else ``_dot``."""
-    if type(x) is AResidue and type(y) is AResidue and x.ring is y.ring \
-            and x.ring.packed:
+    when both are residues of one ring, else ``_dot``."""
+    if type(x) is AResidue and type(y) is AResidue and x.ring is y.ring:
         return x.ring.dot
     return _dot
 
 
 def mat_mul(a, b):
-    """The product a b.  Over a packed residue ring (A/(m) with p prime)
-    each entry is one ``ResidueRing.dot``: the row-by-column products are
-    summed on integers and reduced once; otherwise it is the sum of the
-    element products."""
+    """The product a b.  Over a residue ring A/(m) each entry is one
+    ``ResidueRing.dot`` (with p prime: the row-by-column products summed
+    on integers and reduced once); otherwise it is the sum of the element
+    products."""
     dot = _dot_for(a[0][0], b[0][0])
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)

@@ -155,7 +155,7 @@ class DrinfeldAction:
     """The A-action a -> Phi_a = a(Phi_t) of a Drinfeld module given by Phi_t.
 
     Phi_a is found by Horner's rule in Phi_t and memoised under the
-    coefficient indices of a.
+    coefficients of a.
     """
 
     def __init__(self, phi_t):
@@ -163,7 +163,7 @@ class DrinfeldAction:
         self._cache = {}
 
     def phi(self, a):
-        key = tuple(c.idx for c in a.coeffs)
+        key = a.coeffs
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.errors import DomainError, InternalConsistencyError
-from drinfeld.fields import AResidue, Poly, ResidueRing, fq, polyring
+from drinfeld.fields import (AResidue, Poly, ResidueRing, fq, polyring,
+                             wp_valuation)
 from drinfeld.forms import (FormExpansion, WeightChar, coefficient_monomial,
                             reduce_mod_wp,
                             congruence_depth, hasse_lift_expansion, lp,
@@ -209,6 +210,22 @@ class TestDifferenceWpValuation:
         res = congruence_depth(s1, s2, wp, cap)
         assert res.diff_valuation == valuation_reference(s1 - s2, wp, cap)
         assert res.f1_valuation == valuation_reference(s1, wp, cap)
+
+    def test_mismatched_field_raises(self):
+        """fq(3, (0, 1)) equals fq(3) but is another field object: valuing
+        coefficients over one by a wp over the other is refused, not
+        read on the indices."""
+        A = polyring(fq(3))
+        wp = polyring(fq(3, (0, 1))).gen
+        assert wp.ring is not A.base
+        s = TruncSeries(A, 0, [A.gen ** 2, A.gen ** 3], 4)
+        with pytest.raises(DomainError, match="mismatched rings"):
+            wp_valuation(A.gen ** 2, wp, 4)
+        with pytest.raises(DomainError, match="mismatched rings"):
+            series_wp_valuation(s, wp, 4)
+        for other in (s, TruncSeries.zero(A, 4)):
+            with pytest.raises(DomainError, match="mismatched rings"):
+                congruence_depth(s, other, wp, 4)
 
     @pytest.mark.parametrize("n", [None, 4])
     @pytest.mark.parametrize("q,wp_name", [(2, "t"), (3, "deg2"), (4, "t+1")])

@@ -3,14 +3,17 @@
 
 For each N it builds TateDrinfeld(q, wp, f, N), then times the canonical
 isogeny Psi and verify_tdquot(t) on that instance, and prints one JSON line:
-the build, Psi and verify_tdquot seconds (wall clock, single runs), i_max
-and the verify_tdquot verdict.  Example, from the repository root:
+the build, Psi and verify_tdquot seconds (wall clock, single runs), i_max,
+the verify_tdquot verdict and peak_rss_mb, the peak resident memory of the
+process so far (``resource.getrusage``; ru_maxrss is in KiB on Linux).
+Example, from the repository root:
 
     PYTHONPATH=src python3 scripts/n_table.py --q 2 --wp t --N 64,96,128
 """
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -22,6 +25,10 @@ def timed(func, *args):
     start = time.perf_counter()
     out = func(*args)
     return out, round(time.perf_counter() - start, 3)
+
+
+def peak_rss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def main(argv=None):
@@ -44,7 +51,8 @@ def main(argv=None):
         print(json.dumps({"q": args.q, "wp": args.wp, "f": args.f, "N": N,
                           "build_s": build_s, "psi_s": psi_s,
                           "verify_tdquot_s": verify_s, "i_max": td.i_max,
-                          "tdquot_ok": ok}), flush=True)
+                          "tdquot_ok": ok, "peak_rss_mb": peak_rss_mb()}),
+              flush=True)
     return 0
 
 

@@ -14,8 +14,8 @@ import sys
 
 from .carlitz import carlitz_cyclotomic, carlitz_phi, check_eisenstein
 from .errors import DomainError, InternalConsistencyError
-from .fields import (fq, parse_apoly, poly_to_bracket, polyring,
-                     residue_field_with_theta)
+from .fields import (fq, is_irreducible, parse_apoly, poly_to_bracket,
+                     polyring, residue_field_with_theta)
 from .forms import (FormExpansion, WeightChar, coefficient_monomial,
                     congruence_depth, hasse_lift_expansion,
                     padic_limit_sequence, weight_congruence_audit)
@@ -76,6 +76,20 @@ def _apoly(field, s):
     return parse_apoly(polyring(field), str(s))
 
 
+def _wp(field, params):
+    """--wp as a prime of A: monic, of positive degree and irreducible over
+    F_q; anything else raises DomainError naming the option and its value."""
+    text = str(params["wp"])
+    wp = _apoly(field, text)
+    if wp.degree < 1:
+        raise DomainError("--wp must have positive degree, got %s" % text)
+    if not wp.is_monic():
+        raise DomainError("--wp must be monic, got %s" % text)
+    if not is_irreducible(wp):
+        raise DomainError("--wp %s is reducible over F_%d" % (text, field.q))
+    return wp
+
+
 def _flag(name):
     return "--" + name.replace("_", "-")
 
@@ -124,7 +138,7 @@ def _int_list_param(params, name):
 
 def run_carlitz_eisenstein(params):
     field = _field(params)
-    wp = _apoly(field, params["wp"])
+    wp = _wp(field, params)
     ok, witness = check_eisenstein(field, wp)
     return {"eisenstein": ok, "reduction": witness["reduction"],
             "witness": witness}
@@ -147,7 +161,7 @@ def run_carlitz_cyclotomic(params):
 
 def _module_over_char_wp(params):
     field = _field(params)
-    wp = _apoly(field, params["wp"])
+    wp = _wp(field, params)
     ext = _int_param(params, "ext", 1, default=1)
     K = residue_field_with_theta(wp, ext)
     a1 = K.reduce(_apoly(field, params["a1"]))
@@ -222,7 +236,7 @@ def run_vsheaf_points(params):
 
 def _td(params):
     field = _field(params)
-    wp = _apoly(field, params["wp"])
+    wp = _wp(field, params)
     f = params.get("f")
     f = _apoly(field, "1" if f is None else f)
     return td_instance(field, wp, f, _int_param(params, "prec", 1))
@@ -307,7 +321,7 @@ def _parse_monomial(field, wp, prec, spec):
 
 def run_forms_hasse(params):
     field = _field(params)
-    wp = _apoly(field, params["wp"])
+    wp = _wp(field, params)
     g = hasse_lift_expansion(field, wp, _int_param(params, "prec", 1))
     return {"weight": g.weight, "type": g.type_m,
             "series": series_json(g.series),
@@ -316,7 +330,7 @@ def run_forms_hasse(params):
 
 def run_forms_audit(params):
     field = _field(params)
-    wp = _apoly(field, params["wp"])
+    wp = _wp(field, params)
     prec = _int_param(params, "prec", 1)
     k1 = _int_param(params, "k1")
     k2 = _int_param(params, "k2")
@@ -334,7 +348,7 @@ def run_forms_audit(params):
 
 def run_forms_limit(params):
     field = _field(params)
-    wp = _apoly(field, params["wp"])
+    wp = _wp(field, params)
     prec = _int_param(params, "prec", 1)
     steps = _int_param(params, "steps", 1)
     d = wp.degree

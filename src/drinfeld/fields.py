@@ -130,49 +130,83 @@ def _reduce_slots(raw, p, w):
         _lane_tables(p, 1)[0])
 
 
-def kronecker_mul(a, b, n, ring):
-    """The first n coefficients of (sum a_i x^i)(sum b_j x^j) over F_p[t] or
-    over a quotient A/(m) of it.
+def kronecker_dot(terms, n, ring):
+    """The first n coefficients of sum x^s (sum a_i x^i)(sum b_j x^j) over
+    the terms (s, a, b), s >= 0, over F_p[t] or over a quotient A/(m) of it.
 
-    a and b are sequences of at most n elements of ``ring`` (``packed``
-    true: F_p[t] or A/(m) with p prime), the first of each nonzero; an
-    element of A/(m) holds the coefficients of its reduced representative
-    (t-length at most deg m).  Each operand is packed into one integer:
-    x-row i, t-slot j sits in slot i*S + j of w bytes, with S = da + db - 1
-    slots per row (the t-length of a product row).  A slot of the product
-    sums at most min(len) * min(t-len) terms below p^2, and w (1, 2, 4 or 8
-    bytes) holds that sum, so one bigint product carries nothing from slot
-    to slot.  The operands hold fewer than 2^40 coefficients, so the slot
-    sum stays below 2^54 and w never exceeds 8.
+    a and b are sequences of elements of ``ring`` (``packed`` true: F_p[t]
+    or A/(m) with p prime); an element of A/(m) holds the coefficients of
+    its reduced representative (t-length at most deg m).  Each operand is
+    packed into one integer: x-row i, t-slot j sits in slot i*S + j of w
+    bytes.  All terms share one layout, S = max da + max db - 1 slots per
+    row, with each pair's shorter t-length da on the a side.  A slot of
+    one product sums at most min(len) * da terms below p^2, and w (1, 2, 4
+    or 8 bytes) holds the largest such bound, so one bigint product
+    carries nothing from slot to slot.  The operands hold fewer than 2^40
+    coefficients, so the slot sum stays below 2^54 and w never exceeds 8.
 
-    Read-back: the bytes of the n product rows asked for are reduced mod p
-    all at once (``_reduce_slots``: byte translates, no call per slot while
+    Products are shifted by s rows and summed as integers.  w is sized from
+    the widest single product, not from the whole sum: when the running
+    slot bound would pass 2^(8w) - 1 the sum is flushed (reduced mod p by
+    ``_reduce_slots`` and widened back to w bytes per slot), so a flushed
+    slot holds less than p, which the sizing of a sum of several terms
+    leaves room for.  Kronecker substitution is linear (Harvey, arXiv:
+    0712.4046), so the sum is read back once.
+
+    Read-back: the bytes of the n rows asked for are reduced mod p all at
+    once (``_reduce_slots``: byte translates, no call per slot while
     w (p - 1) < 256), and each row is a slice of the reduced bytes.  Over
     A/(m) a row of t-length above deg m is then reduced mod m on its
     integers (``_divmod_ints`` with the ring's ``fold``, computed once per
     ring) before any element is built.  Reduction is A-linear, so this
     equals the sum of the reduced products, and the canonical
     representative (degree < deg m) is the schoolbook one.  Over A/(t^k)
-    that remainder is the low slice of the row.  Rows that are zero after
-    reduction share ``ring.zero``.
+    that remainder is the low slice of the row.  The list stops after the
+    last row any term reaches; rows that are zero after reduction share
+    ``ring.zero``.
     """
     field = ring.base_field
     p = field.p
-    modulus = getattr(ring, "modulus", None)
-    if modulus is None:
-        cls, owner = Poly, field
-    else:
-        cls, owner = AResidue, ring
-        dm = modulus.degree
-        fold = ring.fold
-    da = max(len(c.coeffs) for c in a)
-    db = max(len(c.coeffs) for c in b)
+    square = (p - 1) ** 2
+    items = []
+    da = db = wide = rows = 0
+    for s, a, b in terms:
+        if s >= n:
+            continue
+        a, b = a[:n - s], b[:n - s]
+        if not a or not b:
+            continue
+        ta = max(len(c.coeffs) for c in a)
+        tb = max(len(c.coeffs) for c in b)
+        if ta > tb:
+            a, b, ta, tb = b, a, tb, ta
+        if not ta:
+            continue
+        la, lb = len(a), len(b)
+        bound = (la if la < lb else lb) * ta * square
+        items.append((s, a, b, bound))
+        # running maxima, compared inline: this loop runs once per product
+        if ta > da:
+            da = ta
+        if tb > db:
+            db = tb
+        if bound > wide:
+            wide = bound
+        if s + la + lb - 1 > rows:
+            rows = s + la + lb - 1
+    if not items:
+        return []
     S = da + db - 1
-    bound = min(len(a), len(b)) * min(da, db) * (p - 1) ** 2
+    if rows > n:
+        rows = n
+    if len(items) > 1:
+        wide += p - 1  # room for a flushed slot
     w = 1
-    while bound >> (8 * w):
+    while wide >> (8 * w):
         w *= 2
     code = _SLOT_TYPES[w]
+    nbytes = rows * S * w
+    mask = (1 << (8 * nbytes)) - 1
 
     def pack(polys):
         buf = array(code, bytes(w * S * len(polys)))
@@ -182,13 +216,36 @@ def kronecker_mul(a, b, n, ring):
                     code, [x.idx for x in c.coeffs])
         return int.from_bytes(buf, sys.byteorder)
 
-    rows = min(n, len(a) + len(b) - 1)
-    prod = pack(a) * pack(b)
-    nbytes = rows * S * w
-    reduced = _reduce_slots(
-        (prod & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, sys.byteorder),
-        p, w)
-    del prod  # freed before the rows are built
+    limit = 1 << (8 * w)
+    acc = None
+    for s, a, b, bound in items:
+        prod = pack(a) * pack(b)
+        if s:
+            prod <<= 8 * w * S * s
+        if acc is None:
+            acc, held = prod, bound
+            continue
+        if held + bound >= limit:  # flush: reduce mod p, widen back to w
+            reduced = _reduce_slots((acc & mask).to_bytes(
+                nbytes, sys.byteorder), p, w)
+            if w > 1:
+                low = 0 if sys.byteorder == "little" else w - 1
+                widened = bytearray(nbytes)
+                widened[low::w] = reduced
+                reduced = widened
+            acc, held = int.from_bytes(reduced, sys.byteorder), p - 1
+        acc += prod
+        held += bound
+    reduced = _reduce_slots((acc & mask).to_bytes(nbytes, sys.byteorder),
+                            p, w)
+    del acc, prod  # freed before the rows are built
+    modulus = getattr(ring, "modulus", None)
+    if modulus is None:
+        cls, owner = Poly, field
+    else:
+        cls, owner = AResidue, ring
+        dm = modulus.degree
+        fold = ring.fold
     els = field._els
     zero = ring.zero
     out = []
@@ -206,6 +263,13 @@ def kronecker_mul(a, b, n, ring):
         out.append(cls(owner, tuple(map(els.__getitem__, row)),
                        normalize=False))
     return out
+
+
+def kronecker_mul(a, b, n, ring):
+    """The first n coefficients of (sum a_i x^i)(sum b_j x^j), from the
+    first n elements of a and of b: the one-term case of ``kronecker_dot``,
+    one pack per operand and one read-back."""
+    return kronecker_dot(((0, a, b),), n, ring)
 
 
 def _fold(m):

@@ -25,11 +25,19 @@ coefficients before any element is built.  The coefficients are those of
 the schoolbook product, bit for bit.  Over F_q[t] and A/(m) with q = p^e,
 e > 1, and over F_q itself the schoolbook loop runs.
 
-Inversion follows the same split.  Over the packed rings it is Newton's
-iteration y <- y + y (1 - u y) (Brent & Kung, J. ACM 25, 1978), which
-doubles the number of known terms with two Kronecker products per step;
-elsewhere the term recurrence runs, over the nonzero terms of u only.  An
-inverse is unique, so both give the same coefficients.
+A sum of products sum a_k b_k (``dot``, and ``SeriesRing.dot`` for the
+coefficients of a twisted product) is one packed linear combination on the
+same rings (``fields.kronecker_dot``): each product is shifted to its
+x-valuation and the integers are summed, so the whole sum is read back
+once, with the precision the sum of the separate products would have.  A
+coefficient-ring element a_k stands for b_k.scale(a_k) and packs as one
+row.  Elsewhere the products are summed.
+
+Inversion follows the same split as products.  Over the packed rings it is
+Newton's iteration y <- y + y (1 - u y) (Brent & Kung, J. ACM 25, 1978),
+which doubles the number of known terms with two Kronecker products per
+step; elsewhere the term recurrence runs, over the nonzero terms of u only.
+An inverse is unique, so both give the same coefficients.
 
 Substitution runs Horner's rule only over the terms c_k x^k with
 k < ceil(certified / val g): the others land at or beyond the certified
@@ -41,8 +49,11 @@ powers of F_g under the same rule (``tate.TateDrinfeld.nu``), so Horner's
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .errors import DomainError, PrecisionError
-from .fields import RingElement, horner, kronecker_mul
+from .fields import RingElement, horner, kronecker_dot, kronecker_mul
 
 
 class TruncSeries(RingElement):
@@ -189,7 +200,7 @@ class TruncSeries(RingElement):
         if n <= 0:
             return TruncSeries.zero(self.ring, prec)
         if getattr(self.ring, "packed", False):
-            out = kronecker_mul(self.coeffs[:n], o.coeffs[:n], n, self.ring)
+            out = kronecker_mul(self.coeffs, o.coeffs, n, self.ring)
             return TruncSeries(self.ring, val, out, prec)
         zero = self.ring.zero
         out = [zero] * min(n, len(self.coeffs) + len(o.coeffs) - 1)
@@ -362,6 +373,45 @@ class TruncSeries(RingElement):
         return "%s + O(x^%d)" % (body, self.prec)
 
 
+def dot(ring, pairs, prec=None):
+    """sum a b over the pairs (a, b): b a series over ``ring``, a a series
+    over it or an exact element of ``ring``, which stands for b.scale(a).
+
+    The value and precision are those of the sum of the products: the
+    least precision of the terms, and at most prec when it is given, as a
+    sum started from ``TruncSeries.zero(ring, prec)``.  Over the packed
+    rings the whole sum is one ``fields.kronecker_dot``, each product
+    shifted to its x-valuation, read back once; elsewhere the products are
+    summed.
+    """
+    if not getattr(ring, "packed", False):
+        terms = (a * b if isinstance(a, TruncSeries) else b.scale(a)
+                 for a, b in pairs)
+        if prec is None:
+            return functools.reduce(operator.add, terms)
+        return sum(terms, TruncSeries.zero(ring, prec))
+    terms = []
+    top = prec
+    for a, b in pairs:
+        if isinstance(a, TruncSeries):
+            here = min(a.val + b.prec, b.val + a.prec)
+            if a.coeffs and b.coeffs:
+                terms.append((a.val + b.val, a.coeffs, b.coeffs))
+        else:
+            here = b.prec
+            a = ring.coerce(a)
+            if a and b.coeffs:
+                terms.append((b.val, (a,), b.coeffs))
+        top = here if top is None else min(top, here)
+    if not terms:
+        return TruncSeries.zero(ring, top)
+    lo = min(t[0] for t in terms)
+    if top <= lo:
+        return TruncSeries.zero(ring, top)
+    out = kronecker_dot([(v - lo, a, b) for v, a, b in terms], top - lo, ring)
+    return TruncSeries(ring, lo, out, top)
+
+
 def _newton_inverse(u, lead_inv, n, ring):
     """The first n coefficients of 1/u by Newton's iteration
     y <- y + y (1 - u y), which doubles the number of correct terms; both
@@ -423,6 +473,11 @@ class SeriesRing:
 
     def from_int(self, n):
         return self.constant(self.ring.from_int(n))
+
+    def dot(self, u, v):
+        """sum u_i v_i, as sum(map(mul, u, v), self.zero) gives it: a
+        series of ``dot``, at most this ring's precision."""
+        return dot(self.ring, zip(u, v), self.prec)
 
     def constant(self, c):
         c = self.ring.coerce(c)

@@ -12,7 +12,10 @@ relevant denominators are units.  The engine computes
   Z^(q^2), with the Z^(q^3) relation kept as a consistency residual,
 * the substitution nu_g: x -> F_g(x) = 1/Phi^C_g(1/x), summed from the
   powers of F_g visible mod x^N, stored once per instance and g (Paterson &
-  Stockmeyer, SIAM J. Comput. 2, 1973) instead of a Horner run per call,
+  Stockmeyer, SIAM J. Comput. 2, 1973) instead of a Horner run per call;
+  the sum sum_k c_k F_g^k is one ``series.dot``, a packed linear
+  combination over F_p[t] read back once, as are sigma in the Ore step,
+  the triangular solve for Psi and the functional-equation residuals,
 * the canonical level-one isogeny Psi with linear coefficient wp, solved
   triangularly from Psi(e(Z)) = e'(Phi^C_wp(Z)) where e' = nu_wp(e),
 * ordinariness of the mod-wp reduction with its Newton data, and the
@@ -25,7 +28,7 @@ from .carlitz import carlitz_phi, carlitz_torsion_poly
 from .errors import DomainError, InternalConsistencyError, PrecisionError
 from .fields import Poly, ResidueRing, is_irreducible, polyring
 from .modules import DrinfeldRank2
-from .series import SeriesRing, TruncSeries, newton_slopes
+from .series import SeriesRing, TruncSeries, dot, newton_slopes
 from .tau import TauPoly
 
 
@@ -117,8 +120,8 @@ class TateDrinfeld:
             for _ in range(D):
                 powers.append((powers[-1].frob(1).truncate(N) * Fq1)
                               .truncate(N))
-            sigma = sum((ei * powers[D - i].frob(i) for i, ei in enumerate(e)),
-                        zero)
+            sigma = dot(self.A, ((ei, powers[D - i].frob(i))
+                                 for i, ei in enumerate(e)), N)
             if sigma.order() != self._exp_valuation(D):
                 raise InternalConsistencyError(
                     "Ore step %d: sigma has x-valuation %s, expected %d"
@@ -191,9 +194,8 @@ class TateDrinfeld:
         ei = self.exp_coeff(i)
         e1 = self.exp_coeff(i - 1)
         e2 = self.exp_coeff(i - 2)
-        lhs = ei.scale(th) + self.a1 * e1.frob(1) + self.a2 * e2.frob(2)
-        rhs = ei.scale(th.frob(i)) + e1
-        return lhs - rhs
+        return dot(self.A, ((th - th.frob(i), ei), (self.a1, e1.frob(1)),
+                            (self.a2, e2.frob(2)), (-self.A.one, e1)))
 
     def functional_equation_residuals(self):
         """One series per index i <= i_max; all must vanish to precision."""
@@ -219,9 +221,9 @@ class TateDrinfeld:
         prec = min(certified, self.prec)
         val = series.val
         # F_g^e with e >= len(powers) vanishes mod x^N, so zip drops it
-        acc = sum((P.scale(c) for c, P in zip(series.coeffs[:top],
-                                              powers[max(val, 0):]) if c),
-                  TruncSeries.zero(self.A, self.prec))
+        acc = dot(self.A, ((c, P) for c, P in zip(series.coeffs[:top],
+                                                  powers[max(val, 0):]) if c),
+                  self.prec)
         if val < 0 and series.coeffs:
             acc = acc * (powers[1].inv() ** (-val))
         return acc.truncate(prec)
@@ -280,9 +282,8 @@ class TateDrinfeld:
     def _psi_lhs(self, c, k):
         """Z^(q^k) coefficient of sum_j c_j e(Z)^(q^j) over the given c_j,
         j <= k: sum_j c_j e_(k-j)^(q^j)."""
-        return sum((cj * self.exp_coeff(k - j).frob(j)
-                    for j, cj in enumerate(c)),
-                   TruncSeries.zero(self.A, self.prec))
+        return dot(self.A, ((cj, self.exp_coeff(k - j).frob(j))
+                            for j, cj in enumerate(c)), self.prec)
 
     def _expp_rhs(self, k):
         """Z^(q^k) coefficient of e'(Phi^C_wp(Z)), e' = nu_wp(e):
@@ -291,9 +292,9 @@ class TateDrinfeld:
             self._eprime = (carlitz_phi(self.A, self.wp).coeffs,
                             tuple(self.nu(self.wp, ei) for ei in self.e))
         w, eprime = self._eprime
-        return sum((eprime[i].scale(w[k - i].frob(i))
-                    for i in range(max(0, k - self.d), k + 1) if w[k - i]),
-                   TruncSeries.zero(self.A, self.prec))
+        return dot(self.A, ((w[k - i].frob(i), eprime[i])
+                            for i in range(max(0, k - self.d), k + 1)
+                            if w[k - i]), self.prec)
 
     def expp_residuals(self):
         """Residuals of the defining identity at indices d+1..i_max."""
@@ -426,9 +427,9 @@ class TateDrinfeld:
         """sum s * r(Z) over (series s, Z-polynomial r) pairs, as the list of
         the deg(M) Z-coefficients."""
         terms = [(s, r.coeffs) for s, r in terms if s]
-        zero = TruncSeries.zero(self.A, self.prec)
-        return [sum((s.scale(r[j]) for s, r in terms if j < len(r) and r[j]),
-                    zero) for j in range(M.degree)]
+        return [dot(self.A, ((r[j], s) for s, r in terms
+                             if j < len(r) and r[j]), self.prec)
+                for j in range(M.degree)]
 
 
 _TD_CACHE = {}

@@ -605,3 +605,44 @@ class TestParameterTable:
         assert jobs
         for job in jobs:
             cli.check_params(job["command"], job)
+
+
+class TestWpCheck:
+    """Every command that takes --wp refuses a wp that is not monic
+    irreducible of positive degree with one message, naming the option and
+    the value as given, before any other module sees it."""
+
+    VALUES = {"a1": "1", "a2": "1", "prec": "8", "f1": "a1", "f2": "a1",
+              "chi": "0,0", "steps": "1"}
+    WP_COMMANDS = [c for c, (_, required, _) in cli.COMMANDS.items()
+                   if "wp" in required]
+
+    CASES = [("2*t", "--wp must be monic, got 2*t"),
+             ("0", "--wp must have positive degree, got 0"),
+             ("1", "--wp must have positive degree, got 1"),
+             ("t^2", "--wp t^2 is reducible over F_3"),
+             ("t^2+2*t+1", "--wp t^2+2*t+1 is reducible over F_3")]
+
+    @pytest.mark.parametrize("wp,error", CASES)
+    @pytest.mark.parametrize("command", WP_COMMANDS)
+    def test_message_names_the_option(self, capsys, command, wp, error):
+        _, required, _ = cli.COMMANDS[command]
+        argv = command.split() + ["--q", "3", "--wp", wp]
+        for name in required:
+            if name not in ("q", "wp"):
+                argv += ["--" + name.replace("_", "-"), self.VALUES[name]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": error, "kind": "domain"}
+
+    def test_p_poly_spelling_and_suite_job(self, tmp_path, capsys):
+        error = "--wp t^2 is reducible over F_3"
+        code, _, err = run(capsys, "tate", "canonical", "--q", "3",
+                           "--p-poly", "t^2", "--prec", "8")
+        assert code == 1 and json.loads(err)["error"] == error
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"jobs": [
+            {"command": "forms hasse", "q": 3, "wp": "t^2", "prec": 8}]}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        assert code == 1
+        assert json.loads(out)["jobs"][0]["error"] == error

@@ -69,3 +69,11 @@ def test_residue_table(capsys, q):
     assert all(row["q"] == q and row["deg"] == 2 and row["us"] > 0
                for row in rows)
     assert rows[3]["r"] == 2 and rows[4]["tau_degree"] == 2
+
+
+def test_n_table_peak_rss(capsys):
+    code = load("n_table").main(["--q", "2", "--wp", "t", "--N", "12,16"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0 and [row["N"] for row in rows] == [12, 16]
+    # the process peak so far, in MB: positive and never falling
+    assert 0 < rows[0]["peak_rss_mb"] <= rows[1]["peak_rss_mb"]

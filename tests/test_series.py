@@ -1,3 +1,5 @@
+import functools
+import operator
 import sys
 
 import pytest
@@ -474,6 +476,184 @@ class TestReadBack:
         seen = lane_spy(monkeypatch)
         assert fields._reduce_slots(raw, p, 8) == bytes(v % p for v in vals)
         assert ((p, 8) in seen) is lanes
+
+
+def packed_ring(data, primes=(2, 3, 5, 7, 31, 37, 127)):
+    """F_p[t] or A/(m) with m = t^k (empty fold), (t+1)^k or pi^k
+    (nonempty fold), p prime, and an element strategy over it whose
+    entries favour 0, 1 and p - 1 (slot sums that cancel)."""
+    p = data.draw(st.sampled_from(primes))
+    kind = data.draw(st.sampled_from([None, "t", "t+1", 2]))
+    ring = polyring(fq(p)) if kind is None else \
+        residue_view(p, kind, data.draw(st.integers(1, 4)))
+    field = ring.base_field
+    lift = ring.reduce if kind is not None else (lambda c: c)
+    idx = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    elem = st.lists(idx, max_size=9).map(
+        lambda cs: lift(Poly(field, [field.from_int(c) for c in cs])))
+    return ring, elem
+
+
+def dot_rows_reference(terms, n, ring):
+    """The first n coefficients of sum x^s a b, each product by
+    ``schoolbook_mul`` and the sum by series addition."""
+    acc = TruncSeries.zero(ring, n)
+    for s, a, b in terms:
+        acc = acc + schoolbook_mul(TruncSeries(ring, s, a, n),
+                                   TruncSeries(ring, 0, b, n))
+    return [acc.coeff(k) for k in range(n)]
+
+
+def slot_spy(monkeypatch):
+    """Record the (p, w) of every ``_reduce_slots`` call."""
+    seen = []
+    reduce_slots = fields._reduce_slots
+
+    def spy(raw, p, w):
+        seen.append((p, w))
+        return reduce_slots(raw, p, w)
+
+    monkeypatch.setattr(fields, "_reduce_slots", spy)
+    return seen
+
+
+class TestKroneckerDot:
+    """kronecker_dot sums shifted Kronecker products as integers and reads
+    the sum back once (flushing when the slot bound would overflow); it
+    must give the sum of the schoolbook products coefficient for
+    coefficient, over F_p[t] and over A/(m) with an empty and a nonempty
+    fold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_sum_of_schoolbook_products(self, data):
+        ring, elem = packed_ring(data)
+        n = data.draw(st.integers(1, 12))
+        terms = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            s = data.draw(st.integers(0, n + 2))  # shifts at and past n too
+            a = data.draw(st.lists(elem, max_size=8))
+            b = data.draw(st.lists(elem, max_size=8))
+            terms.append((s, a, b))
+            if data.draw(st.booleans()):  # a term and its negation cancel
+                terms.append((s, a, [-c for c in b]))
+        got = fields.kronecker_dot(terms, n, ring)
+        assert len(got) <= n
+        got = got + [ring.zero] * (n - len(got))
+        assert got == dot_rows_reference(terms, n, ring)
+
+    @pytest.mark.parametrize("p,kind,rows,tlen,count,shifts,width", [
+        (2, None, 4, 4, 20, 3, 1),     # 16 a term, 320 in all: past 255
+        (3, "t+1", 3, 3, 12, 3, 1),    # t-length 2 mod (t+1)^2: 24 a term
+        (5, "t", 6, 2, 30, 3, 1),      # empty fold: 192 a term
+        (127, None, 1, 1, 6, 3, 2),    # 126^2 a term, 6 of them past 65535
+        (127, 2, 2, 3, 5, 3, 4),       # 6 * 126^2 a term: no flush at w = 4
+        (7, None, 20, 92, 3, 3, 4),    # 66240 a term: no flush at w = 4
+        # aligned slots at their bound: 3 * 85 = 255 fills a byte, so a
+        # flushed slot (up to 1) must force the next flush one term early
+        (2, None, 5, 17, 7, 1, 1),
+        # 255 a term: a flushed slot needs room, so w = 2, not 1
+        (2, None, 15, 17, 3, 1, 2),
+    ])
+    def test_flushes_keep_the_sum(self, monkeypatch, p, kind, rows, tlen,
+                                  count, shifts, width):
+        field = fq(p)
+        ring = polyring(field) if kind is None else residue_view(p, kind, 2)
+        top = Poly(field, [field.from_int(-1)] * tlen)
+        c = top if kind is None else ring.reduce(top)
+        a = [c] * rows
+        tlen = max(len(x.coeffs) for x in a)
+        terms = [(k % shifts, a, a) for k in range(count)]
+        bound = rows * tlen * (p - 1) ** 2
+        flushes = count * bound >= 256 ** width
+        seen = slot_spy(monkeypatch)
+        got = fields.kronecker_dot(terms, 2 * rows + 2, ring)
+        assert got == dot_rows_reference(terms, 2 * rows + 2, ring)[:len(got)]
+        assert all(pw == (p, width) for pw in seen)
+        assert (len(seen) > 1) is flushes
+
+    def test_single_term_is_kronecker_mul(self, monkeypatch):
+        R = residue_view(5, "t+1", 3)
+        f = dense_residue_series(R, 6)
+        seen = slot_spy(monkeypatch)
+        want = fields.kronecker_dot([(0, f.coeffs, f.coeffs)], 6, R)
+        assert fields.kronecker_mul(f.coeffs, f.coeffs, 6, R) == want
+        assert len(seen) == 2
+
+    def test_empty_and_invisible_terms(self):
+        # a term shifted to row n or beyond is not packed at all
+        A = polyring(fq(3))
+        ones = [A.one] * 6
+        assert fields.kronecker_dot([], 4, A) == []
+        assert fields.kronecker_dot([(4, ones, ones), (5, ones, ones),
+                                     (9, ones, ones), (0, [], ones),
+                                     (1, [A.zero], ones)], 4, A) == []
+
+
+class TestSeriesDot:
+    """series.dot equals the sum of the products it stands for, started
+    from TruncSeries.zero(ring, prec) when prec is given, in val, every
+    coefficient and prec; a coefficient-ring element a stands for
+    b.scale(a)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_sum_of_products(self, data):
+        ring, elem = packed_ring(data)
+
+        def series():
+            coeffs = data.draw(st.lists(elem, max_size=8))
+            val = data.draw(st.integers(-2, 6))
+            prec = val + data.draw(st.integers(0, 10))
+            return TruncSeries(ring, val, coeffs, prec)
+
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            b = series()
+            a = data.draw(st.sampled_from(["series", "scalar", "negated"]))
+            if a == "series":
+                pairs.append((series(), b))
+            elif a == "scalar":
+                pairs.append((data.draw(elem), b))
+            elif pairs and not isinstance(pairs[-1][0], TruncSeries):
+                prev, b0 = pairs[-1]  # cancels the previous scalar term
+                pairs.append((-prev, b0))
+            else:
+                pairs.append((ring.one, b))
+        prec = data.draw(st.none() | st.integers(-2, 14))
+        terms = [schoolbook_mul(a, b) if isinstance(a, TruncSeries)
+                 else b.scale(a) for a, b in pairs]
+        if prec is None:
+            want = functools.reduce(operator.add, terms)
+        else:
+            want = sum(terms, TruncSeries.zero(ring, prec))
+        got = series_module.dot(ring, pairs, prec)
+        assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
+                                                   want.prec)
+
+    def test_series_ring_dot_is_the_sum(self):
+        S = sring(3, 8)
+        t = S.ring.gen
+        u = [S.x(1) + S.theta, S.one, S.x(3)]
+        v = [S.x(2).scale(t), S.theta - S.x(5), S.one.truncate(4)]
+        want = sum(map(operator.mul, u, v), S.zero)
+        got = S.dot(u, v)
+        assert want.prec == 7  # x^3 * (1 + O(x^4))
+        assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, 7)
+
+    def test_nonprime_field_keeps_the_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kronecker_dot reached over F_4")
+
+        monkeypatch.setattr(series_module, "kronecker_dot", refuse)
+        S = sring(4, 6)
+        u = S.ring.base.elements()[2]
+        f = TruncSeries(S.ring, 1, [S.ring.gen, Poly(S.ring.base, [u])], 6)
+        pairs = [(f, f), (S.ring.gen, f), (S.one, f)]
+        want = sum((f * f, f.scale(S.ring.gen), f), S.zero)
+        assert series_module.dot(S.ring, pairs, 6) == want
+        assert series_module.dot(S.ring, pairs) == functools.reduce(
+            operator.add, (f * f, f.scale(S.ring.gen), S.one * f))
 
 
 def recurrence_inv(f):

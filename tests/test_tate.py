@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from drinfeld import cli, tate
+from drinfeld import cli, fields, series as series_module, tate
 from drinfeld.carlitz import carlitz_phi
 from drinfeld.errors import DomainError, PrecisionError
 from drinfeld.fields import ResidueRing, fq, is_irreducible, polyring
@@ -300,6 +301,66 @@ class TestFrobeniusPowerTable:
                 for a in left]
         assert made == [k for k in range(2, len(powers)) if k % p]
         assert any(k % p == 0 for k in range(2, len(powers)))
+
+
+class TestPackedSums:
+    """nu, sigma in the Ore step, _fe_residual, _psi_lhs, _expp_rhs and each
+    coefficient of a TauPoly product over the series ring are one
+    ``series.dot`` each, and over F_p[t] a dot reads its sum back once:
+    one ``_reduce_slots`` when a term is visible, none otherwise."""
+
+    CALLERS = {"nu", "_build_exponential", "_fe_residual", "_psi_lhs",
+               "_expp_rhs", "_series_mul"}
+
+    @pytest.mark.parametrize("q,wp,N", [(2, "t", 32), (2, "t2", 40),
+                                        (3, "t", 27)])
+    def test_each_sum_reads_back_once(self, monkeypatch, q, wp, N):
+        field = fq(q)
+        A = polyring(field)
+        t = A.gen
+        wp = {"t": t, "t2": t * t + t + A.one}[wp]
+        reads = []
+        reduce_slots = fields._reduce_slots
+
+        def counting_reduce(*args):
+            reads.append(args)
+            return reduce_slots(*args)
+
+        sums = []
+        dot = series_module.dot
+
+        def counting_dot(ring, pairs, prec=None):
+            before = len(reads)
+            out = dot(ring, pairs, prec)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name in ("dot", "<genexpr>"):
+                frame = frame.f_back
+            sums.append((frame.f_code.co_name, len(reads) - before, out))
+            return out
+
+        monkeypatch.setattr(fields, "_reduce_slots", counting_reduce)
+        monkeypatch.setattr(series_module, "dot", counting_dot)
+        monkeypatch.setattr(tate, "dot", counting_dot)
+        td = TateDrinfeld(field, wp, A.one, N)
+        td.canonical_isogeny()
+        assert td.verify_tdquot(t)
+        read_once = {name for name, n, out in sums if n == 1}
+        assert read_once >= self.CALLERS
+        assert all(n <= 1 for _, n, _ in sums)
+        assert all(n == 1 for _, n, out in sums if out)
+
+    def test_nu_scales_nothing(self, monkeypatch):
+        td = td_config((3, "t", "1"), prec=20)
+        s = td.a2 + td.a1
+        want = horner_nu(td, td.wp, s)
+
+        def refuse(*args):
+            raise AssertionError("TruncSeries.scale reached from nu")
+
+        monkeypatch.setattr(TruncSeries, "scale", refuse)
+        got = td.nu(td.wp, s)
+        assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
+                                                   want.prec)
 
 
 class TestLevelFrobenius:

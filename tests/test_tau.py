@@ -196,6 +196,78 @@ class TestTwist:
                                                 ring.one.frob(1)))
 
 
+def uncut_product(f, g):
+    """f * g over a series ring by the element loop, every b_j twisted
+    whole: out[i + j] += a_i b_j^(q^i), summed from the ring's zero."""
+    ring = f.ring
+    out = [ring.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, ai in enumerate(f.coeffs):
+        for j, bj in enumerate(g.coeffs):
+            if ai and bj:
+                out[i + j] = out[i + j] + ai * bj.frob(i)
+    return out
+
+
+def slot_counter(monkeypatch):
+    """Record the number of coefficient slots each series twist builds."""
+    built = []
+    pth_power = TruncSeries.pth_power
+
+    def counting(s, k=1):
+        out = pth_power(s, k)
+        built.append(len(out.coeffs))
+        return out
+
+    monkeypatch.setattr(TruncSeries, "pth_power", counting)
+    return built
+
+
+class TestSeriesProduct:
+    """Over a series ring each coefficient of a product is one
+    ``SeriesRing.dot`` of the a_i against the b_j^(q^i), with b_j cut
+    before its twist to the orders that can reach the product's precision;
+    products and precisions are those of the uncut element loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_uncut_product(self, data):
+        q = data.draw(st.sampled_from([2, 3, 4, 5]))
+        field = fq(q)
+        A = polyring(field)
+        S = SeriesRing(A, data.draw(st.integers(4, 12)))
+        apoly = st.lists(st.sampled_from(field.elements()), max_size=3).map(
+            lambda cs: Poly(field, cs))
+
+        def series():
+            coeffs = data.draw(st.lists(apoly, max_size=8))
+            val = data.draw(st.integers(0, 5))
+            prec = val + data.draw(st.integers(0, 9))
+            return TruncSeries(A, val, coeffs, min(prec, S.prec))
+
+        f = TauPoly(S, [series() for _ in range(data.draw(st.integers(0, 4)))])
+        g = TauPoly(S, [series() for _ in range(data.draw(st.integers(0, 4)))])
+        got = (f * g).coeffs
+        want = uncut_product(f, g)
+        want = want[:max((k + 1 for k, c in enumerate(want) if c), default=0)]
+        assert [(c.val, c.coeffs, c.prec) for c in got] == \
+            [(c.val, c.coeffs, c.prec) for c in want]
+
+    @pytest.mark.parametrize("q,i", [(2, 1), (2, 5), (3, 3), (4, 2)])
+    def test_twist_builds_at_most_n_slots(self, monkeypatch, q, i):
+        # b_0 has N coefficients; twisted whole by Q = q^i it would fill
+        # (N - 1) Q + 1 slots, of which a_i = 1 (precision N) can reach N
+        N = 40
+        field = fq(q)
+        A = polyring(field)
+        S = SeriesRing(A, N)
+        b = TauPoly(S, (TruncSeries(A, 0, [A.gen + A.one] * N, N),))
+        built = slot_counter(monkeypatch)
+        prod = TauPoly.tau(S, i) * b
+        assert built and max(built) <= N < (N - 1) * q ** i + 1
+        monkeypatch.undo()
+        assert prod.coeffs == tuple(uncut_product(TauPoly.tau(S, i), b))
+
+
 class TestSharedDenseCore:
     """What ``fields.DensePoly`` must keep for each of its two subclasses."""
 

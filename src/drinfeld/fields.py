@@ -265,13 +265,6 @@ def kronecker_dot(terms, n, ring):
     return out
 
 
-def kronecker_mul(a, b, n, ring):
-    """The first n coefficients of (sum a_i x^i)(sum b_j x^j), from the
-    first n elements of a and of b: the one-term case of ``kronecker_dot``,
-    one pack per operand and one read-back."""
-    return kronecker_dot(((0, a, b),), n, ring)
-
-
 def _fold(m):
     """[(j, -m_j mod p)] over the nonzero terms below the top of the monic
     associate of m, a nonzero polynomial over F_p with p prime."""
@@ -829,7 +822,7 @@ class PolyRing:
         self.gen = Poly(base, (base.zero, base.one), normalize=False)
         self.p = base.p
         self.q = base.q
-        # F_p[t] with p prime: series over it multiply by kronecker_mul
+        # F_p[t] with p prime: series products over it are kronecker_dot's
         self.packed = isinstance(base, Fq) and base.e == 1
 
     @property
@@ -894,9 +887,12 @@ def polyring(field, var="t"):
     return _POLYRING_CACHE[key]
 
 
+@functools.cache
 def is_irreducible(f):
     """Irreducibility over F_q: no factor of degree <= deg(f)/2, detected via
-    gcd(f, t^(q^i) - t)."""
+    gcd(f, t^(q^i) - t).  Kept per polynomial, since a command tests its wp
+    when parsing and again in each engine; a kept key holds its ring, so the
+    ring id in its hash is not reused.  A DomainError is not kept."""
     if not isinstance(f.ring, Fq):
         raise DomainError("irreducibility test expects F_q coefficients")
     if not f.is_monic():
@@ -1023,7 +1019,7 @@ class ResidueRing:
         self.one = AResidue(self, (self.field.one,), normalize=False)
         self.degree = modulus.degree
         self.order = self.q ** self.degree
-        # over F_p, p prime: series over A/(m) multiply by kronecker_mul,
+        # over F_p, p prime: series products over A/(m) are kronecker_dot's,
         # which reduces its rows with this ring's fold of the modulus
         self.packed = self.field.e == 1
         self.fold = _fold(modulus) if self.packed else None

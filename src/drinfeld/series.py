@@ -15,23 +15,18 @@ val == prec.  ``x ** n`` and ``frob`` come from the element base shared with
 F_q and A (``fields.RingElement``); ``x ** 0`` is one to the relative
 precision prec - val of x, at least 1.
 
-Products over A = F_p[t] and over its quotients A/(m), p prime, are
-Kronecker-packed (``fields.kronecker_mul``): the n = prec - val coefficients
-in the product's window of each operand become one integer, one bigint
-product replaces the n^2 polynomial products, and the n rows are read back
-as slices of the product's bytes, reduced mod p all at once by byte
-translates; over A/(m) each row is then reduced mod m on its integer
-coefficients before any element is built.  The coefficients are those of
-the schoolbook product, bit for bit.  Over F_q[t] and A/(m) with q = p^e,
-e > 1, and over F_q itself the schoolbook loop runs.
-
-A sum of products sum a_k b_k (``dot``, and ``SeriesRing.dot`` for the
-coefficients of a twisted product) is one packed linear combination on the
-same rings (``fields.kronecker_dot``): each product is shifted to its
-x-valuation and the integers are summed, so the whole sum is read back
-once, with the precision the sum of the separate products would have.  A
-coefficient-ring element a_k stands for b_k.scale(a_k) and packs as one
-row.  Elsewhere the products are summed.
+Every product is formed by ``dot``, a sum of products sum a_k b_k with the
+precision the separate products would give their sum; ``f * g`` and
+``f.scale(c)`` are its one-term cases, and ``SeriesRing.dot`` the
+coefficients of a twisted product.  Over A = F_p[t] and its quotients A/(m),
+p prime, the sum is one Kronecker-packed linear combination
+(``fields.kronecker_dot``): each operand's n = prec - val coefficients
+become one integer, one bigint product per term replaces n^2 polynomial
+products, the products are shifted to their x-valuations and added, and
+the rows are read back once as slices of the sum's bytes, reduced mod p by
+byte translates and, over A/(m), mod m on their integers.  The
+coefficients are those of the schoolbook product, bit for bit, which
+``_element_dot`` runs over F_q[t] and A/(m) with q = p^e, e > 1, and F_q.
 
 Inversion follows the same split as products.  Over the packed rings it is
 Newton's iteration y <- y + y (1 - u y) (Brent & Kung, J. ACM 25, 1978),
@@ -49,11 +44,8 @@ powers of F_g under the same rule (``tate.TateDrinfeld.nu``), so Horner's
 
 from __future__ import annotations
 
-import functools
-import operator
-
 from .errors import DomainError, PrecisionError
-from .fields import RingElement, horner, kronecker_dot, kronecker_mul
+from .fields import RingElement, horner, kronecker_dot
 
 
 class TruncSeries(RingElement):
@@ -192,37 +184,13 @@ class TruncSeries(RingElement):
         o = self._zip(other)
         if o is None:
             return NotImplemented
-        prec = min(self.val + o.prec, o.val + self.prec)
-        if not self.coeffs or not o.coeffs:
-            return TruncSeries.zero(self.ring, prec)
-        val = self.val + o.val
-        n = prec - val
-        if n <= 0:
-            return TruncSeries.zero(self.ring, prec)
-        if getattr(self.ring, "packed", False):
-            out = kronecker_mul(self.coeffs, o.coeffs, n, self.ring)
-            return TruncSeries(self.ring, val, out, prec)
-        zero = self.ring.zero
-        out = [zero] * min(n, len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            jmax = min(len(o.coeffs), len(out) - i)
-            for j in range(jmax):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.ring, val, out, prec)
+        return dot(self.ring, ((self, o),))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         """Multiply by an exact coefficient-ring element."""
-        c = self.ring.coerce(c)
-        if not c:
-            return TruncSeries.zero(self.ring, self.prec)
-        return TruncSeries(self.ring, self.val,
-                           tuple(c * a for a in self.coeffs), self.prec)
+        return dot(self.ring, ((c, self),))
 
     def inv(self):
         if not self.coeffs:
@@ -375,21 +343,13 @@ class TruncSeries(RingElement):
 
 def dot(ring, pairs, prec=None):
     """sum a b over the pairs (a, b): b a series over ``ring``, a a series
-    over it or an exact element of ``ring``, which stands for b.scale(a).
-
-    The value and precision are those of the sum of the products: the
-    least precision of the terms, and at most prec when it is given, as a
-    sum started from ``TruncSeries.zero(ring, prec)``.  Over the packed
-    rings the whole sum is one ``fields.kronecker_dot``, each product
-    shifted to its x-valuation, read back once; elsewhere the products are
-    summed.
+    over it or an element of ``ring`` (the constant a, exact); ``f * g`` is
+    the one-term case.  The precision is that of the sum of the products,
+    min(val a + prec b, val b + prec a) for each, capped at prec when given
+    as a sum started from ``TruncSeries.zero(ring, prec)`` would be.  The
+    products, shifted to their x-valuations, become rows once:
+    ``fields.kronecker_dot`` on the packed rings, ``_element_dot`` elsewhere.
     """
-    if not getattr(ring, "packed", False):
-        terms = (a * b if isinstance(a, TruncSeries) else b.scale(a)
-                 for a, b in pairs)
-        if prec is None:
-            return functools.reduce(operator.add, terms)
-        return sum(terms, TruncSeries.zero(ring, prec))
     terms = []
     top = prec
     for a, b in pairs:
@@ -405,29 +365,58 @@ def dot(ring, pairs, prec=None):
         top = here if top is None else min(top, here)
     if not terms:
         return TruncSeries.zero(ring, top)
-    lo = min(t[0] for t in terms)
+    if len(terms) == 1:  # a product: no pass over the terms
+        lo, a, b = terms[0]
+        terms = ((0, a, b),)
+    else:
+        lo = min([v for v, _, _ in terms])
+        terms = [(v - lo, a, b) for v, a, b in terms]
     if top <= lo:
         return TruncSeries.zero(ring, top)
-    out = kronecker_dot([(v - lo, a, b) for v, a, b in terms], top - lo, ring)
-    return TruncSeries(ring, lo, out, top)
+    rows = kronecker_dot if getattr(ring, "packed", False) else _element_dot
+    return TruncSeries(ring, lo, rows(terms, top - lo, ring), top)
+
+
+def _element_dot(terms, n, ring):
+    """``fields.kronecker_dot`` for the rings it does not pack, by the
+    schoolbook loop: the first n coefficients of sum x^s a b over the terms
+    (s, a, b), up to the last row any term reaches; a term with s >= n
+    reaches none.  A row still ``ring.zero`` takes its first product as is."""
+    zero = ring.zero
+    out = []
+    for s, a, b in terms:
+        if s >= n:
+            continue
+        a, b = a[:n - s], b[:n - s]
+        end = min(n, s + len(a) + len(b) - 1)
+        if end > len(out):
+            out += [zero] * (end - len(out))
+        for i, x in enumerate(a, s):
+            if x:
+                for j, y in enumerate(b[:end - i], i):
+                    if y:
+                        v = out[j]
+                        out[j] = x * y if v is zero else v + x * y
+    return out
 
 
 def _newton_inverse(u, lead_inv, n, ring):
     """The first n coefficients of 1/u by Newton's iteration
     y <- y + y (1 - u y), which doubles the number of correct terms; both
-    products are Kronecker-packed.  u y = 1 + O(x^m) before a step, so the
-    residual starts at x^m, and its leading zeros are skipped because
-    ``kronecker_mul`` wants a nonzero first operand element."""
+    products are one-term ``kronecker_dot`` calls.  u y = 1 + O(x^m) before
+    a step, so the residual starts at x^m, and its leading zeros are
+    skipped: they would only widen the packed operand."""
     y = [lead_inv]
     m = 1
     while m < n:
         m2 = min(2 * m, n)
-        uy = kronecker_mul(u[:m2], y, m2, ring)[m:]
+        uy = kronecker_dot(((0, u[:m2], y),), m2, ring)[m:]
         z = next((k for k, c in enumerate(uy) if c), None)
         if z is None:
             y += [ring.zero] * (m2 - m)
         else:
-            corr = kronecker_mul(y[:m2 - m - z], uy[z:], m2 - m - z, ring)
+            corr = kronecker_dot(((0, y[:m2 - m - z], uy[z:]),), m2 - m - z,
+                                 ring)
             y += [ring.zero] * z + [-c for c in corr]
             y += [ring.zero] * (m2 - len(y))
         m = m2

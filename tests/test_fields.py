@@ -747,7 +747,7 @@ class TestAResidueIdentity:
             assert index[R.coerce(c)] == R.coerce(c) == R.from_int(0) + c
         # x-rows of a packed product: (1 + theta x)(1 + theta x)
         u = [R.one, R.theta]
-        rows = fields.kronecker_mul(u, u, 3, R)
+        rows = fields.kronecker_dot([(0, u, u)], 3, R)
         assert rows == [R.one, R.theta * 2, R.theta * R.theta]
         for row in rows:  # found by hash, then equal
             assert index[row] == row
@@ -763,6 +763,48 @@ class TestAResidueIdentity:
             t + r
         with pytest.raises(TypeError):
             r + t
+
+
+class TestIrreducibilityMemo:
+    """is_irreducible keeps its answer per polynomial: an equal polynomial
+    asked again runs no second gcd loop, and invalid input raises on every
+    call."""
+
+    def test_equal_polynomial_runs_no_second_loop(self, monkeypatch):
+        calls = []
+        gcd = Poly.gcd
+
+        def spy(self, other):
+            calls.append(self)
+            return gcd(self, other)
+
+        monkeypatch.setattr(Poly, "gcd", spy)
+        is_irreducible.cache_clear()
+        A = polyring(fq(3))
+        for text, irreducible in (("t^4+t+2", True), ("t^4+2", False)):
+            f = parse_apoly(A, text)
+            assert is_irreducible(f) is irreducible
+            ran = len(calls)
+            assert ran >= 1
+            again = parse_apoly(A, text)
+            assert again is not f and again == f
+            assert is_irreducible(again) is irreducible
+            assert len(calls) == ran
+            # the same coefficients over another field are another key
+            is_irreducible(parse_apoly(polyring(fq(9)), text))
+            assert len(calls) > ran
+            del calls[:]
+
+    def test_invalid_input_raises_on_every_call(self):
+        A = polyring(fq(3))
+        t = A.gen
+        outer = polyring(A, "x")
+        for bad, match in ((2 * t * t + A.one, "monic"),
+                           (A.one, "positive degree"),
+                           (outer.gen, "F_q coefficients")):
+            for _ in range(3):
+                with pytest.raises(DomainError, match=match):
+                    is_irreducible(bad)
 
 
 class TestResidueFieldWithTheta:

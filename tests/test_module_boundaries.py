@@ -4,7 +4,8 @@ A name starting with ``_`` is private to its module, so no module imports
 one from a sibling.  Over F_p the coefficient arithmetic runs on the
 integer indices of field elements (``FqElem.idx``) and the fold of a
 modulus; that representation is fields.py's alone, so no other module
-reads ``.idx`` or ``.fold``.
+reads ``.idx`` or ``.fold``.  Every name a module or script imports is
+used in it, except the re-exports of the package's ``__init__.py``.
 """
 
 import ast
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "drinfeld"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "drinfeld"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def parse(path):
@@ -49,3 +52,27 @@ def test_integer_rows_stay_in_fields(path):
 def test_every_module_is_read():
     assert {"fields.py", "forms.py", "sheaves.py", "tau.py"} <= {
         p.name for p in MODULES}
+
+
+def imported_names(tree):
+    """(line, bound name) for every import in tree; ``import a.b`` binds a."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"] + SCRIPTS,
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = ["line %d: %s" % (line, name)
+              for line, name in imported_names(tree) if name not in used]
+    assert not unused, "%s imports names it never uses: %s" % (
+        path.name, unused)

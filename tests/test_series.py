@@ -200,7 +200,7 @@ def dense_series(S, rows, tlen, val=0):
 
 
 def packed_slot_bytes(f, g, n):
-    """The slot width kronecker_mul picks for the first n rows of f and g."""
+    """The slot width kronecker_dot picks for the first n rows of f * g."""
     a, b = f.coeffs[:n], g.coeffs[:n]
     da = max(len(c.coeffs) for c in a)
     db = max(len(c.coeffs) for c in b)
@@ -209,7 +209,7 @@ def packed_slot_bytes(f, g, n):
 
 
 class TestPackedProduct:
-    """Series over F_p[t] multiply through kronecker_mul; they must agree
+    """Series over F_p[t] multiply through kronecker_dot; they must agree
     with the schoolbook product in val, coeffs and prec."""
 
     @settings(max_examples=80, deadline=None)
@@ -284,7 +284,7 @@ def dense_residue_series(R, rows, val=0):
 
 
 class TestPackedResidueProduct:
-    """Series over A/(m), p prime, multiply through kronecker_mul with one
+    """Series over A/(m), p prime, multiply through kronecker_dot with one
     reduction per row; they must agree with the schoolbook product in val,
     coeffs and prec.  Over F_4 the object path runs."""
 
@@ -368,9 +368,9 @@ class TestPackedResidueProduct:
         assert not R.packed
 
         def refuse(*args):
-            raise AssertionError("kronecker_mul reached over F_4")
+            raise AssertionError("kronecker_dot reached over F_4")
 
-        monkeypatch.setattr(series_module, "kronecker_mul", refuse)
+        monkeypatch.setattr(series_module, "kronecker_dot", refuse)
         u = R.field.elements()[2]
         c = AResidue(R, Poly(R.field, [u, R.field.one, u]).coeffs)
         f = TruncSeries(R, 0, [c, R.one, c], 4)
@@ -394,7 +394,7 @@ def lane_spy(monkeypatch):
 
 
 class TestReadBack:
-    """kronecker_mul reduces the product bytes mod p by translate, in byte
+    """kronecker_dot reduces the product bytes mod p by translate, in byte
     lanes while w (p - 1) < 256, and slot by slot beyond; every route must
     give the schoolbook product, over F_p[t] and over A/(m) with an empty
     and a nonempty fold."""
@@ -572,12 +572,17 @@ class TestKroneckerDot:
         assert all(pw == (p, width) for pw in seen)
         assert (len(seen) > 1) is flushes
 
-    def test_single_term_is_kronecker_mul(self, monkeypatch):
+    def test_a_product_reads_back_once(self, monkeypatch):
+        # f * g and f.scale(c) are one-term sums: one pack per operand and
+        # one read-back each
         R = residue_view(5, "t+1", 3)
         f = dense_residue_series(R, 6)
+        want = schoolbook_mul(f, f)
         seen = slot_spy(monkeypatch)
-        want = fields.kronecker_dot([(0, f.coeffs, f.coeffs)], 6, R)
-        assert fields.kronecker_mul(f.coeffs, f.coeffs, 6, R) == want
+        assert f * f == want
+        assert len(seen) == 1
+        c = R.theta + R.one
+        assert f.scale(c) == schoolbook_mul(TruncSeries.constant(c, R, 6), f)
         assert len(seen) == 2
 
     def test_empty_and_invisible_terms(self):
@@ -590,11 +595,79 @@ class TestKroneckerDot:
                                      (1, [A.zero], ones)], 4, A) == []
 
 
+def element_dot_reference(ring, pairs, prec=None):
+    """sum a b over the pairs, each coefficient summed over the ring's
+    elements in a plain double loop, with the precision of the module
+    docstring; a ring element a is the constant a, exact to every order.
+    Independent of ``dot`` and of both of its row routines."""
+    zero = ring.zero
+    acc = {}
+    top = prec
+    for a, b in pairs:
+        if isinstance(a, TruncSeries):
+            here = min(a.val + b.prec, b.val + a.prec)
+            aval, acoeffs = a.val, a.coeffs
+        else:
+            here, aval, acoeffs = b.prec, 0, (ring.coerce(a),)
+        top = here if top is None else min(top, here)
+        for i, x in enumerate(acoeffs, aval):
+            for j, y in enumerate(b.coeffs, b.val):
+                acc[i + j] = acc.get(i + j, zero) + x * y
+    lo = min(min(acc, default=top), top)
+    return TruncSeries(ring, lo, [acc.get(k, zero) for k in range(lo, top)],
+                       top)
+
+
+class TestElementDot:
+    """``series._element_dot``, the loop dot runs where kronecker_dot does
+    not pack, is a second code path for kronecker_dot: on the packed rings
+    both give the same rows up to trailing zeros, over F_p[t] and over A/(m)
+    with an empty and a nonempty fold."""
+
+    @staticmethod
+    def trimmed(rows):
+        rows = list(rows)
+        while rows and not rows[-1]:
+            rows.pop()
+        return rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_kronecker_dot(self, data):
+        ring, elem = packed_ring(data)
+        n = data.draw(st.integers(1, 12))
+        terms = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            s = data.draw(st.integers(0, n + 2))  # shifts at and past n too
+            if data.draw(st.booleans()):
+                a = [data.draw(elem)]  # a scalar term, as dot forms it
+            else:
+                a = data.draw(st.lists(elem, max_size=8))
+            terms.append((s, a, data.draw(st.lists(elem, max_size=8))))
+        got = series_module._element_dot(terms, n, ring)
+        assert len(got) <= n
+        assert self.trimmed(got) == self.trimmed(
+            fields.kronecker_dot(terms, n, ring))
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_shifts_at_and_past_n(self, q):
+        # a term shifted to row n or beyond reaches no row: no negative
+        # slice, and the list stops after the last row reached
+        A = polyring(fq(q))
+        ones = [A.one] * 6
+        assert series_module._element_dot([(4, ones, ones),
+                                           (9, ones, ones)], 4, A) == []
+        rows = series_module._element_dot([(9, ones, ones),
+                                           (1, ones[:2], ones[:1]),
+                                           (4, ones, ones)], 4, A)
+        assert rows == [A.zero, A.one, A.one]
+
+
 class TestSeriesDot:
     """series.dot equals the sum of the products it stands for, started
     from TruncSeries.zero(ring, prec) when prec is given, in val, every
     coefficient and prec; a coefficient-ring element a stands for
-    b.scale(a)."""
+    b.scale(a), the constant a exact to every order."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -622,7 +695,7 @@ class TestSeriesDot:
                 pairs.append((ring.one, b))
         prec = data.draw(st.none() | st.integers(-2, 14))
         terms = [schoolbook_mul(a, b) if isinstance(a, TruncSeries)
-                 else b.scale(a) for a, b in pairs]
+                 else element_dot_reference(ring, [(a, b)]) for a, b in pairs]
         if prec is None:
             want = functools.reduce(operator.add, terms)
         else:
@@ -649,11 +722,21 @@ class TestSeriesDot:
         S = sring(4, 6)
         u = S.ring.base.elements()[2]
         f = TruncSeries(S.ring, 1, [S.ring.gen, Poly(S.ring.base, [u])], 6)
-        pairs = [(f, f), (S.ring.gen, f), (S.one, f)]
-        want = sum((f * f, f.scale(S.ring.gen), f), S.zero)
-        assert series_module.dot(S.ring, pairs, 6) == want
-        assert series_module.dot(S.ring, pairs) == functools.reduce(
-            operator.add, (f * f, f.scale(S.ring.gen), S.one * f))
+        g = TruncSeries(S.ring, 0, [S.ring.one, S.ring.zero, S.ring.gen], 4)
+        pairs = [(f, f), (S.ring.gen, f), (S.one, f), (g, f)]
+        for prec in (6, 4, None):
+            want = element_dot_reference(S.ring, pairs, prec)
+            got = series_module.dot(S.ring, pairs, prec)
+            assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
+                                                       want.prec)
+        assert want.prec == 5  # x^1 * (1 + O(x^4))
+        # the one-term cases: a product and a scaling
+        for pair in ((f, g), (g, f), (Poly(S.ring.base, [u]), g)):
+            want = element_dot_reference(S.ring, [pair])
+            got = pair[0] * pair[1] if isinstance(pair[0], TruncSeries) \
+                else pair[1].scale(pair[0])
+            assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
+                                                       want.prec)
 
 
 def recurrence_inv(f):
@@ -675,8 +758,8 @@ def recurrence_inv(f):
 
 class TestNewtonInverse:
     """Over packed rings TruncSeries.inv runs Newton's iteration through
-    kronecker_mul; it must agree with the recurrence in val, coeffs and
-    prec.  Over F_4 the recurrence runs."""
+    one-term kronecker_dot calls; it must agree with the recurrence in val,
+    coeffs and prec.  Over F_4 the recurrence runs."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -738,9 +821,9 @@ class TestNewtonInverse:
 
     def test_nonprime_field_keeps_recurrence(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("kronecker_mul reached over F_4")
+            raise AssertionError("kronecker_dot reached over F_4")
 
-        monkeypatch.setattr(series_module, "kronecker_mul", refuse)
+        monkeypatch.setattr(series_module, "kronecker_dot", refuse)
         A = polyring(fq(4))
         u = A.base.elements()[2]
         f = TruncSeries(A, 1, [A.one, A.gen, Poly(A.base, [u, u])] * 7, 22)

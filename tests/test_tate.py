@@ -550,6 +550,17 @@ class TestLayerTruncation:
         assert err["error"] == message
 
 
+class TestDeepShifts:
+    def test_q4_n128_builds(self):
+        # over F_4 the rows of dot come from series._element_dot, and at
+        # N = 128 the Ore residual has a term shifted past the rows it asks
+        # for (shift 153 against 77 rows), which the loop must skip
+        field = fq(4)
+        A = polyring(field)
+        td = TateDrinfeld(field, A.gen, A.one, 128)
+        assert td.prec == 128 and td.i_max >= 3
+
+
 class TestOneTimeWork:
     """nu_wp(e_i) runs once per instance, and the powers of F_g are
     memoised on the instance, not in a module-level table."""

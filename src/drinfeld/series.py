@@ -15,18 +15,22 @@ val == prec.  ``x ** n`` and ``frob`` come from the element base shared with
 F_q and A (``fields.RingElement``); ``x ** 0`` is one to the relative
 precision prec - val of x, at least 1.
 
-Every product is formed by ``dot``, a sum of products sum a_k b_k with the
-precision the separate products would give their sum; ``f * g`` and
-``f.scale(c)`` are its one-term cases, and ``SeriesRing.dot`` the
-coefficients of a twisted product.  Over A = F_p[t] and its quotients A/(m),
-p prime, the sum is one Kronecker-packed linear combination
-(``fields.kronecker_dot``): each operand's n = prec - val coefficients
-become one integer, one bigint product per term replaces n^2 polynomial
-products, the products are shifted to their x-valuations and added, and
-the rows are read back once as slices of the sum's bytes, reduced mod p by
-byte translates and, over A/(m), mod m on their integers.  The
-coefficients are those of the schoolbook product, bit for bit, which
-``_element_dot`` runs over F_q[t] and A/(m) with q = p^e, e > 1, and F_q.
+Every product is formed by ``dot``, a sum of products with the precision
+the separate products would give their sum; ``f * g`` and ``f.scale(c)``
+are its one-term cases.  A term (a, b, k) stands for a b^(q^k): ``dot``
+reads its precision from the uncut b and twists only the orders of b that
+can reach the sum, so twisted sums in B{tau} (``tau.TauPoly``) and in the
+Tate-Drinfeld engine need no cut of their own.
+
+Over A = F_p[t] and its quotients A/(m), p prime, the sum is one
+Kronecker-packed linear combination (``fields.kronecker_dot``): each
+operand's n = prec - val coefficients become one integer, one bigint
+product per term replaces n^2 polynomial products, the products are
+shifted to their x-valuations and added, and the rows are read back once
+as slices of the sum's bytes, reduced mod p by byte translates and, over
+A/(m), mod m on their integers.  The coefficients are those of the
+schoolbook product, bit for bit, which ``_element_dot`` runs over F_q[t]
+and A/(m) with q = p^e, e > 1, and F_q.
 
 Inversion follows the same split as products.  Over the packed rings it is
 Newton's iteration y <- y + y (1 - u y) (Brent & Kung, J. ACM 25, 1978),
@@ -341,40 +345,54 @@ class TruncSeries(RingElement):
         return "%s + O(x^%d)" % (body, self.prec)
 
 
-def dot(ring, pairs, prec=None):
-    """sum a b over the pairs (a, b): b a series over ``ring``, a a series
-    over it or an element of ``ring`` (the constant a, exact); ``f * g`` is
-    the one-term case.  The precision is that of the sum of the products,
-    min(val a + prec b, val b + prec a) for each, capped at prec when given
-    as a sum started from ``TruncSeries.zero(ring, prec)`` would be.  The
+def dot(ring, terms, prec=None):
+    """sum a b^(q^k) over the terms (a, b, k), a plain (a, b) meaning k = 0:
+    b a series over ``ring``, a a series over it or an element of ``ring``
+    (the constant a, exact); a ``SeriesRing`` stands for its coefficient
+    ring with prec its precision.  Each term's precision,
+    min(val a + Q prec b, Q val b + prec a) with Q = q^k (for a constant
+    Q prec b, and val a = 0), is read from the uncut b; the least, capped
+    at prec, is the sum's precision top.  Only then is b cut to the orders
+    below ceil((top - val a) / Q), the only ones that reach top, and
+    twisted.  The
     products, shifted to their x-valuations, become rows once:
     ``fields.kronecker_dot`` on the packed rings, ``_element_dot`` elsewhere.
     """
-    terms = []
+    if isinstance(ring, SeriesRing):
+        ring, prec = ring.ring, ring.prec
+    rows, twisted = [], []
     top = prec
-    for a, b in pairs:
+    for term in terms:
+        a, b = term[0], term[1]
+        Q = ring.q ** term[2] if len(term) > 2 else 1
         if isinstance(a, TruncSeries):
-            here = min(a.val + b.prec, b.val + a.prec)
-            if a.coeffs and b.coeffs:
-                terms.append((a.val + b.val, a.coeffs, b.coeffs))
+            here = min(a.val + Q * b.prec, Q * b.val + a.prec)
+            val, a = a.val, a.coeffs
         else:
-            here = b.prec
-            a = ring.coerce(a)
-            if a and b.coeffs:
-                terms.append((b.val, (a,), b.coeffs))
-        top = here if top is None else min(top, here)
-    if not terms:
+            here, val, a = Q * b.prec, 0, ring.coerce(a)
+            a = (a,) if a else ()
+        if top is None or here < top:
+            top = here
+        if a and b.coeffs:
+            if Q == 1:
+                rows.append((val + b.val, a, b.coeffs))
+            else:
+                twisted.append((val, a, b, term[2], Q))
+    for val, a, b, k, Q in twisted:  # the cut needs the final top
+        b = b.truncate(-(-(top - val) // Q)).frob(k)
+        rows.append((val + b.val, a, b.coeffs))
+    if not rows:
         return TruncSeries.zero(ring, top)
-    if len(terms) == 1:  # a product: no pass over the terms
-        lo, a, b = terms[0]
-        terms = ((0, a, b),)
+    if len(rows) == 1:  # a product: no pass over the terms
+        lo, a, b = rows[0]
+        rows = ((0, a, b),)
     else:
-        lo = min([v for v, _, _ in terms])
-        terms = [(v - lo, a, b) for v, a, b in terms]
+        lo = min([v for v, _, _ in rows])
+        rows = [(v - lo, a, b) for v, a, b in rows]
     if top <= lo:
         return TruncSeries.zero(ring, top)
-    rows = kronecker_dot if getattr(ring, "packed", False) else _element_dot
-    return TruncSeries(ring, lo, rows(terms, top - lo, ring), top)
+    form = kronecker_dot if getattr(ring, "packed", False) else _element_dot
+    return TruncSeries(ring, lo, form(rows, top - lo, ring), top)
 
 
 def _element_dot(terms, n, ring):
@@ -462,11 +480,6 @@ class SeriesRing:
 
     def from_int(self, n):
         return self.constant(self.ring.from_int(n))
-
-    def dot(self, u, v):
-        """sum u_i v_i, as sum(map(mul, u, v), self.zero) gives it: a
-        series of ``dot``, at most this ring's precision."""
-        return dot(self.ring, zip(u, v), self.prec)
 
     def constant(self, c):
         c = self.ring.coerce(c)

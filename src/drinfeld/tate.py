@@ -16,6 +16,7 @@ relevant denominators are units.  The engine computes
   the sum sum_k c_k F_g^k is one ``series.dot``, a packed linear
   combination over F_p[t] read back once, as are sigma in the Ore step,
   the triangular solve for Psi and the functional-equation residuals,
+  each twist b^(q^k) a term (a, b, k) that ``dot`` cuts before twisting,
 * the canonical level-one isogeny Psi with linear coefficient wp, solved
   triangularly from Psi(e(Z)) = e'(Phi^C_wp(Z)) where e' = nu_wp(e),
 * ordinariness of the mod-wp reduction with its Newton data, and the
@@ -118,16 +119,15 @@ class TateDrinfeld:
             Fq1 = (F ** (q - 1)).truncate(N)
             powers = [self.S.one]
             for _ in range(D):
-                powers.append((powers[-1].frob(1).truncate(N) * Fq1)
-                              .truncate(N))
-            sigma = dot(self.A, ((ei, powers[D - i].frob(i))
+                powers.append(dot(self.A, ((Fq1, powers[-1], 1),), N))
+            sigma = dot(self.A, ((ei, powers[D - i], i)
                                  for i, ei in enumerate(e)), N)
             if sigma.order() != self._exp_valuation(D):
                 raise InternalConsistencyError(
                     "Ore step %d: sigma has x-valuation %s, expected %d"
                     % (D, sigma.order(), self._exp_valuation(D)))
-            # F^(q^D) keeps its precision q^D N: sigma^-1 has a pole
-            beta = F.frob(D) * sigma.inv()
+            # F^(q^D) has precision q^D N, lowered by sigma^-1's pole
+            beta = dot(self.A, ((sigma.inv(), F, D),))
             if beta.order() != self._beta_valuation(D):
                 raise InternalConsistencyError(
                     "Ore step %d: beta has x-valuation %s, expected %d"
@@ -135,7 +135,7 @@ class TateDrinfeld:
             # e_V(X) - beta^(q-1) e_V(X)^q, at X^(q^i) for i = 0..D+1; a
             # difference keeps the lower precision, so e_i stays at most N
             b = (beta ** (q - 1)).truncate(N)
-            e = [e[0]] + [ei - b * prev.frob(1).truncate(N)
+            e = [e[0]] + [ei - dot(self.A, ((b, prev, 1),), N)
                           for ei, prev in zip(e[1:] + [zero], e)]
             D += 1
         e = tuple(e[:self.i_max + 1]) + (zero,) * (self.i_max + 1 - len(e))
@@ -170,7 +170,7 @@ class TateDrinfeld:
         e1 = self.exp_coeff(1)
         e2 = self.exp_coeff(2)
         a1 = e1.scale(th.frob(1) - th) + self.S.one
-        a2 = e2.scale(th.frob(2) - th) + e1 - a1 * e1.frob(1)
+        a2 = e2.scale(th.frob(2) - th) + e1 - dot(self.A, ((a1, e1, 1),))
         self.a1, self.a2 = a1, a2
         # the Z^(q^3) relation is a free self-check
         res = self._fe_residual(3)
@@ -194,8 +194,8 @@ class TateDrinfeld:
         ei = self.exp_coeff(i)
         e1 = self.exp_coeff(i - 1)
         e2 = self.exp_coeff(i - 2)
-        return dot(self.A, ((th - th.frob(i), ei), (self.a1, e1.frob(1)),
-                            (self.a2, e2.frob(2)), (-self.A.one, e1)))
+        return dot(self.A, ((th - th.frob(i), ei), (self.a1, e1, 1),
+                            (self.a2, e2, 2), (-self.A.one, e1)))
 
     def functional_equation_residuals(self):
         """One series per index i <= i_max; all must vanish to precision."""
@@ -282,7 +282,7 @@ class TateDrinfeld:
     def _psi_lhs(self, c, k):
         """Z^(q^k) coefficient of sum_j c_j e(Z)^(q^j) over the given c_j,
         j <= k: sum_j c_j e_(k-j)^(q^j)."""
-        return dot(self.A, ((cj, self.exp_coeff(k - j).frob(j))
+        return dot(self.A, ((cj, self.exp_coeff(k - j), j)
                             for j, cj in enumerate(c)), self.prec)
 
     def _expp_rhs(self, k):
@@ -410,8 +410,8 @@ class TateDrinfeld:
         # (sum l_j Z^j)^(q^k) = sum l_j^(q^k) R_k^j mod M
         rhs = [s.scale(th) for s in lam]
         for (coef, k) in ((self.a1, 1), (self.a2, 2)):
-            powed = self._scatter(M, [(c.frob(k), R[k].pow_mod(j, M))
-                                      for j, c in enumerate(lam) if c])
+            powed = self._scatter(M, [(c, R[k].pow_mod(j, M))
+                                      for j, c in enumerate(lam) if c], k)
             rhs = [r + coef * s for r, s in zip(rhs, powed)]
         return all((l - r).is_zero() for l, r in zip(lhs, rhs))
 
@@ -423,11 +423,11 @@ class TateDrinfeld:
             R.append(R[-1].pth_power(self.field.e) % M)
         return R, self._scatter(M, zip(self.e, R))
 
-    def _scatter(self, M, terms):
-        """sum s * r(Z) over (series s, Z-polynomial r) pairs, as the list of
-        the deg(M) Z-coefficients."""
+    def _scatter(self, M, terms, k=0):
+        """sum s^(q^k) * r(Z) over (series s, Z-polynomial r) pairs, as the
+        list of the deg(M) Z-coefficients."""
         terms = [(s, r.coeffs) for s, r in terms if s]
-        return [dot(self.A, ((r[j], s) for s, r in terms
+        return [dot(self.A, ((r[j], s, k) for s, r in terms
                              if j < len(r) and r[j]), self.prec)
                 for j in range(M.degree)]
 

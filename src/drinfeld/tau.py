@@ -15,11 +15,10 @@ inverse, so a negative power raises DomainError from ``DensePoly.inv``, and
 ``frob`` raises DomainError too: the coefficient twist is ``twist``.
 
 Over a series ring (``series.SeriesRing``) the coefficient
-sum_(i+j=k) a_i b_j^(q^i) of a product is one ``SeriesRing.dot``, read
-back once over F_p[t], and each b_j is first cut to the x-orders that can
-reach the precision of a_i b_j^(q^i): the twist spreads b_j by q^i in x,
-so an uncut twist builds q^i times the slots the product can use.  Over
-any other ring the element loop runs.
+sum_(i+j=k) a_i b_j^(q^i) of a product is one ``series.dot`` of the
+twisted terms (a_i, b_j, i), read back once over F_p[t]; ``dot`` sets its
+precision and cuts each b_j before the twist, so no precision rule lives
+here.  Over any other ring the element loop runs.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import operator
 
 from .errors import DomainError
 from .fields import DensePoly, horner
-from .series import SeriesRing
+from .series import SeriesRing, dot
 
 
 class TauPoly(DensePoly):
@@ -80,29 +79,14 @@ class TauPoly(DensePoly):
 
     def _series_mul(self, a, b):
         """The product over a series ring: each coefficient is one
-        ``SeriesRing.dot`` of the a_i against the twisted b_j^(q^i).
-
-        b_j is cut before its twist.  With Q = q^i the product a_i b_j^Q
-        has precision min(val a_i + Q prec b_j, Q val b_j + prec a_i), and
-        an order k of b_j lands at val a_i + Q k, so the orders from
-        P = ceil((Q val b_j + prec a_i - val a_i) / Q) on lie at or beyond
-        that precision.  Truncating b_j to P changes neither it nor any
-        coefficient, and the twist builds Q P slots at most instead of
-        Q prec b_j.
-        """
+        ``series.dot`` of the twisted terms (a_i, b_j, i)."""
         ring = self.ring
-        out = []
-        for k in range(len(a) + len(b) - 1):
-            u, v = [], []
-            for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-                ai, bj = a[i], b[k - i]
-                if ai and bj:
-                    Q = ring.q ** i
-                    u.append(ai)
-                    v.append(bj.truncate(-(-(Q * bj.val + ai.prec - ai.val)
-                                           // Q)).frob(i))
-            out.append(ring.dot(u, v) if u else ring.zero)
-        return TauPoly(ring, out)
+        return TauPoly(ring, [
+            dot(ring, [(a[i], b[k - i], i)
+                       for i in range(max(0, k - len(b) + 1),
+                                      min(k, len(a) - 1) + 1)
+                       if a[i] and b[k - i]])
+            for k in range(len(a) + len(b) - 1)])
 
     def __rmul__(self, other):
         """c * f for a scalar c: the constant c composed on the left, so c

@@ -1,7 +1,22 @@
 import pytest
 
 from drinfeld.fields import Poly, fq, polyring
+from drinfeld.series import TruncSeries
 from drinfeld.tate import td_instance
+
+
+def slot_counter(monkeypatch):
+    """Record the number of coefficient slots each series twist builds."""
+    built = []
+    pth_power = TruncSeries.pth_power
+
+    def counting(s, k=1):
+        out = pth_power(s, k)
+        built.append(len(out.coeffs))
+        return out
+
+    monkeypatch.setattr(TruncSeries, "pth_power", counting)
+    return built
 
 
 @pytest.fixture(scope="session")

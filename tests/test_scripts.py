@@ -1,6 +1,7 @@
 """Smoke tests of the example scripts: each ``main()`` runs on small
 arguments and prints the congruences it certifies."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -53,7 +54,8 @@ def test_n_table(capsys):
     row = json.loads(lines[0])
     assert (row["q"], row["wp"], row["f"], row["N"]) == (2, "t", "1", 16)
     assert row["i_max"] == 3 and row["tdquot_ok"] is True
-    assert all(row[k] >= 0 for k in ("build_s", "psi_s", "verify_tdquot_s"))
+    assert all(row[k] >= 0 for k in ("build_s", "psi_s", "verify_tdquot_s",
+                                     "expp_s"))
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -77,3 +79,23 @@ def test_n_table_peak_rss(capsys):
     assert code == 0 and [row["N"] for row in rows] == [12, 16]
     # the process peak so far, in MB: positive and never falling
     assert 0 < rows[0]["peak_rss_mb"] <= rows[1]["peak_rss_mb"]
+
+
+def test_rss_guard(capsys, monkeypatch):
+    # the child reads the package from src; its stdout digest is that of
+    # the same command run in process
+    from drinfeld import cli
+
+    monkeypatch.setenv("PYTHONPATH", str(SCRIPTS.parent / "src"))
+    command = ["tate", "canonical", "--q", "2", "--wp", "t", "--prec", "16"]
+    assert cli.main(command) == 0
+    digest = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+    guard = load("rss_guard")
+    runs = []
+    for md5, max_mb in ((digest, 1e6), ("0" * 32, 1e6), (digest, 0.001)):
+        runs.append(guard.main(["--md5", md5, "--max-mb", str(max_mb), "--",
+                                *command]))
+        runs.append(json.loads(capsys.readouterr().out))
+    assert runs[0] == 0 and runs[1]["ok"] and runs[1]["md5"] == digest
+    assert runs[2] == 1 and not runs[3]["md5_ok"]
+    assert runs[4] == 1 and runs[5]["md5_ok"] and runs[5]["peak_rss_mb"] > 0

@@ -705,12 +705,14 @@ class TestSeriesDot:
                                                    want.prec)
 
     def test_series_ring_dot_is_the_sum(self):
+        # a SeriesRing in place of the coefficient ring caps the sum at its
+        # precision, as the sum started from its zero does
         S = sring(3, 8)
         t = S.ring.gen
         u = [S.x(1) + S.theta, S.one, S.x(3)]
         v = [S.x(2).scale(t), S.theta - S.x(5), S.one.truncate(4)]
         want = sum(map(operator.mul, u, v), S.zero)
-        got = S.dot(u, v)
+        got = series_module.dot(S, zip(u, v))
         assert want.prec == 7  # x^3 * (1 + O(x^4))
         assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, 7)
 
@@ -737,6 +739,51 @@ class TestSeriesDot:
                 else pair[1].scale(pair[0])
             assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
                                                        want.prec)
+
+
+class TestTwistedDot:
+    """A term (a, b, k) of ``dot`` is a b^(q^k): dot equals the uncut sum,
+    every b twisted whole by ``frob(k)`` and the products summed by the
+    element loop of ``element_dot_reference``, in val, every coefficient and
+    prec, with and without a cap.  The rings are F_p[t] (``kronecker_dot``),
+    F_4[t] (``_element_dot``) and A/(m) over both."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_uncut_sum(self, data):
+        q = data.draw(st.sampled_from([2, 3, 4, 5]))
+        A = polyring(fq(q))
+        field = A.base_field
+        ring = A
+        if data.draw(st.booleans()):
+            base = data.draw(st.sampled_from([A.gen, A.gen + A.one]))
+            ring = ResidueRing(base ** data.draw(st.integers(1, 3)))
+        lift = ring.reduce if ring is not A else (lambda c: c)
+        elem = st.lists(st.sampled_from(field.elements()), max_size=3).map(
+            lambda cs: lift(Poly(field, cs)))
+
+        def series(lo, hi):
+            val = data.draw(st.integers(lo, hi))
+            prec = val + data.draw(st.integers(0, 8))
+            return TruncSeries(ring, val, data.draw(st.lists(elem, max_size=6)),
+                               prec)
+
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            b = series(0, 4)
+            k = data.draw(st.integers(0, 3))
+            a = data.draw(st.sampled_from(["scalar", "series", "laurent"]))
+            a = data.draw(elem) if a == "scalar" else \
+                series(0, 4) if a == "series" else series(-3, -1)
+            plain = k == 0 and data.draw(st.booleans())
+            terms.append((a, b) if plain else (a, b, k))
+        prec = data.draw(st.none() | st.integers(-2, 30))
+        want = element_dot_reference(
+            ring, [(t[0], t[1].frob(t[2]) if len(t) > 2 else t[1])
+                   for t in terms], prec)
+        got = series_module.dot(ring, terms, prec)
+        assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
+                                                   want.prec)
 
 
 def recurrence_inv(f):

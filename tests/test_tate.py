@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from drinfeld import cli, fields, series as series_module, tate
+from drinfeld import cli, fields, series as series_module, tate, tau
 from drinfeld.carlitz import carlitz_phi
 from drinfeld.errors import DomainError, PrecisionError
 from drinfeld.fields import ResidueRing, fq, is_irreducible, polyring
@@ -11,7 +11,7 @@ from drinfeld.forms import series_wp_valuation
 from drinfeld.series import TruncSeries
 from drinfeld.tate import TateDrinfeld, lattice_inverse, td_instance
 
-from conftest import TD_CONFIGS, td_config
+from conftest import TD_CONFIGS, slot_counter, td_config
 
 
 class TestExponential:
@@ -307,7 +307,8 @@ class TestPackedSums:
     """nu, sigma in the Ore step, _fe_residual, _psi_lhs, _expp_rhs and each
     coefficient of a TauPoly product over the series ring are one
     ``series.dot`` each, and over F_p[t] a dot reads its sum back once:
-    one ``_reduce_slots`` when a term is visible, none otherwise."""
+    one ``_reduce_slots`` when a term is visible, none otherwise.  A dot
+    called from a comprehension is credited to the function around it."""
 
     CALLERS = {"nu", "_build_exponential", "_fe_residual", "_psi_lhs",
                "_expp_rhs", "_series_mul"}
@@ -333,7 +334,7 @@ class TestPackedSums:
             before = len(reads)
             out = dot(ring, pairs, prec)
             frame = sys._getframe(1)
-            while frame.f_code.co_name in ("dot", "<genexpr>"):
+            while frame.f_code.co_name in ("dot", "<genexpr>", "<listcomp>"):
                 frame = frame.f_back
             sums.append((frame.f_code.co_name, len(reads) - before, out))
             return out
@@ -341,6 +342,7 @@ class TestPackedSums:
         monkeypatch.setattr(fields, "_reduce_slots", counting_reduce)
         monkeypatch.setattr(series_module, "dot", counting_dot)
         monkeypatch.setattr(tate, "dot", counting_dot)
+        monkeypatch.setattr(tau, "dot", counting_dot)
         td = TateDrinfeld(field, wp, A.one, N)
         td.canonical_isogeny()
         assert td.verify_tdquot(t)
@@ -361,6 +363,24 @@ class TestPackedSums:
         got = td.nu(td.wp, s)
         assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs,
                                                    want.prec)
+
+
+class TestTwistCut:
+    """Every twisted product of the engine goes through ``series.dot``, which
+    twists only the x-orders of b that reach the sum's precision.  The series
+    ``TruncSeries.pth_power`` builds for a deg-4 wp at N = 64 (build, Psi and
+    the expp residuals) hold 1,074 slots in all; twisting each whole series
+    and truncating afterwards built 5,917."""
+
+    def test_twists_build_few_slots(self, monkeypatch):
+        field = fq(2)
+        A = polyring(field)
+        t = A.gen
+        built = slot_counter(monkeypatch)
+        td = TateDrinfeld(field, t ** 4 + t + A.one, A.one, 64)
+        td.canonical_isogeny()
+        assert all(r.is_zero() for r in td.expp_residuals())
+        assert sum(built) <= 1074
 
 
 class TestLevelFrobenius:

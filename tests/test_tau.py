@@ -6,7 +6,7 @@ from drinfeld.fields import Poly, fq, polyring, residue_field_with_theta
 from drinfeld.series import SeriesRing, TruncSeries
 from drinfeld.tau import TauPoly
 
-from conftest import td_config
+from conftest import slot_counter, td_config
 
 
 def tau_polys(data, ring, elements, max_deg=3):
@@ -208,24 +208,10 @@ def uncut_product(f, g):
     return out
 
 
-def slot_counter(monkeypatch):
-    """Record the number of coefficient slots each series twist builds."""
-    built = []
-    pth_power = TruncSeries.pth_power
-
-    def counting(s, k=1):
-        out = pth_power(s, k)
-        built.append(len(out.coeffs))
-        return out
-
-    monkeypatch.setattr(TruncSeries, "pth_power", counting)
-    return built
-
-
 class TestSeriesProduct:
     """Over a series ring each coefficient of a product is one
-    ``SeriesRing.dot`` of the a_i against the b_j^(q^i), with b_j cut
-    before its twist to the orders that can reach the product's precision;
+    ``series.dot`` of the twisted terms (a_i, b_j, i), which cuts b_j before
+    its twist to the orders that can reach the product's precision;
     products and precisions are those of the uncut element loop."""
 
     @settings(max_examples=60, deadline=None)

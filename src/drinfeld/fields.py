@@ -13,16 +13,23 @@ Conventions shared by the whole package:
   ``AResidue`` (an element of A/(m) as its reduced representative).  Each
   subclass supplies its product, ``pth_power`` and, where units exist,
   ``inv``; ``Poly`` adds division and gcd.
-* Over a prime field F_p, coefficient arithmetic runs on integer indices
-  below the element layer: ``Poly`` products and division, the products,
-  p-th powers and sums of products (``ResidueRing.dot``) of A/(m), and the
-  wp-adic valuation of coefficient differences (``min_wp_valuation``)
-  convolve and eliminate on ints (``_mul_ints``, ``_divmod_ints``) and
-  reduce once, building elements only for the result.  Over F_q with
-  q = p^e, e > 1, an index is not additive, and the same operations run on
-  the field elements.  Sums, differences and negations of ``DensePoly``
-  rows over any F_q index the field's addition and negation tables
-  inline.  No other module reads the indices.
+* Over a prime field F_p, ``Poly`` and ``AResidue`` store the indices of
+  their coefficients as one bytes row (``row``: low degree first, no
+  trailing zero), and ``coeffs``, the public tuple of ``FqElem``, is built
+  from it on first read and kept.  Every integer path reads and writes
+  that row: sums, differences and negations add rows as little-endian
+  ints (2 (p - 1) < 256, so no byte carries) and reduce with one byte
+  translate; products and sums of products (``Poly`` and ``AResidue``
+  ``*``, ``AResidue.pth_power``, ``ResidueRing.dot``, ``kronecker_dot``)
+  are Kronecker substitutions of the rows, read back once; division and
+  the wp-adic valuation of differences (``Poly.__divmod__``,
+  ``min_wp_valuation``) eliminate on the row's ints (``_divmod_ints``).
+  No element is built for an intermediate or a result.  Over F_q with
+  q = p^e, e > 1, an index is not additive: ``row`` is the tuple
+  ``coeffs`` itself, the same operations run on the field elements, and
+  sums index the field's addition and negation tables inline.  No other
+  module reads the rows or the indices.  Timings before and after rows:
+  ``BENCH_26.json``.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -37,8 +44,6 @@ import functools
 import itertools
 import operator
 import re
-import sys
-from array import array
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -97,37 +102,83 @@ def horner(coeffs, x, zero):
     return acc
 
 
-_SLOT_TYPES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+@functools.cache
+def _scale_table(p, c):
+    """The byte translate table v -> c v mod p over F_p, for every byte v;
+    c = 1 reduces a byte mod p and c = p - 1 negates a reduced one."""
+    return bytes(c * v % p for v in range(256))
 
 
 @functools.cache
 def _lane_tables(p, w):
-    """For each byte of a w-byte slot, in native byte order, the translate
-    table v -> v 256^k mod p, with 256^k the byte's weight; built on first
-    use and kept per (p, w)."""
-    weights = range(w) if sys.byteorder == "little" else range(w - 1, -1, -1)
-    return tuple(bytes(v * pow(256, k, p) % p for v in range(256))
-                 for k in weights)
+    """For each byte of a w-byte little-endian slot the translate table
+    v -> v 256^k mod p, with 256^k the byte's weight; kept per (p, w)."""
+    return tuple(_scale_table(p, pow(256, k, p)) for k in range(w))
 
 
 def _reduce_slots(raw, p, w):
-    """The w-byte unsigned slots of raw (native byte order), each reduced
-    mod p, as bytes, one per slot.
+    """The w-byte unsigned little-endian slots of raw, each reduced mod p,
+    as bytes, one per slot.
 
-    w = 1 is one translate through v -> v mod p.  For w > 1 byte lane j
-    (``raw[j::w]``) is translated by v -> v 256^k mod p, its weight reduced;
+    w = 1 is one translate through v -> v mod p.  For w > 1 byte lane k
+    (``raw[k::w]``) is translated by v -> v 256^k mod p, its weight reduced;
     while w (p - 1) < 256 the lanes add as little-endian ints with no carry
     from byte to byte, and one more mod-p translate finishes.  Beyond that
     each slot is reduced on its own.
     """
     if w * (p - 1) >= 256:
-        return bytes([v % p for v in memoryview(raw).cast(_SLOT_TYPES[w])])
+        return bytes([int.from_bytes(raw[i:i + w], "little") % p
+                      for i in range(0, len(raw), w)])
     if w == 1:
-        return raw.translate(_lane_tables(p, 1)[0])
-    acc = sum(int.from_bytes(raw[j::w].translate(table), "little")
-              for j, table in enumerate(_lane_tables(p, w)))
-    return acc.to_bytes(len(raw) // w, "little").translate(
-        _lane_tables(p, 1)[0])
+        return raw.translate(_scale_table(p, 1))
+    acc = sum(int.from_bytes(raw[k::w].translate(table), "little")
+              for k, table in enumerate(_lane_tables(p, w)))
+    return acc.to_bytes(len(raw) // w, "little").translate(_scale_table(p, 1))
+
+
+def _slot_width(bound):
+    """The least w in 1, 2, 4, 8 with bound < 2^(8w)."""
+    w = 1
+    while bound >> (8 * w):
+        w *= 2
+    return w
+
+
+def _spread(row, w):
+    """The bytes of row as the low bytes of w-byte little-endian slots."""
+    if w == 1:
+        return row
+    buf = bytearray(len(row) * w)
+    buf[::w] = row
+    return buf
+
+
+def _packed(row, w):
+    """row as one integer, each byte in its own w-byte slot."""
+    return int.from_bytes(_spread(row, w), "little")
+
+
+def _dot_rows(pairs, p):
+    """sum a b over the pairs (a, b) of rows over F_p, at least one pair,
+    reduced mod p, as one row that may end in zeros: every product has one
+    slot layout, and the integer products are summed and read back once."""
+    bound = n = 0
+    for a, b in pairs:
+        bound += min(len(a), len(b))
+        if len(a) + len(b) > n:
+            n = len(a) + len(b)
+    w = _slot_width(bound * (p - 1) ** 2)
+    acc = sum(_packed(a, w) * _packed(b, w) for a, b in pairs)
+    return _reduce_slots(acc.to_bytes((n - 1) * w, "little"), p, w)
+
+
+def _add_rows(a, b, p):
+    """a + b for rows over F_p, normalized: the rows add as little-endian
+    ints with no carry, since 2 (p - 1) < 256, and one translate reduces
+    every byte mod p."""
+    total = int.from_bytes(a, "little") + int.from_bytes(b, "little")
+    return total.to_bytes(max(len(a), len(b)), "little").translate(
+        _scale_table(p, 1)).rstrip(b"\0")
 
 
 def kronecker_dot(terms, n, ring):
@@ -135,15 +186,16 @@ def kronecker_dot(terms, n, ring):
     the terms (s, a, b), s >= 0, over F_p[t] or over a quotient A/(m) of it.
 
     a and b are sequences of elements of ``ring`` (``packed`` true: F_p[t]
-    or A/(m) with p prime); an element of A/(m) holds the coefficients of
-    its reduced representative (t-length at most deg m).  Each operand is
-    packed into one integer: x-row i, t-slot j sits in slot i*S + j of w
-    bytes.  All terms share one layout, S = max da + max db - 1 slots per
-    row, with each pair's shorter t-length da on the a side.  A slot of
-    one product sums at most min(len) * da terms below p^2, and w (1, 2, 4
-    or 8 bytes) holds the largest such bound, so one bigint product
-    carries nothing from slot to slot.  The operands hold fewer than 2^40
-    coefficients, so the slot sum stays below 2^54 and w never exceeds 8.
+    or A/(m) with p prime), each a bytes row (t-length at most deg m over
+    A/(m)).  Each operand is packed into one integer: x-row i, t-slot j
+    sits in slot i*S + j of w bytes, little-endian.  All terms share one
+    layout, S = max da + max db - 1 slots per row, with each pair's shorter
+    t-length da on the a side.  A slot of one product sums at most
+    min(len) * da terms below p^2, and w (1, 2, 4 or 8 bytes) holds the
+    largest such bound, so one bigint product carries nothing from slot to
+    slot.  The operands hold fewer than 2^40 coefficients, so the slot sum
+    stays below 2^54 and w never exceeds 8.  For w = 1 a packed operand is
+    its rows, joined.
 
     Products are shifted by s rows and summed as integers.  w is sized from
     the widest single product, not from the whole sum: when the running
@@ -158,12 +210,11 @@ def kronecker_dot(terms, n, ring):
     w (p - 1) < 256), and each row is a slice of the reduced bytes.  Over
     A/(m) a row of t-length above deg m is then reduced mod m on its
     integers (``_divmod_ints`` with the ring's ``fold``, computed once per
-    ring) before any element is built.  Reduction is A-linear, so this
-    equals the sum of the reduced products, and the canonical
-    representative (degree < deg m) is the schoolbook one.  Over A/(t^k)
-    that remainder is the low slice of the row.  The list stops after the
-    last row any term reaches; rows that are zero after reduction share
-    ``ring.zero``.
+    ring).  Reduction is A-linear, so this equals the sum of the reduced
+    products, and the canonical representative (degree < deg m) is the
+    schoolbook one.  Over A/(t^k) that remainder is the low slice of the
+    row.  The list stops after the last row any term reaches; rows that are
+    zero after reduction share ``ring.zero``.
     """
     field = ring.base_field
     p = field.p
@@ -173,11 +224,11 @@ def kronecker_dot(terms, n, ring):
     for s, a, b in terms:
         if s >= n:
             continue
-        a, b = a[:n - s], b[:n - s]
+        a = [c.row for c in a[:n - s]]
+        b = [c.row for c in b[:n - s]]
         if not a or not b:
             continue
-        ta = max(len(c.coeffs) for c in a)
-        tb = max(len(c.coeffs) for c in b)
+        ta, tb = max(map(len, a)), max(map(len, b))
         if ta > tb:
             a, b, ta, tb = b, a, tb, ta
         if not ta:
@@ -201,20 +252,12 @@ def kronecker_dot(terms, n, ring):
         rows = n
     if len(items) > 1:
         wide += p - 1  # room for a flushed slot
-    w = 1
-    while wide >> (8 * w):
-        w *= 2
-    code = _SLOT_TYPES[w]
+    w = _slot_width(wide)
     nbytes = rows * S * w
     mask = (1 << (8 * nbytes)) - 1
 
     def pack(polys):
-        buf = array(code, bytes(w * S * len(polys)))
-        for i, c in enumerate(polys):
-            if c.coeffs:
-                buf[i * S:i * S + len(c.coeffs)] = array(
-                    code, [x.idx for x in c.coeffs])
-        return int.from_bytes(buf, sys.byteorder)
+        return _packed(b"".join([c.ljust(S, b"\0") for c in polys]), w)
 
     limit = 1 << (8 * w)
     acc = None
@@ -226,18 +269,12 @@ def kronecker_dot(terms, n, ring):
             acc, held = prod, bound
             continue
         if held + bound >= limit:  # flush: reduce mod p, widen back to w
-            reduced = _reduce_slots((acc & mask).to_bytes(
-                nbytes, sys.byteorder), p, w)
-            if w > 1:
-                low = 0 if sys.byteorder == "little" else w - 1
-                widened = bytearray(nbytes)
-                widened[low::w] = reduced
-                reduced = widened
-            acc, held = int.from_bytes(reduced, sys.byteorder), p - 1
+            reduced = _reduce_slots((acc & mask).to_bytes(nbytes, "little"),
+                                    p, w)
+            acc, held = _packed(reduced, w), p - 1
         acc += prod
         held += bound
-    reduced = _reduce_slots((acc & mask).to_bytes(nbytes, sys.byteorder),
-                            p, w)
+    reduced = _reduce_slots((acc & mask).to_bytes(nbytes, "little"), p, w)
     del acc, prod  # freed before the rows are built
     modulus = getattr(ring, "modulus", None)
     if modulus is None:
@@ -246,7 +283,6 @@ def kronecker_dot(terms, n, ring):
         cls, owner = AResidue, ring
         dm = modulus.degree
         fold = ring.fold
-    els = field._els
     zero = ring.zero
     out = []
     width = min(S, dm) if modulus is not None and not fold else S
@@ -257,39 +293,16 @@ def kronecker_dot(terms, n, ring):
             _divmod_ints(vals, dm, fold, p)
             row = bytes(vals[:dm])
         row = row.rstrip(b"\0")
-        if not row:
-            out.append(zero)
-            continue
-        out.append(cls(owner, tuple(map(els.__getitem__, row)),
-                       normalize=False))
+        out.append(_with_row(cls, owner, row) if row else zero)
     return out
 
 
 def _fold(m):
     """[(j, -m_j mod p)] over the nonzero terms below the top of the monic
     associate of m, a nonzero polynomial over F_p with p prime."""
-    p = m.ring.p
-    inv = pow(m.leading().idx, -1, p)
-    return [(j, -c.idx * inv % p) for j, c in enumerate(m.coeffs[:-1]) if c]
-
-
-def _elems(field, vals):
-    """The elements of the prime field ``field`` at the ints vals, each in
-    [0, p), as a tuple with trailing zeros dropped."""
-    return tuple(map(field._els.__getitem__, bytes(vals).rstrip(b"\0")))
-
-
-def _mul_ints(a, b, out=None):
-    """The integer convolution of two nonempty int lists, low degree first,
-    unreduced: out[i + j] gains a_i b_j.  Added into ``out`` when given (of
-    length at least len(a) + len(b) - 1), else into a new list of zeros."""
-    if out is None:
-        out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
+    p, row = m.ring.p, m.row
+    inv = pow(row[-1], -1, p)
+    return [(j, -c * inv % p) for j, c in enumerate(row[:-1]) if c]
 
 
 def _divmod_ints(vals, dm, fold, p):
@@ -578,38 +591,67 @@ class DensePoly(RingElement):
     operand's own type, so no two of these classes mix or compare equal.
     Powers and the Frobenius come from ``RingElement``; each subclass
     supplies its product, ``pth_power(k)`` and, where units exist, ``inv``.
+
+    ``row`` is the storage.  Where the subclass's ``_keeps_row(ring)`` is
+    true (a ``Poly`` over F_p, an ``AResidue`` over F_p; p prime) it is the
+    bytes of the coefficient indices, and ``coeffs``, the public tuple of
+    ``FqElem``, is built from it on first read and kept.  Otherwise ``row``
+    is the tuple ``coeffs`` itself.  The constructor takes either form.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "row", "coeffs")
 
     def __init__(self, ring, coeffs, normalize=True):
+        self.ring = ring
+        if self._keeps_row(ring):
+            if type(coeffs) is not bytes:
+                coeffs = bytes([c.idx for c in coeffs]).rstrip(b"\0")
+            elif normalize:
+                coeffs = coeffs.rstrip(b"\0")
+            self.row = coeffs
+            return
         if normalize:
             coeffs = list(coeffs)
             while coeffs and not coeffs[-1]:
                 coeffs.pop()
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.row = self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def _keeps_row(ring):
+        return False
+
+    def __getattr__(self, name):
+        # only the coefficient tuple of a bytes row is ever missing
+        if name != "coeffs":
+            raise AttributeError(name)
+        coeffs = self.coeffs = tuple(map(self.ring.base_field._els.__getitem__,
+                                         self.row))
+        return coeffs
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.row) - 1 if self.row else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.row
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.row)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.row:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        c = self.row[-1]
+        return self.ring.base_field._els[c] if type(c) is int else c
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.row, other.row
+        if type(a) is bytes:
+            return _with_row(type(self), self.ring,
+                             _add_rows(a, b, self.ring.p))
         if len(a) < len(b):
             a, b = b, a
         field = _coeff_field(a)
@@ -626,7 +668,11 @@ class DensePoly(RingElement):
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.coeffs
+        a = self.row
+        if type(a) is bytes:
+            p = self.ring.p
+            return _with_row(type(self), self.ring,
+                             a.translate(_scale_table(p, p - 1)))
         field = _coeff_field(a)
         if field is not None:
             neg, els = field._neg, field._els
@@ -639,7 +685,11 @@ class DensePoly(RingElement):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.row, other.row
+        if type(a) is bytes:
+            p = self.ring.p
+            return _with_row(type(self), self.ring, _add_rows(
+                a, b.translate(_scale_table(p, p - 1)), p))
         field = _coeff_field(a or b)
         if field is not None:
             add, neg, els = field._add, field._neg, field._els
@@ -670,11 +720,11 @@ class DensePoly(RingElement):
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return other.ring is self.ring and other.coeffs == self.coeffs
+            return other.ring is self.ring and other.row == self.row
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
+        return hash((id(self.ring), self.row))
 
     def map_coeffs(self, func, ring):
         return type(self)(ring, tuple(func(c) for c in self.coeffs))
@@ -683,14 +733,18 @@ class DensePoly(RingElement):
         raise DomainError("%s has no inverse" % type(self).__name__)
 
 
+def _with_row(cls, ring, row):
+    """The element of cls over ring whose storage is row, a normalized bytes
+    row, built without the constructor's checks."""
+    x = object.__new__(cls)
+    x.ring = ring
+    x.row = row
+    return x
+
+
 def _schoolbook(a, b, zero):
     """The product of two nonempty coefficient sequences, low degree first,
-    as a list that may end in zeros.  Over a prime field it is the integer
-    convolution of the indices (``_mul_ints``), reduced once mod p."""
-    if type(zero) is FqElem and zero.ring.e == 1:
-        p, els = zero.ring.p, zero.ring._els
-        return [els[v % p] for v in _mul_ints([c.idx for c in a],
-                                               [c.idx for c in b])]
+    as a list that may end in zeros."""
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -710,16 +764,23 @@ class Poly(DensePoly):
 
     __slots__ = ()
 
+    @staticmethod
+    def _keeps_row(ring):
+        return type(ring) is Fq and ring.e == 1
+
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
+        return bool(self.row) and self.leading() == self.ring.one
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.row, other.row
         if not a or not b:
             return Poly(self.ring, (), normalize=False)
+        if type(a) is bytes:  # a nonzero top times a nonzero top
+            return _with_row(Poly, self.ring,
+                             _dot_rows(((a, b),), self.ring.p))
         return Poly(self.ring, _schoolbook(a, b, self.ring.zero))
 
     __rmul__ = __mul__
@@ -729,20 +790,21 @@ class Poly(DensePoly):
             raise DomainError("mismatched rings in division")
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        a, b = self.row, other.row
+        dq = len(a) - len(b)
         if dq < 0:
             return Poly(self.ring, (), normalize=False), self
         field, db = self.ring, other.degree
-        if type(field) is Fq and field.e == 1:
+        if type(a) is bytes:
             # on the indices, by the monic associate of other
             p = field.p
-            vals = [c.idx for c in rem]
+            vals = list(a)
             _divmod_ints(vals, db, _fold(other), p)
-            inv = pow(other.coeffs[-1].idx, -1, p)
-            return (Poly(field, _elems(field, [v * inv % p for v in vals[db:]]),
-                         normalize=False),
-                    Poly(field, _elems(field, vals[:db]), normalize=False))
+            quot = bytes(vals[db:]).translate(
+                _scale_table(p, pow(b[-1], -1, p)))
+            return (_with_row(Poly, field, quot),
+                    _with_row(Poly, field, bytes(vals[:db]).rstrip(b"\0")))
+        rem = list(a)
         lead = other.leading()
         inv_lead = lead.inv() if lead != self.ring.one else None
         quot = [self.ring.zero] * (dq + 1)
@@ -780,15 +842,15 @@ class Poly(DensePoly):
 
     def pth_power(self, k=1):
         """Freshman's-dream power: (sum a_i t^i)^(p^k) = sum a_i^(p^k) t^(i p^k)."""
-        if k == 0 or not self.coeffs:
+        if k == 0 or not self.row:
             return self
         step = self.ring.p ** k
-        zero = self.ring.zero
-        out = [zero] * ((len(self.coeffs) - 1) * step + 1)
-        if type(self.ring) is Fq and self.ring.e == 1:  # c^p = c in F_p
-            out[::step] = self.coeffs
-        else:
-            out[::step] = [c.pth_power(k) for c in self.coeffs]
+        if type(self.row) is bytes:  # c^p = c in F_p
+            out = bytearray((len(self.row) - 1) * step + 1)
+            out[::step] = self.row
+            return _with_row(Poly, self.ring, bytes(out))
+        out = [self.ring.zero] * ((len(self.coeffs) - 1) * step + 1)
+        out[::step] = [c.pth_power(k) for c in self.coeffs]
         return Poly(self.ring, out, normalize=False)
 
     def gcd(self, other):
@@ -921,22 +983,25 @@ class AResidue(DensePoly):
 
     __slots__ = ()
 
+    @staticmethod
+    def _keeps_row(ring):
+        return ring.packed
+
     @property
     def value(self):
         """The reduced representative as an element of A."""
-        return Poly(self.ring.field, self.coeffs, normalize=False)
+        return Poly(self.ring.field, self.row, normalize=False)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.row, o.row
         ring = self.ring
         if not a or not b:
             return ring.zero
-        if ring.packed:
-            return ring._from_ints(_mul_ints([c.idx for c in a],
-                                             [c.idx for c in b]))
+        if type(a) is bytes:
+            return ring._from_ints(list(_dot_rows(((a, b),), ring.p)))
         field = ring.field
         return ring._residue(Poly(field, _schoolbook(a, b, field.zero)))
 
@@ -958,17 +1023,15 @@ class AResidue(DensePoly):
         every k, instead of reducing a representative of degree about
         (deg m - 1) p^k.
         """
-        if k == 0 or not self.coeffs:
+        row = self.row
+        if k == 0 or not row:
             return self
         ring = self.ring
-        if ring.packed:  # x_i^(p^k) = x_i over F_p
-            acc = [0] * ring.degree
-            for img, c in zip(ring._pth_images(k), self.coeffs):
-                if c:
-                    x = c.idx
-                    for j, y in enumerate(img.coeffs):
-                        acc[j] += x * y.idx
-            return ring._from_ints(acc)
+        if type(row) is bytes:  # x_i^(p^k) = x_i over F_p
+            return ring._from_ints(list(_dot_rows(
+                [(row[i:i + 1], img.row)
+                 for i, img in enumerate(ring._pth_images(k)[:len(row)])
+                 if row[i]], ring.p)))
         field = ring.field
         acc = [field.zero] * ring.degree
         for img, c in zip(ring._pth_images(k), self.coeffs):
@@ -1015,14 +1078,15 @@ class ResidueRing:
         self.modulus = modulus
         self.p = self.field.p
         self.q = self.field.q
+        # over F_p, p prime: elements are bytes rows, and series products
+        # over A/(m) are kronecker_dot's, which reduces its rows with this
+        # ring's fold of the modulus
+        self.packed = self.field.e == 1
+        self.fold = _fold(modulus) if self.packed else None
         self.zero = AResidue(self, (), normalize=False)
         self.one = AResidue(self, (self.field.one,), normalize=False)
         self.degree = modulus.degree
         self.order = self.q ** self.degree
-        # over F_p, p prime: series products over A/(m) are kronecker_dot's,
-        # which reduces its rows with this ring's fold of the modulus
-        self.packed = self.field.e == 1
-        self.fold = _fold(modulus) if self.packed else None
         self.theta = self._residue(polyring(self.field).gen)
         self._pth = {}
 
@@ -1049,33 +1113,32 @@ class ResidueRing:
 
     def _residue(self, a):
         """The class of a, an element of A over this ring's field."""
-        return AResidue(self, (a % self.modulus).coeffs, normalize=False)
+        return AResidue(self, (a % self.modulus).row, normalize=False)
 
     def _from_ints(self, vals):
         """The class of sum vals[i] t^i over a packed ring, vals a list of
         ints >= 0 of any size (consumed): reduced once mod m and mod p by
-        ``_divmod_ints`` with the ring's fold, then built as an element."""
+        ``_divmod_ints`` with the ring's fold, kept as its bytes row."""
         dm, p = self.degree, self.p
-        _divmod_ints(vals, dm, self.fold, p)
-        del vals[dm:]
-        if not self.fold:  # m = c t^dm: _divmod_ints reduced nothing
-            vals = [v % p for v in vals]
-        row = _elems(self.field, vals)
-        return AResidue(self, row, normalize=False) if row else self.zero
+        if self.fold:
+            _divmod_ints(vals, dm, self.fold, p)
+            row = bytes(vals[:dm])
+        else:  # m = c t^dm: the remainder is the low slice, reduced here
+            row = bytes([v % p for v in vals[:dm]])
+        row = row.rstrip(b"\0")
+        return _with_row(AResidue, self, row) if row else self.zero
 
     def dot(self, u, v):
         """sum u_i v_i for sequences u and v of this ring's elements.  Over
-        a packed ring the products are summed as one integer list
-        (``_mul_ints``), reduced once by ``_from_ints``; otherwise an index
-        is not additive, and the element products are summed."""
+        a packed ring the row products are summed as integers and read
+        back once (``_dot_rows``), then reduced by ``_from_ints``; otherwise
+        an index is not additive, and the element products are summed."""
         if not self.packed:
             return sum(map(operator.mul, u, v), self.zero)
-        acc = [0] * (2 * self.degree - 1)
-        for x, y in zip(u, v):
-            if x.coeffs and y.coeffs:
-                _mul_ints([c.idx for c in x.coeffs], [c.idx for c in y.coeffs],
-                          acc)
-        return self._from_ints(acc)
+        pairs = [(x.row, y.row) for x, y in zip(u, v) if x.row and y.row]
+        if not pairs:
+            return self.zero
+        return self._from_ints(list(_dot_rows(pairs, self.p)))
 
     def reduce(self, a):
         if not (isinstance(a, Poly) and a.ring is self.field):
@@ -1175,33 +1238,34 @@ def _check_field_order(q, degree):
 def min_wp_valuation(pairs, wp, cap):
     """min(cap, least wp-adic valuation of a - b) over the pairs (a, b).
 
-    a and b are the coefficient tuples (``coeffs``) of elements of A, or
-    of reduced representatives in A/(m), over the field of wp; () is zero.
-    Equal pairs are skipped, and each difference is valued only up to the
-    running minimum.  Over F_p, p prime, a difference is a list of
+    a and b are elements of A, or reduced representatives in A/(m) (the
+    ``AResidue`` itself), over the field of wp; None is zero.  Equal pairs
+    are skipped, and each difference is valued only up to the running
+    minimum.  Over F_p, p prime, a difference of bytes rows is a list of
     integers mod p, divided by the monic associate of wp one power at a
     time (``_divmod_ints`` with ``_fold(wp)``, computed once per call);
     over F_q with q = p^e, e > 1, an index is not additive, and it is a
-    ``Poly`` divided by wp.  A nonempty tuple over another field raises
+    ``Poly`` divided by wp.  A nonzero element over another field raises
     DomainError.
     """
     field = wp.ring
     prime = field.e == 1
     if prime:
-        p, dm, fold, zero = field.p, wp.degree, _fold(wp), field.zero
+        p, dm, fold = field.p, wp.degree, _fold(wp)
+        neg = _scale_table(p, p - 1)
+    zero = b"" if prime else ()
     v = cap
-    for a, b in pairs:
+    for x, y in pairs:
+        a = zero if x is None else x.row
+        b = zero if y is None else y.row
         if a == b:
             continue
-        if a and a[0].ring is not field or b and b[0].ring is not field:
+        if a and x.ring.base_field is not field or \
+                b and y.ring.base_field is not field:
             raise DomainError("mismatched rings in division")
         w = 0
         if prime:
-            if b:
-                vals = [(x.idx - y.idx) % p for x, y in
-                        itertools.zip_longest(a, b, fillvalue=zero)]
-            else:
-                vals = [x.idx for x in a]
+            vals = list(_add_rows(a, b.translate(neg), p) if b else a)
             while w < v:
                 _divmod_ints(vals, dm, fold, p)
                 if any(vals[:dm]):
@@ -1224,8 +1288,8 @@ def min_wp_valuation(pairs, wp, cap):
 def wp_valuation(a, wp, cap=64):
     """wp-adic valuation of a in A, capped (cap for the zero polynomial):
     ``min_wp_valuation`` of the one pair (a, 0), so over F_p it runs on
-    the integer coefficients and never divides a ``Poly``."""
-    return min_wp_valuation(((a.coeffs, ()),), wp, cap)
+    the bytes row and never divides a ``Poly``."""
+    return min_wp_valuation(((a, None),), wp, cap)
 
 
 # -- text encodings ------------------------------------------------------

@@ -9,7 +9,7 @@ the congruence machinery uses.
 The congruence depth of f1 and f2 is the least wp-valuation of the
 coefficients of f1 - f2.  The valuation lives in fields
 (``fields.min_wp_valuation``, which values coefficient differences given
-as pairs of coefficient tuples); this module only aligns the two series'
+as pairs of coefficients); this module only aligns the two series'
 coefficients order by order, so the difference series is never built and
 orders where f1 and f2 agree are skipped.
 """
@@ -110,15 +110,15 @@ def series_wp_valuation(series, wp, cap):
     minimum; a coefficient over another field than wp's raises
     DomainError.
     """
-    return min_wp_valuation(((c.coeffs, ()) for c in series.coeffs), wp, cap)
+    return min_wp_valuation(((c, None) for c in series.coeffs), wp, cap)
 
 
-def _coeff_tuples(s, lo, hi):
-    """The t-coefficient tuples of s at the orders lo <= k < hi, where
-    lo <= s.val; () at the orders where s is zero."""
+def _coefficients(s, lo, hi):
+    """The coefficients of s at the orders lo <= k < hi, where lo <= s.val;
+    None at the orders where s is zero."""
     head = min(s.val, hi) - lo
-    body = [c.coeffs for c in s.coeffs[:hi - lo - head]]
-    return [()] * head + body + [()] * (hi - lo - head - len(body))
+    body = list(s.coeffs[:hi - lo - head])
+    return [None] * head + body + [None] * (hi - lo - head - len(body))
 
 
 def _difference_wp_valuation(s1, s2, wp, cap):
@@ -126,7 +126,7 @@ def _difference_wp_valuation(s1, s2, wp, cap):
 
     Over the window that ``TruncSeries.__sub__`` keeps (orders
     min(val1, val2) up to min(prec, max(end1, end2)), prec = min(prec1,
-    prec2)) the coefficient tuples of s1 and s2 are paired order by order
+    prec2)) the coefficients of s1 and s2 are paired order by order
     and valued by ``fields.min_wp_valuation``, which skips the orders where
     they agree.
     """
@@ -135,8 +135,8 @@ def _difference_wp_valuation(s1, s2, wp, cap):
     prec = min(s1.prec, s2.prec)
     lo = min(s1.val, s2.val)
     hi = min(prec, max(s1.val + len(s1.coeffs), s2.val + len(s2.coeffs)))
-    return min_wp_valuation(zip(_coeff_tuples(s1, lo, hi),
-                                _coeff_tuples(s2, lo, hi)), wp, cap)
+    return min_wp_valuation(zip(_coefficients(s1, lo, hi),
+                                _coefficients(s2, lo, hi)), wp, cap)
 
 
 def reduce_mod_wp(form, ring, n):

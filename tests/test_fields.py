@@ -643,7 +643,7 @@ class TestIntegerPaths:
         def refuse(*args):
             raise AssertionError("integer path reached over F_4")
 
-        monkeypatch.setattr(fields, "_mul_ints", refuse)
+        monkeypatch.setattr(fields, "_dot_rows", refuse)
         monkeypatch.setattr(fields, "_divmod_ints", refuse)
         assert R.lift(x * x) == ref_rem(ref_mul(R.lift(x), R.lift(x)), m)
         assert R.lift(x.pth_power(3)) == ref_rem(R.lift(x).pth_power(3), m)

@@ -2,9 +2,10 @@
 
 A name starting with ``_`` is private to its module, so no module imports
 one from a sibling.  Over F_p the coefficient arithmetic runs on the
-integer indices of field elements (``FqElem.idx``) and the fold of a
-modulus; that representation is fields.py's alone, so no other module
-reads ``.idx`` or ``.fold``.  Every name a module or script imports is
+integer indices of field elements (``FqElem.idx``), kept by ``Poly`` and
+``AResidue`` as one bytes row (``.row``), and the fold of a modulus; that
+representation is fields.py's alone, so no other module reads ``.idx``,
+``.row`` or ``.fold``.  Every name a module or script imports is
 used in it, except the re-exports of the package's ``__init__.py``.
 """
 
@@ -45,7 +46,7 @@ def test_integer_rows_stay_in_fields(path):
     found = ["line %d: %s" % (node.lineno, ast.unparse(node))
              for node in ast.walk(parse(path))
              if isinstance(node, ast.Attribute)
-             and node.attr in ("idx", "fold", "_fold")]
+             and node.attr in ("idx", "row", "fold", "_fold")]
     assert not found, "%s reads fields' integer rows: %s" % (path.name, found)
 
 

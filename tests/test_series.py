@@ -1,6 +1,5 @@
 import functools
 import operator
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -463,7 +462,7 @@ class TestReadBack:
            st.sampled_from([1, 2, 4, 8]), st.data())
     def test_reduce_slots_is_slotwise_mod_p(self, p, w, data):
         vals = data.draw(st.lists(st.integers(0, 256 ** w - 1), max_size=12))
-        raw = b"".join(v.to_bytes(w, sys.byteorder) for v in vals)
+        raw = b"".join(v.to_bytes(w, "little") for v in vals)
         assert fields._reduce_slots(raw, p, w) == bytes(v % p for v in vals)
 
     @pytest.mark.parametrize("p,lanes", [(2, True), (31, True), (37, False),
@@ -472,7 +471,7 @@ class TestReadBack:
         # w = 8 needs a slot bound of 2^32, beyond a product in a test:
         # 8 (p - 1) < 256 holds at p = 31 and fails at p = 37
         vals = [0, 1, p, 2 ** 54 - 1, 256 ** 8 - 1, 123456789 * p + 5]
-        raw = b"".join(v.to_bytes(8, sys.byteorder) for v in vals)
+        raw = b"".join(v.to_bytes(8, "little") for v in vals)
         seen = lane_spy(monkeypatch)
         assert fields._reduce_slots(raw, p, 8) == bytes(v % p for v in vals)
         assert ((p, 8) in seen) is lanes

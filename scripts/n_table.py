@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Time the Tate-Drinfeld engine against x-precision N, in one process.
 
-For each N it builds TateDrinfeld(q, wp, f, N), then times the canonical
-isogeny Psi, verify_tdquot(t) and the residuals of Psi's defining identity
-(``expp_residuals``, which sets the peak memory at deg wp = 8) on that
-instance, and prints one JSON line: the build, Psi, verify_tdquot and
-expp_residuals seconds (wall clock, single runs), i_max, the verify_tdquot
-verdict and peak_rss_mb, the peak resident memory of the process so far
-(``resource.getrusage``; ru_maxrss is in KiB on Linux).
+For each N it builds TateDrinfeld(q, wp, f, N), then times on that
+instance, in the order ``tate canonical`` needs them, the canonical isogeny
+Psi, verify_tdquot(t), the residuals of Psi's defining identity
+(``expp_residuals``), ``ordinarity`` (which builds Phi_wp over A and sets
+the peak memory at large deg wp) and ``rho_tau`` (the right division
+Phi_wp = rho Psi).  It prints one JSON line: the build, Psi,
+verify_tdquot, expp_residuals, ordinarity and rho_tau seconds (wall clock,
+single runs), i_max, the verify_tdquot verdict and peak_rss_mb, the peak
+resident memory of the process so far (``resource.getrusage``; ru_maxrss
+is in KiB on Linux).
 Example, from the repository root:
 
     PYTHONPATH=src python3 scripts/n_table.py --q 2 --wp t --N 64,96,128
@@ -51,9 +54,12 @@ def main(argv=None):
         _, psi_s = timed(td.canonical_isogeny)
         ok, verify_s = timed(td.verify_tdquot, A.gen)
         _, expp_s = timed(td.expp_residuals)
+        _, ordinarity_s = timed(td.ordinarity)
+        _, rho_s = timed(td.rho_tau)
         print(json.dumps({"q": args.q, "wp": args.wp, "f": args.f, "N": N,
                           "build_s": build_s, "psi_s": psi_s,
                           "verify_tdquot_s": verify_s, "expp_s": expp_s,
+                          "ordinarity_s": ordinarity_s, "rho_s": rho_s,
                           "i_max": td.i_max,
                           "tdquot_ok": ok, "peak_rss_mb": peak_rss_mb()}),
               flush=True)

@@ -14,8 +14,8 @@ operation, with the median microseconds per call over five batches of
   over K, of tau-degree --tau-degree, the divisor with a unit leading
   coefficient.
 
-Over F_p, p prime, these run on integer indices; over F_q with q = p^e,
-e > 1, on field elements.  Example, from the repository root:
+Over F_p, p prime, these run on the elements' bytes rows; over F_q with
+q = p^e, e > 1, on field elements.  Example, from the repository root:
 
     PYTHONPATH=src python3 scripts/residue_table.py --q 3 --deg 2,4,8
 """

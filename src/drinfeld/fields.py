@@ -44,6 +44,8 @@ import functools
 import itertools
 import operator
 import re
+import sys
+from array import array
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -102,6 +104,9 @@ def horner(coeffs, x, zero):
     return acc
 
 
+_SLOT_TYPES = {2: "H", 4: "I", 8: "Q"}  # array codes of the wide slots
+
+
 @functools.cache
 def _scale_table(p, c):
     """The byte translate table v -> c v mod p over F_p, for every byte v;
@@ -127,8 +132,10 @@ def _reduce_slots(raw, p, w):
     each slot is reduced on its own.
     """
     if w * (p - 1) >= 256:
-        return bytes([int.from_bytes(raw[i:i + w], "little") % p
-                      for i in range(0, len(raw), w)])
+        slots = array(_SLOT_TYPES[w], raw)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return bytes([v % p for v in slots])
     if w == 1:
         return raw.translate(_scale_table(p, 1))
     acc = sum(int.from_bytes(raw[k::w].translate(table), "little")
@@ -144,18 +151,14 @@ def _slot_width(bound):
     return w
 
 
-def _spread(row, w):
-    """The bytes of row as the low bytes of w-byte little-endian slots."""
-    if w == 1:
-        return row
-    buf = bytearray(len(row) * w)
-    buf[::w] = row
-    return buf
-
-
 def _packed(row, w):
-    """row as one integer, each byte in its own w-byte slot."""
-    return int.from_bytes(_spread(row, w), "little")
+    """row as one integer, each byte the low byte of its own w-byte
+    little-endian slot."""
+    if w > 1:
+        buf = bytearray(len(row) * w)
+        buf[::w] = row
+        row = buf
+    return int.from_bytes(row, "little")
 
 
 def _dot_rows(pairs, p):

@@ -55,7 +55,7 @@ def test_n_table(capsys):
     assert (row["q"], row["wp"], row["f"], row["N"]) == (2, "t", "1", 16)
     assert row["i_max"] == 3 and row["tdquot_ok"] is True
     assert all(row[k] >= 0 for k in ("build_s", "psi_s", "verify_tdquot_s",
-                                     "expp_s"))
+                                     "expp_s", "ordinarity_s", "rho_s"))
 
 
 @pytest.mark.parametrize("q", [3, 4])

@@ -1024,17 +1024,19 @@ class AResidue(DensePoly):
         t^(i p^k) mod m (``ResidueRing._pth_images``) scaled by the x_i^(p^k).
         Once the table is built this costs O(deg m^2) field operations for
         every k, instead of reducing a representative of degree about
-        (deg m - 1) p^k.
+        (deg m - 1) p^k; over F_p it is deg m small-integer multiples of
+        the packed images, summed and read back once.
         """
         row = self.row
         if k == 0 or not row:
             return self
         ring = self.ring
-        if type(row) is bytes:  # x_i^(p^k) = x_i over F_p
-            return ring._from_ints(list(_dot_rows(
-                [(row[i:i + 1], img.row)
-                 for i, img in enumerate(ring._pth_images(k)[:len(row)])
-                 if row[i]], ring.p)))
+        if type(row) is bytes:  # x_i^(p^k) = x_i, each image packed
+            acc = sum(c * img for c, img in zip(row, ring._pth_images(k)) if c)
+            w = ring._pth_w
+            row = _reduce_slots(acc.to_bytes(ring.degree * w, "little"),
+                                ring.p, w).rstrip(b"\0")
+            return _with_row(AResidue, ring, row) if row else ring.zero
         field = ring.field
         acc = [field.zero] * ring.degree
         for img, c in zip(ring._pth_images(k), self.coeffs):
@@ -1090,6 +1092,7 @@ class ResidueRing:
         self.one = AResidue(self, (self.field.one,), normalize=False)
         self.degree = modulus.degree
         self.order = self.q ** self.degree
+        self._pth_w = _slot_width(self.degree * (self.p - 1) ** 2)
         self.theta = self._residue(polyring(self.field).gen)
         self._pth = {}
 
@@ -1102,7 +1105,10 @@ class ResidueRing:
 
         Built from T = t^(p^k) mod m by ``pow_mod`` and its successive
         powers mod m.  The class of t is used, not ``theta``: an extension
-        field's theta is the image of another ring's t.
+        field's theta is the image of another ring's t.  Over a packed ring
+        each image is kept as one integer (``_packed``) in slots of
+        ``_pth_w`` bytes, which hold a sum of deg m images scaled by
+        integers below p.
         """
         images = self._pth.get(k)
         if images is None:
@@ -1111,6 +1117,8 @@ class ResidueRing:
             images = [self.one.value]
             for _ in range(1, self.degree):
                 images.append((images[-1] * T) % m)
+            if self.packed:
+                images = [_packed(img.row, self._pth_w) for img in images]
             self._pth[k] = images
         return images
 

@@ -21,15 +21,18 @@ Conventions shared by the whole package:
   ints (2 (p - 1) < 256, so no byte carries) and reduce with one byte
   translate; products and sums of products (``Poly`` and ``AResidue``
   ``*``, ``AResidue.pth_power``, ``ResidueRing.dot``, ``kronecker_dot``)
-  are Kronecker substitutions of the rows, read back once; division and
-  the wp-adic valuation of differences (``Poly.__divmod__``,
-  ``min_wp_valuation``) eliminate on the row's ints (``_divmod_ints``).
-  No element is built for an intermediate or a result.  Over F_q with
-  q = p^e, e > 1, an index is not additive: ``row`` is the tuple
-  ``coeffs`` itself, the same operations run on the field elements, and
-  sums index the field's addition and negation tables inline.  No other
-  module reads the rows or the indices.  Timings before and after rows:
-  ``BENCH_26.json``.
+  are Kronecker substitutions of the rows, read back once, with slots
+  sized by the operands' nonzero coefficients in ``kronecker_dot``;
+  division (``Poly.__divmod__``) eliminates on the row's ints
+  (``_divmod_ints``), and the wp-adic valuation of differences
+  (``min_wp_valuation``) divides a block of rows by wp column by column
+  (``_column_valuation``).  No element is built for an intermediate or a
+  result.  Over F_q with q = p^e, e > 1, an index is not additive:
+  ``row`` is the tuple ``coeffs`` itself, the same operations run on the
+  field elements, and sums index the field's addition and negation tables
+  inline.  No other module reads the rows or the indices.  Timings
+  before and after rows: ``BENCH_26.json``; of the slot rule and the
+  column valuation: ``BENCH_27.json``.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -175,6 +178,13 @@ def _dot_rows(pairs, p):
     return _reduce_slots(acc.to_bytes((n - 1) * w, "little"), p, w)
 
 
+def _nonzeros(rows):
+    """The number of nonzero coefficients in the rows: one join and one
+    count, and the joined copy is dropped on return."""
+    joined = b"".join(rows)
+    return len(joined) - joined.count(0)
+
+
 def _add_rows(a, b, p):
     """a + b for rows over F_p, normalized: the rows add as little-endian
     ints with no carry, since 2 (p - 1) < 256, and one translate reduces
@@ -193,12 +203,19 @@ def kronecker_dot(terms, n, ring):
     A/(m)).  Each operand is packed into one integer: x-row i, t-slot j
     sits in slot i*S + j of w bytes, little-endian.  All terms share one
     layout, S = max da + max db - 1 slots per row, with each pair's shorter
-    t-length da on the a side.  A slot of one product sums at most
-    min(len) * da terms below p^2, and w (1, 2, 4 or 8 bytes) holds the
-    largest such bound, so one bigint product carries nothing from slot to
-    slot.  The operands hold fewer than 2^40 coefficients, so the slot sum
-    stays below 2^54 and w never exceeds 8.  For w = 1 a packed operand is
-    its rows, joined.
+    t-length da on the a side.  A slot of one product sums products
+    a_(i,j) b_(i',j') below p^2, and it has at most
+    min(min(len) * da, nnz(a), nnz(b)) of them, nnz being the number of
+    nonzero coefficients (nonzero bytes) of an operand: the slot fixes
+    i + i' and j + j' (j + j' < S, so slots do not overlap), so each of its
+    products pairs a distinct coefficient of a with one of b, and only
+    pairs of nonzero coefficients add anything.  w (1, 2, 4 or 8 bytes)
+    holds the largest such bound, so one bigint product carries nothing
+    from slot to slot.  Sparse operands thus get narrow slots, and a
+    shorter integer to multiply, whatever their length (at p = 2 over
+    A/(t^12): 1 byte where min(len) * da alone gives 2).  The operands hold
+    fewer than 2^40 coefficients, so the slot sum stays below 2^54 and w
+    never exceeds 8.  For w = 1 a packed operand is its rows, joined.
 
     Products are shifted by s rows and summed as integers.  w is sized from
     the widest single product, not from the whole sum: when the running
@@ -237,7 +254,8 @@ def kronecker_dot(terms, n, ring):
         if not ta:
             continue
         la, lb = len(a), len(b)
-        bound = (la if la < lb else lb) * ta * square
+        bound = min((la if la < lb else lb) * ta,
+                    _nonzeros(a), _nonzeros(b)) * square
         items.append((s, a, b, bound))
         # running maxima, compared inline: this loop runs once per product
         if ta > da:
@@ -306,6 +324,14 @@ def _fold(m):
     p, row = m.ring.p, m.row
     inv = pow(row[-1], -1, p)
     return [(j, -c * inv % p) for j, c in enumerate(row[:-1]) if c]
+
+
+@functools.lru_cache(maxsize=64)
+def _wp_fold(field, row):
+    """``_fold`` of the polynomial with bytes row ``row`` over the prime
+    field ``field``, kept per (field, row): wp-adic valuations reuse one wp
+    many times."""
+    return _fold(Poly(field, row))
 
 
 def _divmod_ints(vals, dm, fold, p):
@@ -1246,53 +1272,125 @@ def _check_field_order(q, degree):
                           "2^16" % (q, degree))
 
 
+def _over(field, ring):
+    """ring, after checking that its base field is ``field``."""
+    if ring.base_field is not field:
+        raise DomainError("mismatched rings in division")
+    return ring
+
+
+def _column_valuation(diff, width, wp, fold, cap):
+    """min(cap, least wp-adic valuation) over the nonzero polynomials of
+    ``diff``, a bytes block of width-byte rows over F_p, p prime (its
+    trailing zero bytes may be cut), all valued at once; ``fold`` is
+    ``_fold(wp)``.
+
+    The block is sliced into t-columns: column j holds the t^j coefficient
+    of every row.  All rows are divided by the monic associate of wp
+    together, from the top column down: column k, reduced mod p, is added
+    f times into column k - deg wp + j for each fold entry (j, f).  A
+    column is one integer with a w-byte lane per row, and it takes at most
+    one addition from each fold entry between two reductions, so w holds
+    len(fold) (p - 1)^2 + p - 1 and nothing carries from lane to lane;
+    an addition is one small-integer multiply and one add, and a reduction
+    one translate (``_reduce_slots`` for w > 1), once per column and
+    division.  The low deg wp columns are then the remainders and the
+    others the quotients, so the least valuation is the number of
+    divisions made before a remainder column is nonzero.  For wp = c t^d
+    (empty fold) a division drops the d low columns, and for wp = t the
+    valuation is the index of the first nonzero column.
+    """
+    p = wp.ring.p
+    d = wp.degree
+    if not fold:
+        for j in range(min(width, d * cap)):
+            if diff[j::width].rstrip(b"\0"):
+                return j // d
+        return cap
+    w = _slot_width(len(fold) * (p - 1) ** 2 + p - 1)
+    size = -(-len(diff) // width) * w  # bytes of a column
+    mod = _scale_table(p, 1)
+    cols = [int.from_bytes(diff[j::width], "little") if w == 1
+            else _packed(diff[j::width], w) for j in range(width)]
+    for v in range(cap):
+        for k in range(len(cols) - 1, -1, -1):
+            c = cols[k]
+            if c:  # reduced inline: this loop runs once per column
+                raw = c.to_bytes(size, "little")
+                c = cols[k] = int.from_bytes(raw.translate(mod), "little") \
+                    if w == 1 else _packed(_reduce_slots(raw, p, w), w)
+                if c and k >= d:
+                    for j, f in fold:
+                        cols[k - d + j] += c * f
+        if any(cols[:d]):
+            return v
+        del cols[:d]
+    return cap
+
+
 def min_wp_valuation(pairs, wp, cap):
     """min(cap, least wp-adic valuation of a - b) over the pairs (a, b).
 
     a and b are elements of A, or reduced representatives in A/(m) (the
     ``AResidue`` itself), over the field of wp; None is zero.  Equal pairs
-    are skipped, and each difference is valued only up to the running
-    minimum.  Over F_p, p prime, a difference of bytes rows is a list of
-    integers mod p, divided by the monic associate of wp one power at a
-    time (``_divmod_ints`` with ``_fold(wp)``, computed once per call);
-    over F_q with q = p^e, e > 1, an index is not additive, and it is a
-    ``Poly`` divided by wp.  A nonzero element over another field raises
-    DomainError.
+    are skipped.  The first differing pair is valued alone, and a
+    valuation of 0 returns at once without reading the other pairs (the
+    usual case for a form, whose constant term is a unit).
+
+    Over F_p, p prime, the remaining differences are then valued together,
+    up to that valuation: their bytes rows are zero-padded to one width
+    and joined, the b block is negated (one translate), and the two blocks
+    are added as integers and reduced mod p (``_add_rows``; each byte sum
+    is below 2p - 1 < 256, so nothing carries).  ``_column_valuation``
+    divides that block by wp column by column.  Over F_q with q = p^e,
+    e > 1, an index is not additive: each difference is a ``Poly`` divided
+    by wp one power at a time, up to the running minimum.  A nonzero
+    element over another field raises DomainError.
     """
     field = wp.ring
     prime = field.e == 1
-    if prime:
-        p, dm, fold = field.p, wp.degree, _fold(wp)
-        neg = _scale_table(p, p - 1)
     zero = b"" if prime else ()
+    if prime:
+        p = field.p
+        neg = _scale_table(p, p - 1)
+    ring = field  # the last ring checked to lie over field
+    a_rows = b_rows = None  # over F_p, the differences after the first
     v = cap
     for x, y in pairs:
         a = zero if x is None else x.row
         b = zero if y is None else y.row
         if a == b:
             continue
-        if a and x.ring.base_field is not field or \
-                b and y.ring.base_field is not field:
-            raise DomainError("mismatched rings in division")
-        w = 0
+        if a and x.ring is not ring:
+            ring = _over(field, x.ring)
+        if b and y.ring is not ring:
+            ring = _over(field, y.ring)
+        if a_rows is not None:
+            a_rows.append(a)
+            b_rows.append(b)
+            continue
         if prime:
-            vals = list(_add_rows(a, b.translate(neg), p) if b else a)
-            while w < v:
-                _divmod_ints(vals, dm, fold, p)
-                if any(vals[:dm]):
-                    break
-                del vals[:dm]
-                w += 1
+            fold = _wp_fold(field, wp.row)
+            diff = _add_rows(a, b.translate(neg), p) if b else a
+            v = _column_valuation(diff, len(diff), wp, fold, v)
+            a_rows, b_rows = [], []
         else:
             r = Poly(field, a) - Poly(field, b)
+            w = 0
             while w < v:
                 r, rem = divmod(r, wp)
                 if rem:
                     break
                 w += 1
-        v = w
+            v = w
         if v == 0:
             return 0
+    if a_rows:
+        width = max(max(map(len, a_rows)), max(map(len, b_rows)))
+        diff = _add_rows(b"".join([a.ljust(width, b"\0") for a in a_rows]),
+                         b"".join([b.ljust(width, b"\0") for b in b_rows]
+                                  ).translate(neg), p)
+        v = _column_valuation(diff, width, wp, fold, v)
     return v
 
 

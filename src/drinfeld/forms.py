@@ -11,7 +11,10 @@ coefficients of f1 - f2.  The valuation lives in fields
 (``fields.min_wp_valuation``, which values coefficient differences given
 as pairs of coefficients); this module only aligns the two series'
 coefficients order by order, so the difference series is never built and
-orders where f1 and f2 agree are skipped.
+orders where f1 and f2 agree are skipped.  Over F_p the first differing
+order is valued alone (a unit constant term ends ``series_wp_valuation``
+there), and the other differences are valued together, as one block of
+bytes rows divided by wp column by column.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ def series_wp_valuation(series, wp, cap):
     A coefficient in a view A/(wp^n) is valued by its representative, of
     degree below n deg wp, so a nonzero one has valuation below n; only a
     series zero to precision reaches a cap above n.  The coefficients are
-    valued by ``fields.min_wp_valuation``, each only up to the running
-    minimum; a coefficient over another field than wp's raises
-    DomainError.
+    valued by ``fields.min_wp_valuation``: the first nonzero one alone,
+    then the others together up to its valuation; a coefficient over
+    another field than wp's raises DomainError.
     """
     return min_wp_valuation(((c, None) for c in series.coeffs), wp, cap)
 
@@ -162,9 +165,10 @@ def congruence_depth(f1, f2, wp, max_n):
     The two failure modes are flagged separately: no congruence at n = 1,
     and congruence only in the range where f1 vanishes mod wp^n (the
     excluded zero-congruence case).  The valuation of f1 - f2 is taken
-    coefficient by coefficient by ``fields.min_wp_valuation``, without
-    building the difference series (over F_p on integer rows); a
-    coefficient over another field than wp's raises DomainError.
+    by ``fields.min_wp_valuation`` on the coefficient pairs, without
+    building the difference series (over F_p on the columns of their
+    bytes rows); a coefficient over another field than wp's raises
+    DomainError.
     """
     s1 = f1.series if isinstance(f1, FormExpansion) else f1
     s2 = f2.series if isinstance(f2, FormExpansion) else f2

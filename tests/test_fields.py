@@ -231,6 +231,97 @@ class TestWpValuation:
         assert wp_valuation(a, A.gen, 8) == 0
 
 
+def valuation_wp(A, kind):
+    """t, t + 1, the first monic irreducible of degree 2 or 3, or
+    (p - 1) times the degree-2 one (a non-monic associate for p > 2)."""
+    t = A.gen
+    if kind == "t":
+        return t
+    if kind == "t+1":
+        return t + A.one
+    d = 2 if kind == "non-monic" else kind
+    wp = next(f for f in A.monic_irreducibles(d) if f.degree == d)
+    return wp * A.base.from_int(-1) if kind == "non-monic" else wp
+
+
+class TestColumnValuation:
+    """Over F_p, min_wp_valuation values the first differing pair alone
+    and all later differences together, dividing their rows by wp column
+    by column; each result must equal the least valuation that the Poly
+    division loop of conftest gives difference by difference."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_matches_divmod_loop(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 31, 127]))
+        field = fq(p)
+        A = polyring(field)
+        wp = valuation_wp(A, data.draw(
+            st.sampled_from(["t", "t+1", 2, 3, "non-monic"])))
+        R = None
+        if data.draw(st.booleans()):  # A/(wp^n), valued on representatives
+            monic = wp * wp.leading().inv()
+            R = ResidueRing(monic ** data.draw(st.integers(1, 4)))
+        cap = data.draw(st.integers(0, 8))
+        idx = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+
+        def element():
+            u = Poly(field, [field.from_int(c)
+                             for c in data.draw(st.lists(idx, max_size=6))])
+            x = wp ** data.draw(st.integers(0, 5)) * u
+            return R.reduce(x) if R else x
+
+        def lift(c):
+            return A.zero if c is None else R.lift(c) if R else c
+
+        pairs = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            x = element()
+            shape = data.draw(st.sampled_from(["any", "equal", "near",
+                                               "none"]))
+            y = {"any": element, "equal": lambda: x,
+                 "near": lambda: x + element(),
+                 "none": lambda: None}[shape]()
+            pairs.append((y, x) if data.draw(st.booleans()) else (x, y))
+        want = min([cap] + [divmod_valuation(lift(x) - lift(y), wp, cap)
+                            for x, y in pairs])
+        assert fields.min_wp_valuation(pairs, wp, cap) == want
+
+    def test_first_differing_pair_can_end_the_call(self, monkeypatch):
+        A = polyring(fq(3))
+        t = A.gen
+        wp = t * t + A.one
+        blocks = []
+        column_valuation = fields._column_valuation
+
+        def spy(diff, width, *args):  # rows in the block, the last nonzero
+            blocks.append((len(diff) + width - 1) // width)
+            return column_valuation(diff, width, *args)
+
+        def refuse(*args):
+            raise AssertionError("a difference was divided pair by pair")
+
+        monkeypatch.setattr(fields, "_column_valuation", spy)
+        monkeypatch.setattr(fields, "_divmod_ints", refuse)
+
+        def pairs():
+            yield A.one, A.one  # equal: skipped
+            yield t + A.one, None  # valuation 0
+            raise AssertionError("a pair after the first difference was read")
+
+        assert fields.min_wp_valuation(pairs(), wp, 8) == 0
+        assert blocks == [1]
+        # a first valuation above 0 caps the rest, valued in one block
+        blocks.clear()
+        rest = [(wp ** 3 * t, wp ** 5), (t, t), (wp ** 4, None), (None, wp)]
+        assert fields.min_wp_valuation([(wp ** 2, None)] + rest, wp, 8) == 1
+        assert blocks == [1, 3]
+        blocks.clear()
+        assert fields.min_wp_valuation([(None, wp ** 2)] + rest[:3], wp,
+                                       8) == 2
+        assert blocks == [1, 2]
+
+
 class TestResidueRing:
     def test_reduce_examples(self, A2):
         t = A2.gen

@@ -543,7 +543,10 @@ class TestKroneckerDot:
 
     @pytest.mark.parametrize("p,kind,rows,tlen,count,shifts,width", [
         (2, None, 4, 4, 20, 3, 1),     # 16 a term, 320 in all: past 255
-        (3, "t+1", 3, 3, 12, 3, 1),    # t-length 2 mod (t+1)^2: 24 a term
+        # t-length 2 mod (t+1)^2, one nonzero coefficient (t) a row: 12 a
+        # term, so no flush at 12 terms, one at 24
+        (3, "t+1", 3, 3, 12, 3, 1),
+        (3, "t+1", 3, 3, 24, 3, 1),
         (5, "t", 6, 2, 30, 3, 1),      # empty fold: 192 a term
         (127, None, 1, 1, 6, 3, 2),    # 126^2 a term, 6 of them past 65535
         (127, 2, 2, 3, 5, 3, 4),       # 6 * 126^2 a term: no flush at w = 4
@@ -562,14 +565,106 @@ class TestKroneckerDot:
         c = top if kind is None else ring.reduce(top)
         a = [c] * rows
         tlen = max(len(x.coeffs) for x in a)
+        nonzeros = sum(1 for x in a for e in x.coeffs if e)
         terms = [(k % shifts, a, a) for k in range(count)]
-        bound = rows * tlen * (p - 1) ** 2
+        bound = min(rows * tlen, nonzeros) * (p - 1) ** 2
         flushes = count * bound >= 256 ** width
         seen = slot_spy(monkeypatch)
         got = fields.kronecker_dot(terms, 2 * rows + 2, ring)
         assert got == dot_rows_reference(terms, 2 * rows + 2, ring)[:len(got)]
         assert all(pw == (p, width) for pw in seen)
         assert (len(seen) > 1) is flushes
+
+    @staticmethod
+    def monomial_rows(p, rows, k):
+        """rows x-coefficients over F_p[t], each (p - 1) t^k: one nonzero
+        coefficient in a t-length of k + 1."""
+        field = fq(p)
+        c = Poly(field, [field.zero] * k + [field.from_int(-1)])
+        return polyring(field), [c] * rows
+
+    @pytest.mark.parametrize("p,rows,old_width,width", [
+        (2, 30, 2, 1),      # 30 against 30 * 12 = 360
+        (3, 30, 2, 1),      # 120 against 1440
+        (5, 15, 2, 1),      # 240 against 2880
+        (7, 7, 2, 1),       # 252 against 3024
+        (31, 30, 4, 2),     # 27000 against 324000
+        (127, 4, 4, 2),     # 63504 against 762048
+    ])
+    def test_sparse_operands_get_narrow_slots(self, monkeypatch, p, rows,
+                                              old_width, width):
+        # each row is (p - 1) t^11: the slot bound is the nonzero count
+        # times (p - 1)^2, not rows * t-length * (p - 1)^2, and the middle
+        # slot of x^(rows - 1) t^22 reaches it exactly
+        ring, a = self.monomial_rows(p, rows, 11)
+        assert fields._slot_width(rows * 12 * (p - 1) ** 2) == old_width
+        seen = slot_spy(monkeypatch)
+        got = fields.kronecker_dot([(0, a, a)], 2 * rows - 1, ring)
+        assert got == dot_rows_reference([(0, a, a)], 2 * rows - 1, ring)
+        assert seen == [(p, width)]
+
+    @pytest.mark.parametrize("p,rows,width", [
+        (2, 255, 1), (2, 256, 2),   # 255 and 256 nonzero products a slot
+        (3, 63, 1), (3, 64, 2),     # 252 and 256
+        (5, 15, 1), (5, 16, 2),     # 240 and 256
+    ])
+    def test_nonzero_bound_at_a_byte(self, monkeypatch, p, rows, width):
+        # rows x-coefficients (p - 1) t: the slot of x^(rows - 1) t^2 sums
+        # rows products (p - 1)^2, so 256 must not fit in one byte
+        ring, a = self.monomial_rows(p, rows, 1)
+        seen = slot_spy(monkeypatch)
+        got = fields.kronecker_dot([(0, a, a)], 2 * rows - 1, ring)
+        assert got == dot_rows_reference([(0, a, a)], 2 * rows - 1, ring)
+        assert seen == [(p, width)]
+
+    @pytest.mark.parametrize("p,width", [
+        (2, 1), (3, 1), (5, 1), (7, 1), (31, 2), (127, 2)])
+    def test_dense_operands_keep_the_rows_bound(self, monkeypatch, p, width):
+        # 10 rows of t-length 2 against 2 rows of t-length 5, every entry
+        # p - 1: a slot pairs at most 2 rows and 2 t-terms, so 4 products,
+        # below both nonzero counts (20 and 10); at p = 7 the counts alone
+        # would give 360, two bytes
+        field = fq(p)
+        ring = polyring(field)
+        top = field.from_int(-1)
+        a = [Poly(field, [top] * 2)] * 10
+        b = [Poly(field, [top] * 5)] * 2
+        seen = slot_spy(monkeypatch)
+        got = fields.kronecker_dot([(0, a, b)], 11, ring)
+        assert got == dot_rows_reference([(0, a, b)], 11, ring)
+        assert seen == [(p, width)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparse_rows_match_schoolbook(self, data):
+        # operands with zero rows and interior zero coefficients; a
+        # one-term sum reads back once, at the width of the bound
+        ring, _ = packed_ring(data, primes=(2, 3, 5, 7, 31, 127))
+        field = ring.base_field
+        p = field.p
+        lift = ring.reduce if hasattr(ring, "modulus") else (lambda c: c)
+        idx = st.sampled_from([0, 0, 0, p - 1]) | st.integers(0, p - 1)
+        elem = st.lists(idx, max_size=12).map(
+            lambda cs: lift(Poly(field, [field.from_int(c) for c in cs])))
+        n = data.draw(st.integers(1, 16))
+        terms = [(data.draw(st.integers(0, 3)),
+                  data.draw(st.lists(elem, max_size=12)),
+                  data.draw(st.lists(elem, max_size=12)))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        with pytest.MonkeyPatch.context() as patch:
+            seen = slot_spy(patch)
+            got = fields.kronecker_dot(terms, n, ring)
+        got = got + [ring.zero] * (n - len(got))
+        assert got == dot_rows_reference(terms, n, ring)
+        if len(terms) == 1 and seen:
+            s, a, b = terms[0]
+            a, b = a[:n - s], b[:n - s]
+            ta = min(max(len(c.coeffs) for c in a),
+                     max(len(c.coeffs) for c in b))
+            nonzeros = [sum(1 for c in x for e in c.coeffs if e)
+                        for x in (a, b)]
+            bound = min(min(len(a), len(b)) * ta, *nonzeros) * (p - 1) ** 2
+            assert seen == [(p, fields._slot_width(bound))]
 
     def test_a_product_reads_back_once(self, monkeypatch):
         # f * g and f.scale(c) are one-term sums: one pack per operand and

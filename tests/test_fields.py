@@ -287,6 +287,22 @@ class TestColumnValuation:
                             for x, y in pairs])
         assert fields.min_wp_valuation(pairs, wp, cap) == want
 
+    def test_four_byte_lanes(self):
+        # five fold entries at p = 127: a lane holds 5 * 126^2 + 126, so
+        # the columns take 4-byte lanes, reduced through array codes
+        A = polyring(fq(127))
+        t = A.gen
+        wp = sum((t ** k for k in range(1, 6)), A.one)
+        assert len(fields._fold(wp)) == 5
+        u = [t ** 9 + 126 * t + A.one, 3 * t ** 4, t + 5, 126 * t ** 7]
+        pairs = [(wp ** 3 * u[0], wp ** 4 * u[1]), (wp ** 2 * u[2], None),
+                 (u[3] * wp ** 5, wp ** 2 * u[2] * wp ** 3)]
+        for cap in range(8):
+            want = min([cap] + [divmod_valuation(x - (y or A.zero), wp, cap)
+                                for x, y in pairs])
+            assert fields.min_wp_valuation(pairs, wp, cap) == want
+            assert fields.min_wp_valuation(pairs[::-1], wp, cap) == want
+
     def test_first_differing_pair_can_end_the_call(self, monkeypatch):
         A = polyring(fq(3))
         t = A.gen

@@ -326,14 +326,6 @@ def _fold(m):
     return [(j, -c * inv % p) for j, c in enumerate(row[:-1]) if c]
 
 
-@functools.lru_cache(maxsize=64)
-def _wp_fold(field, row):
-    """``_fold`` of the polynomial with bytes row ``row`` over the prime
-    field ``field``, kept per (field, row): wp-adic valuations reuse one wp
-    many times."""
-    return _fold(Poly(field, row))
-
-
 def _divmod_ints(vals, dm, fold, p):
     """Divide sum vals[i] t^i by a monic m of degree dm over F_p, in place.
 
@@ -1272,13 +1264,6 @@ def _check_field_order(q, degree):
                           "2^16" % (q, degree))
 
 
-def _over(field, ring):
-    """ring, after checking that its base field is ``field``."""
-    if ring.base_field is not field:
-        raise DomainError("mismatched rings in division")
-    return ring
-
-
 def _column_valuation(diff, width, wp, fold, cap):
     """min(cap, least wp-adic valuation) over the nonzero polynomials of
     ``diff``, a bytes block of width-byte rows over F_p, p prime (its
@@ -1294,11 +1279,14 @@ def _column_valuation(diff, width, wp, fold, cap):
     len(fold) (p - 1)^2 + p - 1 and nothing carries from lane to lane;
     an addition is one small-integer multiply and one add, and a reduction
     one translate (``_reduce_slots`` for w > 1), once per column and
-    division.  The low deg wp columns are then the remainders and the
-    others the quotients, so the least valuation is the number of
-    divisions made before a remainder column is nonzero.  For wp = c t^d
-    (empty fold) a division drops the d low columns, and for wp = t the
-    valuation is the index of the first nonzero column.
+    division.  A block of one lane (a single row; the first differing pair
+    of ``min_wp_valuation`` is one) holds one coefficient a column, and it
+    is divided by ``_divmod_ints``, one ``% p`` a column, which costs less
+    than a translate's bytes round trip.  The low deg wp columns are then
+    the remainders and the others the quotients, so the least valuation is
+    the number of divisions made before a remainder column is nonzero.  For
+    wp = c t^d (empty fold) a division drops the d low columns, and for
+    wp = t the valuation is the index of the first nonzero column.
     """
     p = wp.ring.p
     d = wp.degree
@@ -1307,21 +1295,30 @@ def _column_valuation(diff, width, wp, fold, cap):
             if diff[j::width].rstrip(b"\0"):
                 return j // d
         return cap
-    w = _slot_width(len(fold) * (p - 1) ** 2 + p - 1)
-    size = -(-len(diff) // width) * w  # bytes of a column
-    mod = _scale_table(p, 1)
-    cols = [int.from_bytes(diff[j::width], "little") if w == 1
-            else _packed(diff[j::width], w) for j in range(width)]
+    one = len(diff) <= width
+    if one:
+        cols = list(diff)
+    else:
+        w = _slot_width(len(fold) * (p - 1) ** 2 + p - 1)
+        size = -(-len(diff) // width) * w  # bytes of a column
+        mod = _scale_table(p, 1)
+        cols = [int.from_bytes(diff[j::width], "little") if w == 1
+                else _packed(diff[j::width], w) for j in range(width)]
     for v in range(cap):
-        for k in range(len(cols) - 1, -1, -1):
-            c = cols[k]
-            if c:  # reduced inline: this loop runs once per column
-                raw = c.to_bytes(size, "little")
-                c = cols[k] = int.from_bytes(raw.translate(mod), "little") \
-                    if w == 1 else _packed(_reduce_slots(raw, p, w), w)
-                if c and k >= d:
-                    for j, f in fold:
-                        cols[k - d + j] += c * f
+        if one:
+            _divmod_ints(cols, d, fold, p)
+        else:
+            for k in range(len(cols) - 1, -1, -1):
+                c = cols[k]
+                if c:  # reduced inline: this loop runs once per column
+                    raw = c.to_bytes(size, "little")
+                    c = cols[k] = int.from_bytes(raw.translate(mod),
+                                                 "little") \
+                        if w == 1 else _packed(_reduce_slots(raw, p, w), w)
+                    if c and k >= d:
+                        s = k - d
+                        for j, f in fold:
+                            cols[s + j] += c * f
         if any(cols[:d]):
             return v
         del cols[:d]
@@ -1351,9 +1348,8 @@ def min_wp_valuation(pairs, wp, cap):
     prime = field.e == 1
     zero = b"" if prime else ()
     if prime:
-        p = field.p
+        p, fold = field.p, _fold(wp)
         neg = _scale_table(p, p - 1)
-    ring = field  # the last ring checked to lie over field
     a_rows = b_rows = None  # over F_p, the differences after the first
     v = cap
     for x, y in pairs:
@@ -1361,16 +1357,14 @@ def min_wp_valuation(pairs, wp, cap):
         b = zero if y is None else y.row
         if a == b:
             continue
-        if a and x.ring is not ring:
-            ring = _over(field, x.ring)
-        if b and y.ring is not ring:
-            ring = _over(field, y.ring)
+        if a and x.ring.base_field is not field or \
+                b and y.ring.base_field is not field:
+            raise DomainError("mismatched rings in division")
         if a_rows is not None:
             a_rows.append(a)
             b_rows.append(b)
             continue
         if prime:
-            fold = _wp_fold(field, wp.row)
             diff = _add_rows(a, b.translate(neg), p) if b else a
             v = _column_valuation(diff, len(diff), wp, fold, v)
             a_rows, b_rows = [], []

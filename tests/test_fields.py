@@ -303,6 +303,40 @@ class TestColumnValuation:
             assert fields.min_wp_valuation(pairs, wp, cap) == want
             assert fields.min_wp_valuation(pairs[::-1], wp, cap) == want
 
+    def test_one_lane_is_divided_as_a_coefficient_list(self, monkeypatch):
+        # a block of one row (here at p = 127, where lanes would be 4
+        # bytes) holds one coefficient a column and is divided by
+        # _divmod_ints with % p, never by translate; the same row beside a
+        # second one goes through the lane reduction
+        A = polyring(fq(127))
+        t = A.gen
+        wp = sum((t ** k for k in range(1, 6)), A.one)
+        fold = fields._fold(wp)
+        row = (wp ** 3 * (t ** 9 + 126 * t + A.one)).row
+        two = row + (wp ** 4).row.ljust(len(row), b"\0")
+        seen = []
+
+        def spy(name):
+            body = getattr(fields, name)
+
+            def wrapped(*args):
+                seen.append(name)
+                return body(*args)
+            return wrapped
+
+        for name in ("_reduce_slots", "_divmod_ints"):
+            monkeypatch.setattr(fields, name, spy(name))
+        for cap in range(1, 6):
+            want = min(cap, 3)
+            assert fields._column_valuation(row, len(row), wp, fold,
+                                            cap) == want
+            assert set(seen) == {"_divmod_ints"}
+            seen.clear()
+            assert fields._column_valuation(two, len(row), wp, fold,
+                                            cap) == want
+            assert set(seen) == {"_reduce_slots"}
+            seen.clear()
+
     def test_first_differing_pair_can_end_the_call(self, monkeypatch):
         A = polyring(fq(3))
         t = A.gen
@@ -314,11 +348,7 @@ class TestColumnValuation:
             blocks.append((len(diff) + width - 1) // width)
             return column_valuation(diff, width, *args)
 
-        def refuse(*args):
-            raise AssertionError("a difference was divided pair by pair")
-
         monkeypatch.setattr(fields, "_column_valuation", spy)
-        monkeypatch.setattr(fields, "_divmod_ints", refuse)
 
         def pairs():
             yield A.one, A.one  # equal: skipped

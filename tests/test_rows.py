@@ -295,7 +295,7 @@ class TestRowIdentity:
             raise AssertionError("a row path ran over F_%d" % q)
 
         for name in ("_add_rows", "_dot_rows", "_with_row", "_divmod_ints",
-                     "_scale_table", "_column_valuation", "_wp_fold"):
+                     "_scale_table", "_column_valuation"):
             monkeypatch.setattr(fields, name, refuse)
         a = A.poly([u, 0, 1, u, 1])
         b = A.poly([1, u])

@@ -1,11 +1,16 @@
 """Golden output of the forms layer in the residue views A/(wp^n).
 
 Each line of `tests/golden/forms_residue.jsonl` is the key-sorted JSON of
-one x-expansion computed in a view A/(wp^n) with a non-monomial modulus,
-where reducing a product is a real division and not a truncation: a few
-products a1^alpha * a2^beta * g^(p^l) (g the Hasse lift) and one
-`padic_limit_sequence`.  A change to the series products over A/(m) or to
-the residue arithmetic that alters a single coefficient shows here.  After
+one x-expansion computed in a view A/(wp^n): a few products
+a1^alpha * a2^beta * g^(p^l) (g the Hasse lift) and one
+`padic_limit_sequence`.  The first two views have a non-monomial modulus,
+where reducing a product is a real division and not a truncation; the last
+two are the views of the forms-sweep benchmark, A/(t^12) at q = 2 and 3,
+and also record weight-congruence audit verdicts (passed, vacuous, depth,
+modulus) of f against f g^(p^l), with a negative control whose weight is
+off by p^(l - 1).  A change to the series products over A/(m), to the
+residue arithmetic or to the wp-valuations that alters a single
+coefficient or verdict shows here.  After
 an intended change of output, regenerate the file with
 `PYTHONPATH=src python tests/test_golden_forms.py > tests/golden/forms_residue.jsonl`.
 """
@@ -17,17 +22,25 @@ import pytest
 
 from drinfeld.fields import ResidueRing, fq, parse_apoly, polyring
 from drinfeld.forms import (FormExpansion, WeightChar, hasse_lift_expansion,
-                            padic_limit_sequence, reduce_mod_wp)
+                            padic_limit_sequence, reduce_mod_wp,
+                            weight_congruence_audit)
 from drinfeld.tate import td_instance
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "forms_residue.jsonl"
 
-# (q, wp, n, x-precision, [(alpha, beta, l), ...], limit (alpha, beta, shift, steps))
+# (q, wp, n, x-precision, [(alpha, beta, l), ...], limit (alpha, beta, shift,
+# steps), audits [(alpha, beta, l, negative control), ...])
 VIEWS = [
     (2, "t^2+t+1", 4, 16, [(1, 0, 0), (2, 1, 1), (3, 1, 2), (0, 2, 3)],
-     (1, 1, 2, 5)),
+     (1, 1, 2, 5), []),
     (3, "t+1", 6, 16, [(1, 0, 0), (2, 1, 1), (0, 2, 1), (4, 1, 2)],
-     (2, 0, 8, 5)),
+     (2, 0, 8, 5), []),
+    (2, "t", 12, 24, [(1, 0, 0), (2, 1, 1), (3, 1, 3), (0, 2, 2)],
+     (2, 1, 2, 4),
+     [(1, 0, 0, False), (2, 1, 1, True), (5, 0, 2, False), (0, 1, 3, True),
+      (3, 2, 3, False)]),
+    (3, "t", 12, 27, [(1, 0, 0), (2, 1, 1), (0, 2, 2)], (2, 1, 3, 4),
+     [(1, 0, 0, False), (4, 1, 1, True), (2, 2, 2, False), (0, 1, 2, True)]),
 ]
 
 
@@ -37,7 +50,7 @@ def _expansion(series):
 
 
 def records(view):
-    q, wp_s, n, prec, products, limit = view
+    q, wp_s, n, prec, products, limit, audits = view
     field = fq(q)
     A = polyring(field)
     wp = parse_apoly(A, wp_s)
@@ -64,14 +77,36 @@ def records(view):
     out.append(dict(tag, limit=[alpha, beta, shift, steps],
                     weights=[k for k, _ in seq],
                     expansions=[_expansion(h.series) for _, h in seq]))
+    if audits:
+        out.append(dict(tag, audits=[_audit(q, p, wp, n, a1, a2, g, *audit)
+                                     for audit in audits]))
     return [json.dumps(r, sort_keys=True) for r in out]
+
+
+def _audit(q, p, wp, n, a1, a2, g, alpha, beta, l, negative):
+    """[alpha, beta, l, negative, passed, vacuous, depth, modulus] of the
+    audit of f = a1^alpha a2^beta against f g^(p^l) at max_n = p^l + 2, as
+    forms-sweep runs it; a negative control shifts the second weight by
+    p^(l - 1)."""
+    f = FormExpansion((q - 1) * alpha + (q * q - 1) * beta, 0,
+                      a1 ** alpha * a2 ** beta, n)
+    f2 = f * g.pow(p ** l)
+    if negative:
+        f2 = FormExpansion(f2.weight + p ** (l - 1), f2.type_m, f2.series)
+    v = weight_congruence_audit(f, f2, wp, p ** l + 2)
+    return [alpha, beta, l, negative, v.passed, v.vacuous, v.depth,
+            v.modulus]
+
+
+def _line_count(view):
+    return len(view[4]) + 1 + (1 if view[6] else 0)
 
 
 @pytest.mark.parametrize("index", range(len(VIEWS)),
                          ids=["q%d-%s-n%d" % v[:3] for v in VIEWS])
 def test_forms_view_matches_golden(index):
     lines = GOLDEN.read_text().splitlines()
-    start = sum(len(v[4]) + 1 for v in VIEWS[:index])
+    start = sum(_line_count(v) for v in VIEWS[:index])
     got = records(VIEWS[index])
     assert got == lines[start:start + len(got)]
 

@@ -153,7 +153,9 @@ def run_carlitz_phi(params):
 
 def run_carlitz_cyclotomic(params):
     field = _field(params)
-    factors = [_apoly(field, part) for part in str(params["factors"]).split(",")]
+    # bracket form holds commas of its own: split only outside brackets
+    factors = [_apoly(field, part) for part in
+               re.split(r",(?![^\[]*\])", str(params["factors"]))]
     w = carlitz_cyclotomic(field, factors)
     return {"degree": w.degree,
             "coeffs": [poly_to_bracket(c) for c in w.coeffs]}

@@ -196,13 +196,13 @@ def _add_rows(a, b, p):
 
 def kronecker_dot(terms, n, ring):
     """The first n coefficients of sum x^s (sum a_i x^i)(sum b_j x^j) over
-    the terms (s, a, b), s >= 0, over F_p[t] or over a quotient A/(m) of it.
+    the terms (s, a, b), s >= 0, over F_p[t], p prime (series over A/(m)
+    are blocks, multiplied by ``block_dot``).
 
-    a and b are sequences of elements of ``ring`` (``packed`` true: F_p[t]
-    or A/(m) with p prime), each a bytes row (t-length at most deg m over
-    A/(m)).  Each operand is packed into one integer: x-row i, t-slot j
-    sits in slot i*S + j of w bytes, little-endian.  All terms share one
-    layout, S = max da + max db - 1 slots per row, with each pair's shorter
+    a and b are sequences of elements of ``ring``, each a bytes row.  Each
+    operand is packed into one integer: x-row i, t-slot j sits in slot
+    i*S + j of w bytes, little-endian.  All terms share one layout,
+    S = max da + max db - 1 slots per row, with each pair's shorter
     t-length da on the a side.  A slot of one product sums products
     a_(i,j) b_(i',j') below p^2, and it has at most
     min(min(len) * da, nnz(a), nnz(b)) of them, nnz being the number of
@@ -212,35 +212,24 @@ def kronecker_dot(terms, n, ring):
     pairs of nonzero coefficients add anything.  w (1, 2, 4 or 8 bytes)
     holds the largest such bound, so one bigint product carries nothing
     from slot to slot.  Sparse operands thus get narrow slots, and a
-    shorter integer to multiply, whatever their length (at p = 2 over
-    A/(t^12): 1 byte where min(len) * da alone gives 2).  The operands hold
+    shorter integer to multiply, whatever their length.  The operands hold
     fewer than 2^40 coefficients, so the slot sum stays below 2^54 and w
     never exceeds 8.  For w = 1 a packed operand is its rows, joined.
 
-    Products are shifted by s rows and summed as integers.  w is sized from
-    the widest single product, not from the whole sum: when the running
-    slot bound would pass 2^(8w) - 1 the sum is flushed (reduced mod p by
-    ``_reduce_slots`` and widened back to w bytes per slot), so a flushed
-    slot holds less than p, which the sizing of a sum of several terms
-    leaves room for.  Kronecker substitution is linear (Harvey, arXiv:
-    0712.4046), so the sum is read back once.
-
-    Read-back: the bytes of the n rows asked for are reduced mod p all at
-    once (``_reduce_slots``: byte translates, no call per slot while
-    w (p - 1) < 256), and each row is a slice of the reduced bytes.  Over
-    A/(m) a row of t-length above deg m is then reduced mod m on its
-    integers (``_divmod_ints`` with the ring's ``fold``, computed once per
-    ring).  Reduction is A-linear, so this equals the sum of the reduced
-    products, and the canonical representative (degree < deg m) is the
-    schoolbook one.  Over A/(t^k) that remainder is the low slice of the
-    row.  The list stops after the last row any term reaches; rows that are
-    zero after reduction share ``ring.zero``.
+    Products are shifted by s rows and summed as integers (``_sum_products``:
+    w is sized from the widest single product, and the sum is flushed when
+    its slot bound would overflow).  Kronecker substitution is linear
+    (Harvey, arXiv:0712.4046), so the sum is read back once: the bytes of
+    the n rows asked for are reduced mod p all at once (``_reduce_slots``:
+    byte translates, no call per slot while w (p - 1) < 256), and each row
+    is a slice of the reduced bytes.  The list stops after the last row
+    any term reaches; rows that are zero share ``ring.zero``.
     """
     field = ring.base_field
     p = field.p
     square = (p - 1) ** 2
     items = []
-    da = db = wide = rows = 0
+    da = db = 0
     for s, a, b in terms:
         if s >= n:
             continue
@@ -256,66 +245,121 @@ def kronecker_dot(terms, n, ring):
         la, lb = len(a), len(b)
         bound = min((la if la < lb else lb) * ta,
                     _nonzeros(a), _nonzeros(b)) * square
-        items.append((s, a, b, bound))
+        items.append((s, a, b, la, lb, bound))
         # running maxima, compared inline: this loop runs once per product
         if ta > da:
             da = ta
         if tb > db:
             db = tb
+    if not items:
+        return []
+    S = da + db - 1
+
+    def pack(rows, w):
+        return _packed(b"".join([c.ljust(S, b"\0") for c in rows]), w)
+
+    reduced, rows = _sum_products(items, n, S, p, S, pack)
+    zero = ring.zero
+    out = []
+    for i in range(rows):
+        row = reduced[i * S:i * S + S].rstrip(b"\0")
+        out.append(_with_row(Poly, field, row) if row else zero)
+    return out
+
+
+def _sum_products(items, n, S, p, keep, pack):
+    """sum x^s a b over the items (s, a, b, la, lb, bound), a and b
+    operands of la and lb rows of S slots, as the reduced bytes of its
+    first rows (one byte a slot) and that row count: the rows any product
+    reaches, at most n.
+
+    ``pack(a, w)`` is an operand as one integer with w-byte slots.  w holds
+    the largest single ``bound`` (and, for a sum of several, a flushed
+    slot's p - 1 more); the products are shifted by s rows and summed as
+    integers.  When the running bound would pass 2^(8w) - 1 the sum is
+    flushed: reduced mod p by ``_reduce_slots`` and widened back to w
+    bytes a slot.  Only the low ``keep`` slots of each row are read back;
+    the others read as zero.
+    """
+    wide = rows = 0
+    for s, _, _, la, lb, bound in items:
         if bound > wide:
             wide = bound
         if s + la + lb - 1 > rows:
             rows = s + la + lb - 1
-    if not items:
-        return []
-    S = da + db - 1
     if rows > n:
         rows = n
     if len(items) > 1:
         wide += p - 1  # room for a flushed slot
     w = _slot_width(wide)
     nbytes = rows * S * w
-    mask = (1 << (8 * nbytes)) - 1
-
-    def pack(polys):
-        return _packed(b"".join([c.ljust(S, b"\0") for c in polys]), w)
-
+    if keep == S:
+        mask = (1 << (8 * nbytes)) - 1
+    else:
+        mask = int.from_bytes((b"\xff" * (keep * w) + bytes((S - keep) * w))
+                              * rows, "little")
     limit = 1 << (8 * w)
     acc = None
-    for s, a, b, bound in items:
-        prod = pack(a) * pack(b)
+    for s, a, b, _, _, bound in items:
+        prod = pack(a, w) * pack(b, w)
         if s:
             prod <<= 8 * w * S * s
         if acc is None:
             acc, held = prod, bound
             continue
         if held + bound >= limit:  # flush: reduce mod p, widen back to w
-            reduced = _reduce_slots((acc & mask).to_bytes(nbytes, "little"),
-                                    p, w)
-            acc, held = _packed(reduced, w), p - 1
+            acc = _packed(_reduce_slots(
+                (acc & mask).to_bytes(nbytes, "little"), p, w), w)
+            held = p - 1
         acc += prod
         held += bound
-    reduced = _reduce_slots((acc & mask).to_bytes(nbytes, "little"), p, w)
-    del acc, prod  # freed before the rows are built
-    modulus = getattr(ring, "modulus", None)
-    if modulus is None:
-        cls, owner = Poly, field
-    else:
-        cls, owner = AResidue, ring
-        dm = modulus.degree
-        fold = ring.fold
-    zero = ring.zero
-    out = []
-    width = min(S, dm) if modulus is not None and not fold else S
-    for i in range(rows):
-        row = reduced[i * S:i * S + width]
-        if modulus is not None and width > dm:
-            vals = list(row)
-            _divmod_ints(vals, dm, fold, p)
-            row = bytes(vals[:dm])
-        row = row.rstrip(b"\0")
-        out.append(_with_row(cls, owner, row) if row else zero)
-    return out
+    return _reduce_slots((acc & mask).to_bytes(nbytes, "little"), p, w), rows
+
+
+def block_dot(terms, n, ring):
+    """The first n rows of sum x^s a b over the terms (s, a, b), s >= 0, a
+    and b blocks over a packed A/(m) (``ResidueRing.stride``), as a block
+    that stops after the last row any term reaches.
+
+    A block holds one row of S = 2 deg m - 1 bytes per x-order: the low
+    deg m bytes are the coefficient indices of the representative, the
+    rest zero.  That is the Kronecker layout of the product already, t-slot
+    j of row i at byte i*S + j, and a product row of t-degree up to
+    2 deg m - 2 fits its S slots; so for w = 1 an operand is packed by one
+    ``int.from_bytes`` of its block, and by ``_packed`` beyond.  The slot
+    bound of ``kronecker_dot`` applies with t-length deg m and nnz the
+    nonzero bytes of a block (``len(block) - block.count(0)``), and
+    ``_sum_products`` sums and reads back.  The sum is then reduced mod m:
+    for m = t^k the high columns are masked off at the read-back; otherwise
+    the columns 2 deg m - 2 down to deg m are folded into the low ones with
+    the ring's fold (``_divide_columns``, as ``_column_valuation`` divides),
+    for all rows at once.
+    """
+    p, S, dm = ring.p, ring.stride, ring.degree
+    square = (p - 1) ** 2
+    items = []
+    for s, a, b in terms:
+        if s >= n:
+            continue
+        a, b = a[:(n - s) * S], b[:(n - s) * S]
+        la, lb = len(a) // S, len(b) // S
+        bound = min((la if la < lb else lb) * dm, la * S - a.count(0),
+                    lb * S - b.count(0)) * square
+        if bound:
+            items.append((s, a, b, la, lb, bound))
+    if not items:
+        return b""
+    fold = ring.fold
+    reduced, rows = _sum_products(items, n, S, p, S if fold else dm, _packed)
+    if not fold:
+        return reduced
+    w = _column_width(fold, p)
+    cols = _columns(reduced, S, w)
+    _divide_columns(cols, dm, fold, p, w, rows * w)
+    out = bytearray(len(reduced))
+    for j in range(dm):
+        out[j::S] = cols[j].to_bytes(rows * w, "little")[::w]
+    return bytes(out)
 
 
 def _fold(m):
@@ -1101,14 +1145,15 @@ class ResidueRing:
         self.modulus = modulus
         self.p = self.field.p
         self.q = self.field.q
-        # over F_p, p prime: elements are bytes rows, and series products
-        # over A/(m) are kronecker_dot's, which reduces its rows with this
-        # ring's fold of the modulus
+        # over F_p, p prime: elements are bytes rows, and series over A/(m)
+        # are blocks of rows of stride 2 deg m - 1, multiplied by block_dot,
+        # which reduces with this ring's fold of the modulus
         self.packed = self.field.e == 1
         self.fold = _fold(modulus) if self.packed else None
         self.zero = AResidue(self, (), normalize=False)
         self.one = AResidue(self, (self.field.one,), normalize=False)
         self.degree = modulus.degree
+        self.stride = 2 * self.degree - 1 if self.packed else None
         self.order = self.q ** self.degree
         self._pth_w = _slot_width(self.degree * (self.p - 1) ** 2)
         self.theta = self._residue(polyring(self.field).gen)
@@ -1168,6 +1213,21 @@ class ResidueRing:
         if not pairs:
             return self.zero
         return self._from_ints(list(_dot_rows(pairs, self.p)))
+
+    def pack_block(self, elems):
+        """The block of a sequence of this packed ring's elements: each
+        row padded with zeros to ``stride`` bytes, joined (``block_dot``)."""
+        S = self.stride
+        return b"".join([c.row.ljust(S, b"\0") for c in elems])
+
+    def unpack_block(self, block):
+        """The elements of a block's rows, as a tuple; zero rows share
+        ``zero``."""
+        dm, zero = self.degree, self.zero
+        rows = [block[i:i + dm].rstrip(b"\0")
+                for i in range(0, len(block), self.stride)]
+        return tuple([_with_row(AResidue, self, r) if r else zero
+                      for r in rows])
 
     def reduce(self, a):
         if not (isinstance(a, Poly) and a.ring is self.field):
@@ -1264,29 +1324,61 @@ def _check_field_order(q, degree):
                           "2^16" % (q, degree))
 
 
+def _column_width(fold, p):
+    """The lane width of a column divided with ``fold``: between two
+    reductions a column takes at most one addition c f < p^2 from each fold
+    entry, on top of its own reduced value."""
+    return _slot_width(len(fold) * (p - 1) ** 2 + p - 1)
+
+
+def _columns(block, width, w):
+    """The t-columns of a block of width-byte rows (its trailing zero bytes
+    may be cut): column j holds the t^j coefficient of every row, one
+    integer with a w-byte lane per row."""
+    return [_packed(block[j::width], w) for j in range(width)]
+
+
+def _divide_columns(cols, d, fold, p, w, size):
+    """Divide every lane of the t-columns cols (``_columns``, size bytes
+    each) by the monic m of degree d whose fold is ``fold``, in place.
+
+    From the top column down, each column is reduced mod p (one translate,
+    ``_reduce_slots`` for w > 1) and, at or above d, added f times into
+    column k - d + j for each fold entry (j, f): one small-integer multiply
+    and one add a fold entry, for all lanes at once.  The columns below d
+    are then the remainders and the others the quotients, all reduced.
+    """
+    mod = _scale_table(p, 1)
+    for k in range(len(cols) - 1, -1, -1):
+        c = cols[k]
+        if c:  # reduced inline: this loop runs once per column
+            raw = c.to_bytes(size, "little")
+            c = cols[k] = int.from_bytes(raw.translate(mod), "little") \
+                if w == 1 else _packed(_reduce_slots(raw, p, w), w)
+            if c and k >= d:
+                s = k - d
+                for j, f in fold:
+                    cols[s + j] += c * f
+
+
 def _column_valuation(diff, width, wp, fold, cap):
     """min(cap, least wp-adic valuation) over the nonzero polynomials of
     ``diff``, a bytes block of width-byte rows over F_p, p prime (its
     trailing zero bytes may be cut), all valued at once; ``fold`` is
     ``_fold(wp)``.
 
-    The block is sliced into t-columns: column j holds the t^j coefficient
-    of every row.  All rows are divided by the monic associate of wp
-    together, from the top column down: column k, reduced mod p, is added
-    f times into column k - deg wp + j for each fold entry (j, f).  A
-    column is one integer with a w-byte lane per row, and it takes at most
-    one addition from each fold entry between two reductions, so w holds
-    len(fold) (p - 1)^2 + p - 1 and nothing carries from lane to lane;
-    an addition is one small-integer multiply and one add, and a reduction
-    one translate (``_reduce_slots`` for w > 1), once per column and
-    division.  A block of one lane (a single row; the first differing pair
-    of ``min_wp_valuation`` is one) holds one coefficient a column, and it
-    is divided by ``_divmod_ints``, one ``% p`` a column, which costs less
-    than a translate's bytes round trip.  The low deg wp columns are then
-    the remainders and the others the quotients, so the least valuation is
-    the number of divisions made before a remainder column is nonzero.  For
-    wp = c t^d (empty fold) a division drops the d low columns, and for
-    wp = t the valuation is the index of the first nonzero column.
+    The block is sliced into t-columns (``_columns``), and all rows are
+    divided by the monic associate of wp together (``_divide_columns``), w
+    holding what a column takes between reductions (``_column_width``), so
+    nothing carries from lane to lane.  A block of one lane (a single row;
+    the first differing pair of ``min_wp_valuation`` is one) holds one
+    coefficient a column, and it is divided by ``_divmod_ints``, one ``% p``
+    a column, which costs less than a translate's bytes round trip.  The
+    low deg wp columns are then the remainders and the others the
+    quotients, so the least valuation is the number of divisions made
+    before a remainder column is nonzero.  For wp = c t^d (empty fold) a
+    division drops the d low columns, and for wp = t the valuation is the
+    index of the first nonzero column.
     """
     p = wp.ring.p
     d = wp.degree
@@ -1299,26 +1391,14 @@ def _column_valuation(diff, width, wp, fold, cap):
     if one:
         cols = list(diff)
     else:
-        w = _slot_width(len(fold) * (p - 1) ** 2 + p - 1)
+        w = _column_width(fold, p)
         size = -(-len(diff) // width) * w  # bytes of a column
-        mod = _scale_table(p, 1)
-        cols = [int.from_bytes(diff[j::width], "little") if w == 1
-                else _packed(diff[j::width], w) for j in range(width)]
+        cols = _columns(diff, width, w)
     for v in range(cap):
         if one:
             _divmod_ints(cols, d, fold, p)
         else:
-            for k in range(len(cols) - 1, -1, -1):
-                c = cols[k]
-                if c:  # reduced inline: this loop runs once per column
-                    raw = c.to_bytes(size, "little")
-                    c = cols[k] = int.from_bytes(raw.translate(mod),
-                                                 "little") \
-                        if w == 1 else _packed(_reduce_slots(raw, p, w), w)
-                    if c and k >= d:
-                        s = k - d
-                        for j, f in fold:
-                            cols[s + j] += c * f
+            _divide_columns(cols, d, fold, p, w, size)
         if any(cols[:d]):
             return v
         del cols[:d]
@@ -1386,6 +1466,27 @@ def min_wp_valuation(pairs, wp, cap):
                                   ).translate(neg), p)
         v = _column_valuation(diff, width, wp, fold, v)
     return v
+
+
+def block_wp_valuation(ring, a, b, wp, cap):
+    """min(cap, least wp-adic valuation) over the rows of a - b, for two
+    aligned blocks over the packed ``ring`` (row i of each is the same
+    x-order; either may be shorter, and b may be empty).
+
+    b is negated by one translate and added to a with one integer add
+    (``_add_rows``), and one ``_column_valuation`` of width ``stride``
+    divides every row of the difference by wp at once: no row is split
+    off and no element is built.  A nonzero difference over another field
+    than wp's raises DomainError.
+    """
+    p = ring.p
+    diff = _add_rows(a, b.translate(_scale_table(p, p - 1)), p) if b else \
+        a.rstrip(b"\0")
+    if not diff:
+        return cap
+    if ring.field is not wp.ring:
+        raise DomainError("mismatched rings in division")
+    return _column_valuation(diff, ring.stride, wp, _fold(wp), cap)
 
 
 def wp_valuation(a, wp, cap=64):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
-from .fields import min_wp_valuation, polyring
+from .fields import block_wp_valuation, min_wp_valuation, polyring
 from .series import TruncSeries
 from .tate import td_instance
 
@@ -111,8 +111,12 @@ def series_wp_valuation(series, wp, cap):
     series zero to precision reaches a cap above n.  The coefficients are
     valued by ``fields.min_wp_valuation``: the first nonzero one alone,
     then the others together up to its valuation; a coefficient over
-    another field than wp's raises DomainError.
+    another field than wp's raises DomainError.  Over a packed A/(m) the
+    series is a block, and ``fields.block_wp_valuation`` values all its
+    rows at once.
     """
+    if type(series.block) is bytes:
+        return block_wp_valuation(series.ring, series.block, b"", wp, cap)
     return min_wp_valuation(((c, None) for c in series.coeffs), wp, cap)
 
 
@@ -131,12 +135,19 @@ def _difference_wp_valuation(s1, s2, wp, cap):
     min(val1, val2) up to min(prec, max(end1, end2)), prec = min(prec1,
     prec2)) the coefficients of s1 and s2 are paired order by order
     and valued by ``fields.min_wp_valuation``, which skips the orders where
-    they agree.
+    they agree.  Over a packed A/(m) the two blocks are cut to prec and
+    aligned by val (zero rows put before the later one), and
+    ``fields.block_wp_valuation`` values their difference as one block.
     """
     if s2.ring is not s1.ring:
         raise DomainError("mismatched series rings")
     prec = min(s1.prec, s2.prec)
     lo = min(s1.val, s2.val)
+    if type(s1.block) is bytes:
+        S = s1.ring.stride
+        a, b = [bytes((s.val - lo) * S) + s.block[:(prec - s.val) * S]
+                if s.block and s.val < prec else b"" for s in (s1, s2)]
+        return block_wp_valuation(s1.ring, a, b, wp, cap)
     hi = min(prec, max(s1.val + len(s1.coeffs), s2.val + len(s2.coeffs)))
     return min_wp_valuation(zip(_coefficients(s1, lo, hi),
                                 _coefficients(s2, lo, hi)), wp, cap)
@@ -164,12 +175,17 @@ def congruence_depth(f1, f2, wp, max_n):
 
     The two failure modes are flagged separately: no congruence at n = 1,
     and congruence only in the range where f1 vanishes mod wp^n (the
-    excluded zero-congruence case).  The valuation of f1 - f2 is taken
+    excluded zero-congruence case).  A form known only mod wp^n (its
+    ``wp_prec``) caps max_n at n: a view sees no congruence deeper than
+    its modulus.  The valuation of f1 - f2 is taken
     by ``fields.min_wp_valuation`` on the coefficient pairs, without
     building the difference series (over F_p on the columns of their
     bytes rows); a coefficient over another field than wp's raises
     DomainError.
     """
+    for f in (f1, f2):
+        if isinstance(f, FormExpansion) and f.wp_prec is not None:
+            max_n = min(max_n, f.wp_prec)
     s1 = f1.series if isinstance(f1, FormExpansion) else f1
     s2 = f2.series if isinstance(f2, FormExpansion) else f2
     if s1.ring is not s2.ring:

@@ -49,29 +49,51 @@ powers of F_g under the same rule (``tate.TateDrinfeld.nu``), so Horner's
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
-from .fields import RingElement, horner, kronecker_dot
+from .fields import RingElement, block_dot, horner, kronecker_dot
 
 
 class TruncSeries(RingElement):
-    __slots__ = ("ring", "val", "coeffs", "prec")
+    __slots__ = ("ring", "val", "block", "coeffs", "prec")
 
     def __init__(self, ring, val, coeffs, prec, normalize=True):
-        if normalize:
-            coeffs = list(coeffs)
-            # drop unknown orders
-            if val + len(coeffs) > prec:
-                del coeffs[max(0, prec - val):]
-            while coeffs and not coeffs[0]:
-                coeffs.pop(0)
-                val += 1
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            if not coeffs:
-                val = prec
+        S = getattr(ring, "stride", None)
+        if type(coeffs) is bytes:  # a block over a packed A/(m)
+            if normalize:
+                coeffs = coeffs[:max(0, prec - val) * S]
+                body = coeffs.lstrip(b"\0")
+                if body:
+                    z = (len(coeffs) - len(body)) // S
+                    end = -(-len(coeffs.rstrip(b"\0")) // S)
+                    coeffs = coeffs[z * S:end * S]
+                    val += z
+                else:
+                    coeffs, val = b"", prec
+            self.block = coeffs
+        else:
+            if normalize:
+                coeffs = list(coeffs)
+                # drop unknown orders
+                if val + len(coeffs) > prec:
+                    del coeffs[max(0, prec - val):]
+                while coeffs and not coeffs[0]:
+                    coeffs.pop(0)
+                    val += 1
+                while coeffs and not coeffs[-1]:
+                    coeffs.pop()
+                if not coeffs:
+                    val = prec
+            self.coeffs = coeffs = tuple(coeffs)
+            self.block = ring.pack_block(coeffs) if S else coeffs
         self.ring = ring
         self.val = val
-        self.coeffs = tuple(coeffs)
         self.prec = prec
+
+    def __getattr__(self, name):
+        # only the coefficient tuple of a block is ever missing
+        if name != "coeffs":
+            raise AttributeError(name)
+        coeffs = self.coeffs = self.ring.unpack_block(self.block)
+        return coeffs
 
     # -- constructors ----------------------------------------------------
 
@@ -100,14 +122,14 @@ class TruncSeries(RingElement):
     # -- queries ----------------------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.block
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.block)
 
     def order(self):
         """x-adic valuation; None for the zero-to-precision element."""
-        return self.val if self.coeffs else None
+        return self.val if self.block else None
 
     def coeff(self, k):
         if k >= self.prec:
@@ -121,7 +143,7 @@ class TruncSeries(RingElement):
         return range(self.val, self.val + len(self.coeffs))
 
     def leading(self):
-        if not self.coeffs:
+        if not self.block:
             raise DomainError("zero-to-precision series has no leading coefficient")
         return self.coeffs[0]
 
@@ -157,9 +179,9 @@ class TruncSeries(RingElement):
         if o is None:
             return NotImplemented
         prec = min(self.prec, o.prec)
-        if not self.coeffs:
+        if not self.block:
             return o.truncate(prec)
-        if not o.coeffs:
+        if not o.block:
             return self.truncate(prec)
         lo = min(self.val, o.val)
         hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
@@ -177,7 +199,7 @@ class TruncSeries(RingElement):
         if o is None:
             return NotImplemented
         prec = min(self.prec, o.prec)
-        if not o.coeffs:
+        if not o.block:
             return self.truncate(prec)
         lo = min(self.val, o.val)
         hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
@@ -197,7 +219,7 @@ class TruncSeries(RingElement):
         return dot(self.ring, ((c, self),))
 
     def inv(self):
-        if not self.coeffs:
+        if not self.block:
             raise PrecisionError("cannot invert a zero-to-precision series")
         relprec = self.prec - self.val
         if relprec < 1:
@@ -224,7 +246,7 @@ class TruncSeries(RingElement):
             return self
         step = self.ring.p ** k
         prec = self.prec * step
-        if not self.coeffs:
+        if not self.block:
             return TruncSeries.zero(self.ring, prec)
         zero = self.ring.zero
         out = [zero] * ((len(self.coeffs) - 1) * step + 1)
@@ -244,11 +266,11 @@ class TruncSeries(RingElement):
     def truncate(self, prec):
         if prec >= self.prec:
             return self
-        return TruncSeries(self.ring, min(self.val, prec), self.coeffs, prec)
+        return TruncSeries(self.ring, min(self.val, prec), self.block, prec)
 
     def shift(self, k):
         """Multiply by x^k (k may be negative); exact on the stored window."""
-        return TruncSeries(self.ring, self.val + k, self.coeffs, self.prec + k,
+        return TruncSeries(self.ring, self.val + k, self.block, self.prec + k,
                            normalize=False)
 
     def substitution_window(self, g):
@@ -270,7 +292,7 @@ class TruncSeries(RingElement):
         if gval <= 0:
             raise DomainError("substitution target must have positive valuation")
         certified = gval * self.prec
-        if not self.coeffs:
+        if not self.block:
             return gval, certified, 0
         for k in self.coeff_range():
             if k != 0 and self.coeff(k):
@@ -290,7 +312,7 @@ class TruncSeries(RingElement):
         is the reference it is tested against.
         """
         gval, certified, top = self.substitution_window(g)
-        if not self.coeffs:
+        if not self.block:
             return TruncSeries.zero(self.ring, certified)
         # Horner on x^(-val) * self, then scale by g^val
         acc = horner(self.coeffs[:top], g, TruncSeries.zero(
@@ -315,7 +337,7 @@ class TruncSeries(RingElement):
         if not self.in_subring(step):
             raise DomainError("series does not lie in the x^%d subring" % step)
         prec = -(-self.prec // step)
-        if not self.coeffs:
+        if not self.block:
             return TruncSeries.zero(self.ring, prec)
         val = self.val // step
         out = [self.coeff(k * step) for k in range(val, prec)
@@ -331,7 +353,7 @@ class TruncSeries(RingElement):
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
             return (other.ring is self.ring and other.val == self.val
-                    and other.coeffs == self.coeffs and other.prec == self.prec)
+                    and other.block == self.block and other.prec == self.prec)
         return NotImplemented
 
     def __repr__(self):
@@ -360,6 +382,7 @@ def dot(ring, terms, prec=None):
     """
     if isinstance(ring, SeriesRing):
         ring, prec = ring.ring, ring.prec
+    blocks = getattr(ring, "stride", None)
     rows, twisted = [], []
     top = prec
     for term in terms:
@@ -367,20 +390,22 @@ def dot(ring, terms, prec=None):
         Q = ring.q ** term[2] if len(term) > 2 else 1
         if isinstance(a, TruncSeries):
             here = min(a.val + Q * b.prec, Q * b.val + a.prec)
-            val, a = a.val, a.coeffs
+            val, a = a.val, a.block
         else:
             here, val, a = Q * b.prec, 0, ring.coerce(a)
             a = (a,) if a else ()
+            if blocks:
+                a = ring.pack_block(a)
         if top is None or here < top:
             top = here
-        if a and b.coeffs:
+        if a and b.block:
             if Q == 1:
-                rows.append((val + b.val, a, b.coeffs))
+                rows.append((val + b.val, a, b.block))
             else:
                 twisted.append((val, a, b, term[2], Q))
     for val, a, b, k, Q in twisted:  # the cut needs the final top
         b = b.truncate(-(-(top - val) // Q)).frob(k)
-        rows.append((val + b.val, a, b.coeffs))
+        rows.append((val + b.val, a, b.block))
     if not rows:
         return TruncSeries.zero(ring, top)
     if len(rows) == 1:  # a product: no pass over the terms
@@ -391,7 +416,8 @@ def dot(ring, terms, prec=None):
         rows = [(v - lo, a, b) for v, a, b in rows]
     if top <= lo:
         return TruncSeries.zero(ring, top)
-    form = kronecker_dot if getattr(ring, "packed", False) else _element_dot
+    form = block_dot if blocks else kronecker_dot if getattr(
+        ring, "packed", False) else _element_dot
     return TruncSeries(ring, lo, form(rows, top - lo, ring), top)
 
 
@@ -421,24 +447,34 @@ def _element_dot(terms, n, ring):
 def _newton_inverse(u, lead_inv, n, ring):
     """The first n coefficients of 1/u by Newton's iteration
     y <- y + y (1 - u y), which doubles the number of correct terms; both
-    products are one-term ``kronecker_dot`` calls.  u y = 1 + O(x^m) before
-    a step, so the residual starts at x^m, and its leading zeros are
-    skipped: they would only widen the packed operand."""
+    products are one-term ``kronecker_dot`` calls (``_element_block_dot``
+    over A/(m)).  u y = 1 + O(x^m) before a step, so the residual starts
+    at x^m, and its leading zeros are skipped: they would only widen the
+    packed operand."""
+    product = _element_block_dot if getattr(ring, "stride", None) \
+        else kronecker_dot
     y = [lead_inv]
     m = 1
     while m < n:
         m2 = min(2 * m, n)
-        uy = kronecker_dot(((0, u[:m2], y),), m2, ring)[m:]
+        uy = product(((0, u[:m2], y),), m2, ring)[m:]
         z = next((k for k, c in enumerate(uy) if c), None)
         if z is None:
             y += [ring.zero] * (m2 - m)
         else:
-            corr = kronecker_dot(((0, y[:m2 - m - z], uy[z:]),), m2 - m - z,
-                                 ring)
+            corr = product(((0, y[:m2 - m - z], uy[z:]),), m2 - m - z, ring)
             y += [ring.zero] * z + [-c for c in corr]
             y += [ring.zero] * (m2 - len(y))
         m = m2
     return y
+
+
+def _element_block_dot(terms, n, ring):
+    """``fields.block_dot`` on sequences of elements of a packed A/(m): the
+    operands packed into blocks, the product's rows unpacked."""
+    pack = ring.pack_block
+    return ring.unpack_block(block_dot([(s, pack(a), pack(b))
+                                        for s, a, b in terms], n, ring))
 
 
 def _recurrence_inverse(u, lead_inv, n, ring):

@@ -1,5 +1,6 @@
 import pytest
 
+from drinfeld import fields
 from drinfeld.fields import Poly, fq, polyring
 from drinfeld.series import TruncSeries
 from drinfeld.tate import td_instance
@@ -58,6 +59,18 @@ def long_divmod(a, b):
         for i, bc in enumerate(b.coeffs):
             rem[top - d + i] = rem[top - d + i] - c * bc
     return Poly(a.ring, quot), Poly(a.ring, rem[:d])
+
+
+def rows_dot(terms, n, ring):
+    """The first n x-rows of sum x^s a b over the terms (s, a, b) of element
+    sequences, by the package's kernel: ``fields.kronecker_dot`` over
+    F_p[t]; over a packed A/(m), ``fields.block_dot`` on the operands'
+    blocks, its rows read back as elements."""
+    if getattr(ring, "stride", None) is None:
+        return fields.kronecker_dot(terms, n, ring)
+    pack = ring.pack_block
+    return list(ring.unpack_block(fields.block_dot(
+        [(s, pack(a), pack(b)) for s, a, b in terms], n, ring)))
 
 
 def divmod_valuation(a, wp, cap):

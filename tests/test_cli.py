@@ -49,6 +49,30 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["degree"] == 2
 
+    def test_cyclotomic_factors_in_bracket_form(self, capsys, tmp_path):
+        # bracket form, the CLI's own output form, holds commas of its own
+        def cyclotomic(factors):
+            code, out, err = run(capsys, "carlitz", "cyclotomic", "--q", "4",
+                                 "--factors", factors)
+            return code, json.loads(out or err)
+
+        code, doc = cyclotomic("[u,1]")
+        assert code == 0 and doc["degree"] == 3
+        assert doc["coeffs"] == ["[u,1]", "[]", "[]", "[1]"]
+        code, doc = cyclotomic("[1,1],[u,1]")
+        assert code == 0 and doc["degree"] == 9
+        assert cyclotomic("[1,1]") == cyclotomic("t+1")
+        code, doc = cyclotomic("[u,1")
+        assert code == 1 and "unterminated" in doc["error"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"jobs": [
+            {"command": "carlitz cyclotomic", "q": 4,
+             "factors": "[1,1],[u,1]"}]}))
+        code, out, _ = run(capsys, "suite", "--manifest", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] == 1
+        assert doc["jobs"][0]["result"]["degree"] == 9
+
     def test_drinfeld_dual_and_classify(self, capsys):
         code, out, _ = run(capsys, "drinfeld", "dual", "--q", "2",
                            "--wp", "t^2+t+1", "--a1", "t", "--a2", "1")

@@ -292,6 +292,23 @@ class TestAudit:
             vb = weight_congruence_audit(f, bad, t, 3 ** l + 2)
             assert not vb.passed
 
+    def test_a_view_caps_the_depth_at_its_modulus(self):
+        # f = a1 and f g^4 agree mod t^4 over A; a view A/(t^n) sees the
+        # congruence only up to depth n, and the audit passes there
+        field = fq(2)
+        t = polyring(field).gen
+        f = coefficient_monomial(field, t, 24, 1, 0)
+        f2 = f * hasse_lift_expansion(field, t, 24).pow(4)
+        v = weight_congruence_audit(f, f2, t, 8)
+        assert (v.passed, v.depth, v.modulus) == (True, 4, 4)
+        for n, depth, modulus in ((2, 2, 2), (3, 3, 4), (5, 4, 4)):
+            R = ResidueRing(t ** n)
+            fn, f2n = reduce_mod_wp(f, R, n), reduce_mod_wp(f2, R, n)
+            v = weight_congruence_audit(fn, f2n, t, 8)
+            assert (v.passed, v.vacuous, v.depth, v.modulus) == (
+                True, False, depth, modulus), n
+            assert congruence_depth(fn, f2n.series, t, 8).depth == depth
+
     def test_vacuous_cases(self, hasse_2t):
         g, wp, A = hasse_2t
         f = coefficient_monomial(fq(2), wp, 12, 1, 1)

@@ -12,10 +12,16 @@ operation, with the median microseconds per call over five batches of
 * ``mat_mul``: an r x r matrix product over K, for each r of --r;
 * ``tau_mul`` and ``tau_rdivmod``: ``TauPoly`` product and right division
   over K, of tau-degree --tau-degree, the divisor with a unit leading
-  coefficient.
+  coefficient;
+* ``series_mul`` and ``difference_valuation``: the product of two series
+  over K of x-precision --prec, and the m-adic valuation (cap 8) of the
+  difference of two that agree on their first --prec / 2 orders.
 
-Over F_p, p prime, these run on the elements' bytes rows; over F_q with
-q = p^e, e > 1, on field elements.  Example, from the repository root:
+The two series rows are printed once more over A/(t^12) (``deg`` 12),
+valued t-adically: the view forms-sweep audits in.
+
+Over F_p, p prime, these run on the elements' bytes rows, and series on
+one bytes block each; over F_q with q = p^e, e > 1, on field elements.  Example, from the repository root:
 
     PYTHONPATH=src python3 scripts/residue_table.py --q 3 --deg 2,4,8
 """
@@ -27,7 +33,9 @@ import statistics
 import sys
 import time
 
+from drinfeld import forms
 from drinfeld.fields import AResidue, ResidueRing, fq, is_irreducible, polyring
+from drinfeld.series import TruncSeries
 from drinfeld.sheaves import mat_mul
 from drinfeld.tau import TauPoly
 
@@ -51,6 +59,8 @@ def main(argv=None):
     parser.add_argument("--r", default="2,4,6",
                         help="comma-separated matrix sizes")
     parser.add_argument("--tau-degree", type=int, default=6)
+    parser.add_argument("--prec", type=int, default=24,
+                        help="x-precision of the series rows")
     parser.add_argument("--reps", type=int, default=200)
     args = parser.parse_args(argv)
 
@@ -60,6 +70,27 @@ def main(argv=None):
 
     def coeffs(n):
         return [rng.choice(field.elements()) for _ in range(n)]
+
+    def series_rows(R, wp):
+        """The series rows over R: f g, and the wp-adic valuation of
+        f - f2, f2 agreeing with f below x-order prec / 2."""
+        def series():
+            return TruncSeries(R, 0, [R.one] + [
+                AResidue(R, coeffs(R.degree)) for _ in range(args.prec - 1)],
+                args.prec)
+
+        f, g = series(), series()
+        f2 = f + g.shift(args.prec // 2)
+        size = {"modulus": str(R.modulus), "prec": args.prec}
+        return [("series_mul", size, lambda: f * g),
+                ("difference_valuation", size,
+                 lambda: forms._difference_wp_valuation(f, f2, wp, 8))]
+
+    def emit(d, rows):
+        for op, size, func in rows:
+            print(json.dumps(dict({"op": op, "q": args.q, "deg": d}, **size,
+                                  us=per_call_us(func, args.reps))),
+                  flush=True)
 
     for d in (int(x) for x in args.deg.split(",")):
         m = next(f for f in A.monic_polys(d) if is_irreducible(f))
@@ -87,10 +118,8 @@ def main(argv=None):
         rows += [("tau_mul", {"tau_degree": args.tau_degree}, lambda: f * g),
                  ("tau_rdivmod", {"tau_degree": args.tau_degree},
                   lambda: fg.rdivmod(g))]
-        for op, size, func in rows:
-            print(json.dumps(dict({"op": op, "q": args.q, "deg": d}, **size,
-                                  us=per_call_us(func, args.reps))),
-                  flush=True)
+        emit(d, rows + series_rows(K, m))
+    emit(12, series_rows(ResidueRing(A.gen ** 12), A.gen))
     return 0
 
 

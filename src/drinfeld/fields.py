@@ -22,7 +22,9 @@ Conventions shared by the whole package:
   translate; products and sums of products (``Poly`` and ``AResidue``
   ``*``, ``AResidue.pth_power``, ``ResidueRing.dot``, ``kronecker_dot``)
   are Kronecker substitutions of the rows, read back once, with slots
-  sized by the operands' nonzero coefficients in ``kronecker_dot``;
+  sized by the operands' nonzero coefficients in ``kronecker_dot``; a
+  series over A/(m) is one block of rows (``ResidueRing.pack_block``),
+  multiplied by ``block_dot`` and valued by ``block_wp_valuation``;
   division (``Poly.__divmod__``) eliminates on the row's ints
   (``_divmod_ints``), and the wp-adic valuation of differences
   (``min_wp_valuation``) divides a block of rows by wp column by column
@@ -32,7 +34,7 @@ Conventions shared by the whole package:
   field elements, and sums index the field's addition and negation tables
   inline.  No other module reads the rows or the indices.  Timings
   before and after rows: ``BENCH_26.json``; of the slot rule and the
-  column valuation: ``BENCH_27.json``.
+  column valuation: ``BENCH_27.json``; of series blocks: ``BENCH_28.json``.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing

@@ -7,14 +7,17 @@ q^d - 1, type 0, and expansion congruent to 1 mod wp, which is everything
 the congruence machinery uses.
 
 The congruence depth of f1 and f2 is the least wp-valuation of the
-coefficients of f1 - f2.  The valuation lives in fields
-(``fields.min_wp_valuation``, which values coefficient differences given
-as pairs of coefficients); this module only aligns the two series'
-coefficients order by order, so the difference series is never built and
-orders where f1 and f2 agree are skipped.  Over F_p the first differing
-order is valued alone (a unit constant term ends ``series_wp_valuation``
-there), and the other differences are valued together, as one block of
-bytes rows divided by wp column by column.
+coefficients of f1 - f2, capped at the depth a view A/(wp^n) can see (the
+forms' ``wp_prec``).  The valuation lives in fields, and the difference
+series is never built.  In a view over F_p, p prime, a series is one bytes
+block (``series.TruncSeries``): the two blocks are aligned by val, and
+``fields.block_wp_valuation`` subtracts them with one integer add and
+divides every row by wp at once, column by column; no coefficient object
+is read.  Over A and over F_(p^e), ``fields.min_wp_valuation`` values the
+coefficient pairs order by order, skipping the orders where f1 and f2
+agree; over F_p the first differing order is valued alone (a unit
+constant term ends ``series_wp_valuation`` there) and the others as one
+block of bytes rows.
 """
 
 from __future__ import annotations

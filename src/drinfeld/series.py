@@ -22,15 +22,27 @@ reads its precision from the uncut b and twists only the orders of b that
 can reach the sum, so twisted sums in B{tau} (``tau.TauPoly``) and in the
 Tate-Drinfeld engine need no cut of their own.
 
+Storage.  Over a packed A/(m) (p prime) a series keeps its coefficients
+as one bytes block (``block``): row i is x-order val + i, each row has
+stride S = 2 deg m - 1 (``ResidueRing.stride``), its low deg m bytes the
+coefficient indices of the representative and the rest zero.  ``coeffs``,
+the tuple of ``AResidue``, is built from the block on first read and kept;
+the constructor takes either form.  Over every other ring ``block`` is the
+tuple ``coeffs`` itself.
+
 Over A = F_p[t] and its quotients A/(m), p prime, the sum is one
-Kronecker-packed linear combination (``fields.kronecker_dot``): each
-operand's n = prec - val coefficients become one integer, one bigint
-product per term replaces n^2 polynomial products, the products are
-shifted to their x-valuations and added, and the rows are read back once
-as slices of the sum's bytes, reduced mod p by byte translates and, over
-A/(m), mod m on their integers.  The coefficients are those of the
-schoolbook product, bit for bit, which ``_element_dot`` runs over F_q[t]
-and A/(m) with q = p^e, e > 1, and F_q.
+Kronecker-packed linear combination: each operand's n = prec - val
+coefficients become one integer, one bigint product per term replaces n^2
+polynomial products, the products are shifted to their x-valuations and
+added, and the rows are read back once as slices of the sum's bytes,
+reduced mod p by byte translates.  Over F_p[t] that is
+``fields.kronecker_dot`` on the element rows.  Over A/(m) it is
+``fields.block_dot`` on the blocks, which are already in the Kronecker
+layout (a product row of t-degree up to 2 deg m - 2 fits its S slots), so
+an operand is packed by one ``int.from_bytes`` and the product stays a
+block, reduced mod m for all rows at once, column by column.  The
+coefficients are those of the schoolbook product, bit for bit, which
+``_element_dot`` runs over F_q[t] and A/(m) with q = p^e, e > 1, and F_q.
 
 Inversion follows the same split as products.  Over the packed rings it is
 Newton's iteration y <- y + y (1 - u y) (Brent & Kung, J. ACM 25, 1978),

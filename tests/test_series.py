@@ -12,7 +12,7 @@ from drinfeld.fields import AResidue, Poly, ResidueRing, fq, polyring
 from drinfeld.series import SeriesRing, TruncSeries, newton_slopes
 from drinfeld.tate import lattice_inverse
 
-from conftest import rows_dot
+from conftest import divmod_valuation, rows_dot
 
 
 def sring(q, prec):
@@ -1212,3 +1212,138 @@ def test_newton_slopes():
     assert hull == [(1, 3), (2, 1), (4, 0), (8, 2)]
     hull2 = newton_slopes([(0, 0), (1, 5), (2, 1)])
     assert hull2 == [(0, 0), (2, 1)]
+
+
+class TestBlocks:
+    """Over a packed A/(m) a series stores one bytes block (``block``), rows
+    of stride 2 deg m - 1 from x-order val; products (``fields.block_dot``)
+    and the difference valuations of ``forms`` run on the blocks.  Checked
+    against the test-local schoolbook and ``conftest.divmod_valuation``."""
+
+    @staticmethod
+    def view(data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 31, 127]))
+        kind = data.draw(st.sampled_from(["t", "t+1", 2]))
+        k = data.draw(st.integers(1, 4 if kind == 2 else 6))
+        return residue_view(p, kind, k)
+
+    @staticmethod
+    def series(data, R, rows=10):
+        """A series over R with zero rows, a val offset and a Laurent val."""
+        p = R.p
+        idx = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+        row = st.lists(idx, max_size=R.degree).map(
+            lambda cs: AResidue(R, [R.field.from_int(c) for c in cs]))
+        coeffs = data.draw(st.lists(row, max_size=rows))
+        val = data.draw(st.integers(-2, 4))
+        prec = val + data.draw(st.integers(0, rows + 2))
+        return TruncSeries(R, val, coeffs, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_products_match_schoolbook(self, data):
+        R = self.view(data)
+        f, g = self.series(data, R), self.series(data, R)
+        got = f * g
+        assert type(got.block) is bytes
+        assert len(got.block) % R.stride == 0
+        assert got == schoolbook_mul(f, g)
+        c = data.draw(st.sampled_from([R.one, -R.one, R.one + R.theta]))
+        if c:  # a constant exact to every order
+            assert f.scale(c) == schoolbook_mul(
+                TruncSeries.constant(c, R, f.prec - min(f.val, 0) + 1), f)
+        # sum of products, shifted and truncated
+        h = self.series(data, R)
+        want = schoolbook_mul(f, g) + schoolbook_mul(h.shift(1), g)
+        assert series_module.dot(R, ((f, g), (h.shift(1), g))) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_difference_valuations_match_divmod(self, data):
+        from drinfeld import forms
+        R = self.view(data)
+        base = _base_of(R)  # m = base^k
+        s1, s2 = self.series(data, R), self.series(data, R)
+        if data.draw(st.booleans()):  # a shared head: the difference starts late
+            s2 = s1.truncate(s1.val + data.draw(st.integers(0, 4))) + \
+                s2.shift(data.draw(st.integers(1, 4)))
+        cap = data.draw(st.integers(0, 8))
+        prec = min(s1.prec, s2.prec)
+        want = min([divmod_valuation((s1.coeff(k) - s2.coeff(k)).value,
+                                     base, cap)
+                    for k in range(min(s1.val, s2.val), prec)], default=cap)
+        assert forms._difference_wp_valuation(s1, s2, base, cap) == want
+        assert forms.series_wp_valuation(s1, base, cap) == min(
+            [divmod_valuation(s1.coeff(k).value, base, cap)
+             for k in range(s1.val, s1.prec)], default=cap)
+
+    @pytest.mark.parametrize("p,kind,k", [(2, "t", 12), (3, "t+1", 3),
+                                          (127, 2, 2)])
+    def test_block_and_tuple_built_series_are_equal(self, p, kind, k):
+        R = residue_view(p, kind, k)
+        f = dense_residue_series(R, 6, val=2)
+        g = TruncSeries(R, 0, [R.zero, R.zero] + list(f.coeffs) + [R.zero],
+                        f.prec)
+        h = TruncSeries(R, 1, bytes(R.stride) + f.block + bytes(R.stride),
+                        f.prec)
+        assert f == g == h
+        assert f.block == g.block == h.block and (g.val, h.val) == (2, 2)
+        assert h.coeffs == f.coeffs
+        # the layout: row i holds the indices of coefficient val + i, low
+        # t-degree first, padded with zeros to 2 deg m - 1 bytes
+        S = 2 * R.degree - 1
+        assert f.block == b"".join(
+            bytes([x.idx for x in c.value.coeffs]).ljust(S, b"\0")
+            for c in f.coeffs)
+        assert (f * f).block == b"".join(
+            bytes([x.idx for x in c.value.coeffs]).ljust(S, b"\0")
+            for c in schoolbook_mul(f, f).coeffs)
+
+    def test_coeffs_are_built_once(self):
+        R = residue_view(3, "t+1", 3)
+        f = dense_residue_series(R, 5)
+        fg = f * f
+        assert type(fg.block) is bytes
+        first = fg.coeffs
+        assert fg.coeffs is first
+        assert all(type(c) is AResidue for c in first)
+        assert fg == schoolbook_mul(f, f)
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_extension_fields_hold_no_block(self, monkeypatch, q):
+        def refuse(*args):
+            raise AssertionError("a block over F_%d" % q)
+
+        from drinfeld import forms
+        for name in ("block_dot", "block_wp_valuation"):
+            monkeypatch.setattr(fields, name, refuse)
+            monkeypatch.setattr(series_module, name, refuse, raising=False)
+            monkeypatch.setattr(forms, name, refuse, raising=False)
+        monkeypatch.setattr(ResidueRing, "pack_block", refuse)
+        monkeypatch.setattr(ResidueRing, "unpack_block", refuse)
+        A = polyring(fq(q))
+        wp = A.gen
+        R = ResidueRing(wp ** 3)
+        assert R.stride is None
+        c = R.theta + R.one
+        f = TruncSeries(R, 0, [c, R.theta, R.one, c], 4)
+        assert type(f.block) is tuple
+        g = f * f + f.scale(c)
+        assert type(g.block) is tuple and g.coeffs == g.block
+        assert forms.series_wp_valuation(f, wp, 3) == 0
+        assert forms._difference_wp_valuation(g, g, wp, 3) == 3
+        assert f.inv() * f == TruncSeries.one(R, 4)
+
+
+def _base_of(R):
+    """The monic base of m = base^k that ``residue_view`` took."""
+    m = R.modulus
+    A = polyring(R.field)
+    for d in range(1, m.degree + 1):
+        for base in A.monic_polys(d):
+            k, power = 1, base
+            while power.degree < m.degree:
+                power, k = power * base, k + 1
+            if power == m:
+                return base
+    raise AssertionError(m)

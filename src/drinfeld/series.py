@@ -69,6 +69,11 @@ class TruncSeries(RingElement):
 
     def __init__(self, ring, val, coeffs, prec, normalize=True):
         S = getattr(ring, "stride", None)
+        if S:
+            # only a series over a packed A/(m) builds its coefficient
+            # tuple lazily: a class with __getattr__ reads every attribute
+            # slower
+            self.__class__ = _BlockSeries
         if type(coeffs) is bytes:  # a block over a packed A/(m)
             if normalize:
                 coeffs = coeffs[:max(0, prec - val) * S]
@@ -99,13 +104,6 @@ class TruncSeries(RingElement):
         self.ring = ring
         self.val = val
         self.prec = prec
-
-    def __getattr__(self, name):
-        # only the coefficient tuple of a block is ever missing
-        if name != "coeffs":
-            raise AttributeError(name)
-        coeffs = self.coeffs = self.ring.unpack_block(self.block)
-        return coeffs
 
     # -- constructors ----------------------------------------------------
 
@@ -377,6 +375,20 @@ class TruncSeries(RingElement):
                 parts.append("(%s)*x^%d" % (names(c), self.val + i))
         body = " + ".join(parts) if parts else "0"
         return "%s + O(x^%d)" % (body, self.prec)
+
+
+class _BlockSeries(TruncSeries):
+    """A series over a packed A/(m), whose ``coeffs`` are built from its
+    block on first read and kept."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # only the coefficient tuple of a block is ever missing
+        if name != "coeffs":
+            raise AttributeError(name)
+        coeffs = self.coeffs = self.ring.unpack_block(self.block)
+        return coeffs
 
 
 def dot(ring, terms, prec=None):

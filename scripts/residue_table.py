@@ -2,12 +2,15 @@
 """Time the A/(m) layer at fixed sizes, in one process.
 
 K = A/(m) with m the first monic irreducible of degree d over F_q, in the
-order of ``PolyRing.monic_polys``.  For each d it prints one JSON line per
-operation, with the median microseconds per call over five batches of
---reps calls on fixed pseudorandom operands:
+order of ``PolyRing.monic_polys``, built by ``residue_field_with_theta`` as
+the commands build their fields: at or below ``fields._MAX_LOG_ORDER`` its
+products, inverses and p-th powers are discrete-log table lookups, and the
+setup products build its tables before any timing starts.  For each d it prints one JSON
+line per operation, with the median microseconds per call over five
+batches of --reps calls on fixed pseudorandom operands:
 
-* ``residue_mul`` and ``residue_pth_power`` (k = 1): ``AResidue`` product
-  and p-th power in K;
+* ``residue_mul``, ``residue_inv`` and ``residue_pth_power`` (k = 1):
+  ``AResidue`` product, inverse and p-th power in K;
 * ``poly_divmod``: a polynomial of degree 2d - 2 divided by m;
 * ``mat_mul``: an r x r matrix product over K, for each r of --r;
 * ``tau_mul`` and ``tau_rdivmod``: ``TauPoly`` product and right division
@@ -34,7 +37,8 @@ import sys
 import time
 
 from drinfeld import forms
-from drinfeld.fields import AResidue, ResidueRing, fq, is_irreducible, polyring
+from drinfeld.fields import (AResidue, ResidueRing, fq, is_irreducible,
+                             polyring, residue_field_with_theta)
 from drinfeld.series import TruncSeries
 from drinfeld.sheaves import mat_mul
 from drinfeld.tau import TauPoly
@@ -94,7 +98,7 @@ def main(argv=None):
 
     for d in (int(x) for x in args.deg.split(",")):
         m = next(f for f in A.monic_polys(d) if is_irreducible(f))
-        K = ResidueRing(m)
+        K = residue_field_with_theta(m)
 
         def element():
             return AResidue(K, coeffs(d))
@@ -109,6 +113,7 @@ def main(argv=None):
         g = TauPoly(K, [element() for _ in range(args.tau_degree)] + [unit()])
         fg = f * g
         rows = [("residue_mul", {}, lambda: x * y),
+                ("residue_inv", {}, lambda: x.inv()),
                 ("residue_pth_power", {}, lambda: x.pth_power(1)),
                 ("poly_divmod", {}, lambda: divmod(a, m))]
         for r in (int(n) for n in args.r.split(",")):

@@ -58,6 +58,15 @@ NEG_INF = float("-inf")
 
 _MAX_TABLE_Q = 128
 
+# A residue field of order at most this gets discrete-log tables
+# (``ResidueRing._tables``), built on its first multiplicative operation:
+# a lookup replaces each product, inverse and Frobenius.  The build takes
+# about 1 us an element over F_p and 3 us over F_(p^e); at this order the
+# slowest build measured (q = 4 and 32) is about 3 ms, 2% of a CLI
+# process, and the next power of two doubles that (sweep across p and q
+# in BENCH_29.json).  Larger fields keep the general paths.
+_MAX_LOG_ORDER = 2 ** 11
+
 # Phi^C_a has tau^i coefficients of t-degree about q^i, so the work on an
 # input polynomial a grows like q^deg a.  Parsed input is admitted while
 # q^deg <= 2^16; the catalogued examples stay far below (carlitz phi at
@@ -75,6 +84,21 @@ def _is_prime(n):
             return False
         d += 1
     return True
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def power(base, n, mul=operator.mul):
@@ -362,6 +386,30 @@ def block_dot(terms, n, ring):
     for j in range(dm):
         out[j::S] = cols[j].to_bytes(rows * w, "little")[::w]
     return bytes(out)
+
+
+def block_add(ring, a, b, shift, negate=False):
+    """a + x^shift b (a - x^shift b when negate) for two blocks over the
+    packed ``ring``, as a block whose row 0 is the lower of the two row 0s;
+    shift may be negative.  b is negated by one translate, the blocks are
+    aligned by zero rows and added with one ``_add_rows``, and the last
+    row is padded back to the stride.  Rows that cancel stay as zero rows:
+    the ``TruncSeries`` constructor strips them."""
+    S, p = ring.stride, ring.p
+    if negate:
+        b = block_neg(ring, b)
+    if shift > 0:
+        b = bytes(shift * S) + b
+    elif shift < 0:
+        a = bytes(-shift * S) + a
+    row = _add_rows(a, b, p)
+    return row.ljust(-(-len(row) // S) * S, b"\0")
+
+
+def block_neg(ring, a):
+    """-a for a block over the packed ``ring``: one translate, which keeps
+    zero bytes zero and so the block's layout."""
+    return a.translate(_scale_table(ring.p, ring.p - 1))
 
 
 def _fold(m):
@@ -1067,21 +1115,30 @@ class AResidue(DensePoly):
         ring = self.ring
         if not a or not b:
             return ring.zero
-        if type(a) is bytes:
-            return ring._from_ints(list(_dot_rows(((a, b),), ring.p)))
-        field = ring.field
-        return ring._residue(Poly(field, _schoolbook(a, b, field.zero)))
+        log = ring._log
+        if log is not None:  # a field with tables: g^(i + j)
+            if not log:
+                log = ring._tables()
+            return ring._exp[log[a] + log[b]]
+        return ring._product(a, b)
 
     __rmul__ = __mul__
 
     def inv(self):
-        g, s = _half_xgcd(self.value, self.ring.modulus)
+        ring = self.ring
+        log = ring._log
+        if log is not None and self.row:  # g^(-i); zero raises below
+            if not log:
+                log = ring._tables()
+            return ring._exp[len(log) - log[self.row]]
+        g, s = _half_xgcd(self.value, ring.modulus)
         if g.degree != 0:
-            raise DomainError("element is not invertible in %r" % self.ring)
-        return self.ring._residue(s * g.leading().inv())
+            raise DomainError("element is not invertible in %r" % ring)
+        return ring._residue(s * g.leading().inv())
 
     def pth_power(self, k=1):
-        """x^(p^k) by substitution: sum_i x_i^(p^k) (t^(p^k))^i mod m.
+        """x^(p^k): in a field with tables g^(i p^k mod (order - 1)) for
+        x = g^i, otherwise by substitution: sum_i x_i^(p^k) (t^(p^k))^i mod m.
 
         Raising to p^k is a ring endomorphism in characteristic p, so the
         image of x = sum x_i t^i is the sum of the reduced images
@@ -1095,6 +1152,12 @@ class AResidue(DensePoly):
         if k == 0 or not row:
             return self
         ring = self.ring
+        log = ring._log
+        if log is not None:
+            if not log:
+                log = ring._tables()
+            n = len(log)
+            return ring._exp[log[row] * pow(ring.p, k, n) % n]
         if type(row) is bytes:  # x_i^(p^k) = x_i, each image packed
             acc = sum(c * img for c, img in zip(row, ring._pth_images(k)) if c)
             w = ring._pth_w
@@ -1160,10 +1223,158 @@ class ResidueRing:
         self._pth_w = _slot_width(self.degree * (self.p - 1) ** 2)
         self.theta = self._residue(polyring(self.field).gen)
         self._pth = {}
+        # None: no tables; {} (set by _mark_field): tables not built yet
+        self._log = None
 
     @property
     def base_field(self):
         return self.field
+
+    def _mark_field(self):
+        """Called by the field constructors on a ring they proved a field:
+        at or below the cut-over ``_MAX_LOG_ORDER`` its tables are built on
+        the first multiplicative operation (``_tables``)."""
+        if self.order <= _MAX_LOG_ORDER:
+            self._log = {}
+        return self
+
+    def _tables(self):
+        """Build and return the discrete-log table of this field.
+
+        g is the first primitive element of ``_primitive`` (t + c, c a
+        constant, where one is).  ``_exp[i]`` is g^i, an interned element,
+        listed twice over so that a sum of two logs needs no reduction;
+        ``_log`` maps each nonzero row to its log i, 0 <= i < order - 1;
+        over a packed ring ``_exp_ints[i]`` is the row of g^i as one
+        integer, a byte a coefficient, for ``dot``.  Each power is the one
+        before times g, not a general product: for g = t + c over a packed
+        field a shift, a fold and a translate of one integer
+        (``_linear_power_ints``), otherwise a product on index vectors
+        through the tables of F_q (``_index_powers``).  Two threads may
+        both build: the tables are equal, and ``_log`` is set last.
+        """
+        n = self.order - 1
+        g, c = self._primitive()
+        if self.packed and c is not None and 3 * (self.p - 1) < 256:
+            ints = self._linear_power_ints(c, n)
+            d = self.degree
+            exp = [_with_row(AResidue, self, x.to_bytes(d, "little")
+                             .rstrip(b"\0")) for x in ints]
+        else:
+            exp = self._index_powers(g, n)
+            ints = [int.from_bytes(x.row, "little") for x in exp] \
+                if self.packed else None
+        log = {x.row: i for i, x in enumerate(exp)}
+        if len(log) != n:
+            raise InternalConsistencyError("%r is not a field of order %d"
+                                           % (self, n + 1))
+        if self.packed:
+            self._exp_ints = ints + ints
+        self._exp = exp + exp
+        self._log = log
+        return log
+
+    def _primitive(self):
+        """(g, c): the first element g of multiplicative order order - 1,
+        found by the general product, and c, the index of the constant,
+        when g = t + c (the classes of t + c come first, c in field order;
+        then ``elements``, with c None)."""
+        n = self.order - 1
+        cofactors = [n // r for r in _prime_factors(n)]
+        mul = self._product_of
+        t = self._residue(polyring(self.field).gen)
+        candidates = itertools.chain(
+            ((t + c, c.idx) for c in self.field.elements()),
+            ((x, None) for x in self.elements()))
+        for g, c in candidates:
+            if g and all(power(g, k, mul) != self.one for k in cofactors):
+                return g, c
+        raise InternalConsistencyError("%r has no primitive element" % self)
+
+    def _linear_power_ints(self, c, n):
+        """The rows of g^i, 0 <= i < n, for g = t + c over a packed field,
+        as integers, a byte a coefficient; g^n = 1 is checked.  x g is x
+        shifted up one byte, its byte d folded back (h t^d = sum_j h f_j t^j
+        over the ring's fold), plus c x; each byte is below 3 p, and one
+        translate reduces it (one xor for p = 2)."""
+        d, p = self.degree, self.p
+        top = 8 * d
+        mask = (1 << top) - 1
+        row = bytearray(d)
+        for j, f in self.fold:
+            row[j] = f
+        folds = [int.from_bytes(bytes(row).translate(_scale_table(p, h)),
+                                "little") for h in range(p)]
+        mod, scale = _scale_table(p, 1), _scale_table(p, c)
+        x, out = 1, []
+        for _ in range(n):
+            out.append(x)
+            y = x << 8
+            h = y >> top
+            if p == 2:
+                y &= mask
+                if h:
+                    y ^= folds[1]
+                x = y ^ x if c else y
+            elif h or c:
+                y = (y & mask) + folds[h]
+                if c:
+                    y += int.from_bytes(x.to_bytes(d, "little")
+                                        .translate(scale), "little")
+                x = int.from_bytes(y.to_bytes(d, "little").translate(mod),
+                                   "little")
+            else:
+                x = y
+        return self._closed(out, x, 1)
+
+    def _index_powers(self, g, n):
+        """g^i, 0 <= i < n, for any primitive g: each power times g on the
+        vector of its coefficient indices, through the field's addition
+        and multiplication tables, from the reduced images t^j g mod m
+        (for g = t + c all but the last have two terms).  Elements are
+        built once, from the vectors; g^n = 1 is checked."""
+        field, m = self.field, self.modulus
+        add, mul, els = field._add, field._mul, field._els
+        images = [g.value]
+        for _ in range(1, self.degree):
+            images.append((images[-1] * polyring(field).gen) % m)
+        images = [[(k, c.idx) for k, c in enumerate(img.coeffs) if c]
+                  for img in images]
+        one = [1] + [0] * (self.degree - 1)
+        x, out = one, []
+        for _ in range(n):
+            out.append(x)
+            acc = [0] * self.degree
+            for c, img in zip(x, images):
+                if c:
+                    by = mul[c]
+                    for k, v in img:
+                        acc[k] = add[acc[k]][by[v]]
+            x = acc
+        return [AResidue(self, [els[i] for i in v])
+                for v in self._closed(out, x, one)]
+
+    def _closed(self, powers, last, one):
+        """powers, once the power after them, last, is one again."""
+        if last != one:
+            raise InternalConsistencyError(
+                "%r has no primitive element of order %d" % (self, len(powers)))
+        return powers
+
+    def _product(self, a, b):
+        """The class of the product of two nonzero rows, by the general
+        path: over a packed ring one ``_dot_rows`` reduced by
+        ``_from_ints``, otherwise the schoolbook product reduced mod m."""
+        if type(a) is bytes:
+            return self._from_ints(list(_dot_rows(((a, b),), self.p)))
+        field = self.field
+        return self._residue(Poly(field, _schoolbook(a, b, field.zero)))
+
+    def _product_of(self, x, y):
+        """x y for two elements by the general path (``_product``)."""
+        if not x.row or not y.row:
+            return self.zero
+        return self._product(x.row, y.row)
 
     def _pth_images(self, k):
         """The reduced t^(i p^k) mod m for 0 <= i < deg m, memoised by k.
@@ -1207,8 +1418,30 @@ class ResidueRing:
     def dot(self, u, v):
         """sum u_i v_i for sequences u and v of this ring's elements.  Over
         a packed ring the row products are summed as integers and read
-        back once (``_dot_rows``), then reduced by ``_from_ints``; otherwise
-        an index is not additive, and the element products are summed."""
+        back once: in a field with tables each product row is looked up
+        (``_exp_ints``), a byte a coefficient, and the sum is reduced mod p
+        whenever a byte could pass 255; otherwise the products are
+        ``_dot_rows``, reduced by ``_from_ints``.  Over F_(p^e) an index is
+        not additive, and the element products are summed."""
+        log = self._log
+        if log is not None and self.packed:
+            if not log:
+                log = self._tables()
+            ints = self._exp_ints
+            room = 255 // (self.p - 1)  # products a byte holds
+            mod = _scale_table(self.p, 1)
+            d = self.degree
+            acc = held = 0
+            for x, y in zip(u, v):
+                if x.row and y.row:
+                    if held == room:
+                        acc = int.from_bytes(acc.to_bytes(d, "little")
+                                             .translate(mod), "little")
+                        held = 1
+                    acc += ints[log[x.row] + log[y.row]]
+                    held += 1
+            row = acc.to_bytes(d, "little").translate(mod).rstrip(b"\0")
+            return _with_row(AResidue, self, row) if row else self.zero
         if not self.packed:
             return sum(map(operator.mul, u, v), self.zero)
         pairs = [(x.row, y.row) for x, y in zip(u, v) if x.row and y.row]
@@ -1286,18 +1519,30 @@ def residue_field_with_theta(wp, m=1):
     For m = 1 this is A/(wp) itself.  For m > 1 it is the degree-m extension
     of A/(wp) built by ``extension_with_embedding``, a single-level quotient
     A/(P) with P irreducible of degree d*m, and theta is the smallest root of
-    wp in it.
+    wp in it.  Memoised per (wp, m), so a process builds each field, and
+    its discrete-log tables, once; a DomainError is not kept.
     """
+    return _residue_field(wp, m)
+
+
+@functools.cache
+def _residue_field(wp, m):
+    if m != 1:
+        return extension_with_embedding(_residue_field(wp, 1), m)[0]
     if not is_irreducible(wp):
         raise DomainError("characteristic polynomial must be irreducible")
-    return extension_with_embedding(ResidueRing(wp), m)[0]
+    return ResidueRing(wp)._mark_field()
 
 
+@functools.cache
 def extension_with_embedding(k, m):
     """Degree-m extension K of the residue field k plus the embedding map.
 
     The embedding sends the class of t in k to the smallest root of k's
     modulus in K; theta is carried along so the A-algebra structures agree.
+    K is a field by construction, and gets tables (``ResidueRing._mark_field``)
+    before the root search runs.  Memoised per (k, m); the kept key holds
+    k, so its id is not reused.
     """
     if m < 1:
         raise DomainError("extension degree must be positive")
@@ -1308,7 +1553,7 @@ def extension_with_embedding(k, m):
     _check_field_order(ring.q, target)
     # irreducibles of every degree exist, and K holds every root of k.modulus
     K = ResidueRing(next(c for c in ring.monic_polys(target)
-                         if is_irreducible(c)))
+                         if is_irreducible(c)))._mark_field()
     root = find_root(k.modulus, K)
     if root is None:
         raise InternalConsistencyError("%r has no root in %r" % (k.modulus, K))

@@ -61,7 +61,8 @@ powers of F_g under the same rule (``tate.TateDrinfeld.nu``), so Horner's
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
-from .fields import RingElement, block_dot, horner, kronecker_dot
+from .fields import (RingElement, block_add, block_dot, block_neg,
+                     horner, kronecker_dot)
 
 
 class TruncSeries(RingElement):
@@ -193,14 +194,15 @@ class TruncSeries(RingElement):
             return o.truncate(prec)
         if not o.block:
             return self.truncate(prec)
-        lo = min(self.val, o.val)
-        hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
-        out = [self.coeff(k) + o.coeff(k) for k in range(lo, hi)]
-        return TruncSeries(self.ring, lo, out, prec)
+        return self._sum(o, prec, False)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if type(self.block) is bytes:
+            return TruncSeries(self.ring, self.val,
+                               block_neg(self.ring, self.block), self.prec,
+                               normalize=False)
         return TruncSeries(self.ring, self.val, tuple(-c for c in self.coeffs),
                            self.prec, normalize=False)
 
@@ -211,9 +213,21 @@ class TruncSeries(RingElement):
         prec = min(self.prec, o.prec)
         if not o.block:
             return self.truncate(prec)
+        return self._sum(o, prec, True)
+
+    def _sum(self, o, prec, negate):
+        """self + o (self - o when negate) to precision prec, o nonzero: over
+        a packed A/(m) one ``block_add`` of the two blocks aligned by val,
+        otherwise coefficient by coefficient."""
         lo = min(self.val, o.val)
+        if type(o.block) is bytes:
+            return TruncSeries(self.ring, lo, block_add(
+                self.ring, self.block, o.block, o.val - self.val, negate), prec)
         hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
-        out = [self.coeff(k) - o.coeff(k) for k in range(lo, hi)]
+        if negate:
+            out = [self.coeff(k) - o.coeff(k) for k in range(lo, hi)]
+        else:
+            out = [self.coeff(k) + o.coeff(k) for k in range(lo, hi)]
         return TruncSeries(self.ring, lo, out, prec)
 
     def __mul__(self, other):

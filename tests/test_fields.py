@@ -1026,6 +1026,110 @@ class TestResidueFieldWithTheta:
         assert K.theta != K.zero  # degree 1 would force theta in F_q
         assert K.theta * K.theta != K.theta  # not 0 or 1
 
+    def test_memoised_per_wp_and_degree(self, A2, A3):
+        wp = A2.poly([1, 1, 1])
+        K = residue_field_with_theta(wp, 2)
+        assert residue_field_with_theta(A2.poly([1, 1, 1]), 2) is K
+        k = residue_field_with_theta(wp)
+        assert residue_field_with_theta(wp, 1) is k and k is not K
+        assert fields.extension_with_embedding(k, 2)[0] is K
+        assert residue_field_with_theta(A3.poly([1, 0, 1]), 2) is not K
+
+
+class TestLogTables:
+    """A residue field from ``residue_field_with_theta`` or
+    ``extension_with_embedding`` of order at most ``_MAX_LOG_ORDER`` takes
+    products, inverses, p-th powers and dot sums from its discrete-log
+    tables.  Each is checked against a plain ``ResidueRing`` of the same
+    modulus, which no constructor marks as a field and so keeps the
+    general paths (``_half_xgcd``, ``_pth_images``, ``_dot_rows``)."""
+
+    @staticmethod
+    def fields_pair(data):
+        """(K, R): a table field, wp of degree 1-4 (or its degree-2
+        extension, whose theta is not the class of t), and the plain ring
+        of its modulus."""
+        q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+        ext = data.draw(st.sampled_from([1, 2]))
+        d = data.draw(st.sampled_from([d for d in range(1, 5) if
+                                       q ** (d * ext) <= fields._MAX_LOG_ORDER]))
+        polys = list(polyring(fq(q)).monic_polys(d))
+        start = data.draw(st.integers(0, len(polys) - 1))
+        wp = next(f for f in polys[start:] + polys[:start] if is_irreducible(f))
+        K = residue_field_with_theta(wp, ext)
+        return K, ResidueRing(K.modulus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_general_path(self, data):
+        K, R = self.fields_pair(data)
+        coeffs = st.lists(elems(K.field), max_size=K.degree)
+
+        def pair():
+            c = data.draw(coeffs)
+            return AResidue(K, c), AResidue(R, c)
+
+        (x, X), (y, Y) = pair(), pair()
+        assert (x * y).row == (X * Y).row and (x * y).ring is K
+        if x:
+            assert x.inv().row == X.inv().row
+            assert (x * x.inv()).row == K.one.row
+        k = data.draw(st.integers(0, 7))
+        assert x.pth_power(k).row == X.pth_power(k).row
+        assert x.frob(k).row == X.frob(k).row
+        pairs = [(pair(), pair()) for _ in range(data.draw(st.integers(1, 8)))]
+        got = K.dot([a for (a, _), _ in pairs], [b for _, (b, _) in pairs])
+        want = R.dot([A for (_, A), _ in pairs], [B for _, (_, B) in pairs])
+        assert got.row == want.row and got.ring is K
+        K.one * K.one
+        assert K._log and R._log is None  # K has tables, R none
+
+    @pytest.mark.parametrize("q,wp", [(2, "t^2+t+1"), (7, "t^2+1"),
+                                      (4, "t^2+t+(u)")])
+    def test_zero_has_no_inverse(self, q, wp):
+        K = residue_field_with_theta(parse_apoly(polyring(fq(q)), wp))
+        assert K.theta * K.theta and K._log
+        with pytest.raises(DomainError, match="not invertible"):
+            K.zero.inv()
+
+    def test_tables_are_one_exp_list_over_the_field(self, A3):
+        K = residue_field_with_theta(A3.poly([1, 0, 1]))  # F_9
+        x = K.theta + K.one
+        x * x
+        n = K.order - 1
+        assert len(K._log) == n and len(K._exp) == 2 * n
+        assert sorted(K._log.values()) == list(range(n))
+        assert {K._exp[i].row for i in range(n)} == {
+            c.row for c in K.elements() if c}
+        assert all(K._exp[i] is K._exp[i + n] for i in range(n))
+
+    def test_rings_without_tables_never_build(self, monkeypatch, A2, A3):
+        """Above the cut-over, an A/(wp^n) view and a plain ResidueRing of
+        an irreducible keep the general paths and never build tables."""
+        def refuse(self):
+            raise AssertionError("tables built for %r" % (self,))
+
+        monkeypatch.setattr(ResidueRing, "_tables", refuse)
+        d2 = fields._MAX_LOG_ORDER.bit_length()  # 2^d2 > the cut-over
+        d3 = next(d for d in range(1, 20) if 3 ** d > fields._MAX_LOG_ORDER)
+        above = [residue_field_with_theta(next(
+            f for f in A.monic_polys(d) if is_irreducible(f)))
+            for A, d in ((A2, d2), (A3, d3))]
+        above.append(residue_field_with_theta(A2.poly([1, 1, 1]),
+                                              (d2 + 1) // 2))
+        wp = A3.poly([1, 0, 1])
+        rings = above + [ResidueRing(wp ** 2), ResidueRing(wp),
+                         ResidueRing(A2.poly([1, 1, 1]))]
+        for R in rings:
+            assert R._log is None
+            x = R.theta + R.one
+            assert x * x == R.reduce(R.lift(x) * R.lift(x))
+            assert x.pth_power(2) == x ** (R.p ** 2)
+            assert R.dot([x, x], [x, R.one]) == x * x + x
+            if R in above:
+                assert (x.inv() * x) == R.one
+        assert all(R.order > fields._MAX_LOG_ORDER for R in above)
+
 
 class TestEncodings:
     def test_bracket_roundtrip(self, A2):

@@ -176,8 +176,10 @@ class TestResidueRows:
         assert (-x).coeffs == ref_neg(a)
         assert (x * y).coeffs == rem(ref_mul(a, b, zero))
         k = data.draw(st.integers(0, 3))
-        assert x.pth_power(k).coeffs == rem(ref_pth_power(a, field.p, k,
-                                                          zero))
+        want = rem(a)  # reduced after each p-th power, not at degree p^k
+        for _ in range(k):
+            want = rem(ref_pth_power(want, field.p, 1, zero))
+        assert x.pth_power(k).coeffs == want
         n = data.draw(st.integers(1, 5))
         u = [AResidue(R, data.draw(tuples(field, d))) for _ in range(n)]
         v = [AResidue(R, data.draw(tuples(field, d))) for _ in range(n)]

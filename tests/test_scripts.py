@@ -66,14 +66,14 @@ def test_residue_table(capsys, q):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert [row["op"] for row in rows] == [
-        "residue_mul", "residue_pth_power", "poly_divmod", "mat_mul",
-        "tau_mul", "tau_rdivmod", "series_mul", "difference_valuation",
-        "series_mul", "difference_valuation"]
+        "residue_mul", "residue_inv", "residue_pth_power", "poly_divmod",
+        "mat_mul", "tau_mul", "tau_rdivmod", "series_mul",
+        "difference_valuation", "series_mul", "difference_valuation"]
     assert all(row["q"] == q and row["us"] > 0 for row in rows)
-    assert [row["deg"] for row in rows] == [2] * 8 + [12] * 2
-    assert rows[3]["r"] == 2 and rows[4]["tau_degree"] == 2
-    assert all(row["prec"] == 24 for row in rows[6:])
-    assert [row["modulus"] for row in rows[8:]] == ["t^12"] * 2
+    assert [row["deg"] for row in rows] == [2] * 9 + [12] * 2
+    assert rows[4]["r"] == 2 and rows[5]["tau_degree"] == 2
+    assert all(row["prec"] == 24 for row in rows[7:])
+    assert [row["modulus"] for row in rows[9:]] == ["t^12"] * 2
 
 
 def test_n_table_peak_rss(capsys):

@@ -1277,6 +1277,38 @@ class TestBlocks:
             [divmod_valuation(s1.coeff(k).value, base, cap)
              for k in range(s1.val, s1.prec)], default=cap)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sums_match_the_element_path(self, data):
+        """f + g, f - g and -f run on the blocks (``fields.block_add``):
+        compared with sums of the coefficients as elements, over Laurent
+        vals, zero rows, unequal precision and cancelling heads."""
+        R = self.view(data)
+        f, g = self.series(data, R), self.series(data, R)
+        if data.draw(st.booleans()):  # g's head cancels against f's
+            g = -f.truncate(f.val + data.draw(st.integers(0, 3))) + \
+                g.shift(data.draw(st.integers(0, 4)))
+
+        def elementwise(a, b, sign):
+            prec = min(a.prec, b.prec)
+            lo = min(a.val, b.val, prec)
+            out = [a.coeff(k) + b.coeff(k) if sign > 0 else
+                   a.coeff(k) - b.coeff(k) for k in range(lo, prec)]
+            return TruncSeries(R, lo, out, prec)
+
+        neg = TruncSeries(R, f.val, [-c for c in f.coeffs], f.prec)
+        want = [elementwise(f, g, 1), elementwise(f, g, -1), neg,
+                elementwise(g, f, -1)]
+        with pytest.MonkeyPatch.context() as mp:  # no element sums
+            mp.setattr(AResidue, "__add__", None)
+            mp.setattr(AResidue, "__sub__", None)
+            mp.setattr(AResidue, "__neg__", None)
+            got = [f + g, f - g, -f, g - f]
+        for x, y in zip(got, want):
+            assert type(x.block) is bytes and len(x.block) % R.stride == 0
+            assert x == y and x.coeffs == y.coeffs
+            assert (x.val, x.prec) == (y.val, y.prec)
+
     @pytest.mark.parametrize("p,kind,k", [(2, "t", 12), (3, "t+1", 3),
                                           (127, 2, 2)])
     def test_block_and_tuple_built_series_are_equal(self, p, kind, k):

@@ -1281,7 +1281,10 @@ class ResidueRing:
         then ``elements``, with c None)."""
         n = self.order - 1
         cofactors = [n // r for r in _prime_factors(n)]
-        mul = self._product_of
+
+        def mul(x, y):  # nonzero in a field
+            return self._product(x.row, y.row)
+
         t = self._residue(polyring(self.field).gen)
         candidates = itertools.chain(
             ((t + c, c.idx) for c in self.field.elements()),
@@ -1369,12 +1372,6 @@ class ResidueRing:
             return self._from_ints(list(_dot_rows(((a, b),), self.p)))
         field = self.field
         return self._residue(Poly(field, _schoolbook(a, b, field.zero)))
-
-    def _product_of(self, x, y):
-        """x y for two elements by the general path (``_product``)."""
-        if not x.row or not y.row:
-            return self.zero
-        return self._product(x.row, y.row)
 
     def _pth_images(self, k):
         """The reduced t^(i p^k) mod m for 0 <= i < deg m, memoised by k.

@@ -194,7 +194,13 @@ class TruncSeries(RingElement):
             return o.truncate(prec)
         if not o.block:
             return self.truncate(prec)
-        return self._sum(o, prec, False)
+        lo = min(self.val, o.val)
+        if type(o.block) is bytes:  # over a packed A/(m): one block sum
+            return TruncSeries(self.ring, lo, block_add(
+                self.ring, self.block, o.block, o.val - self.val), prec)
+        hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
+        out = [self.coeff(k) + o.coeff(k) for k in range(lo, hi)]
+        return TruncSeries(self.ring, lo, out, prec)
 
     __radd__ = __add__
 
@@ -213,21 +219,12 @@ class TruncSeries(RingElement):
         prec = min(self.prec, o.prec)
         if not o.block:
             return self.truncate(prec)
-        return self._sum(o, prec, True)
-
-    def _sum(self, o, prec, negate):
-        """self + o (self - o when negate) to precision prec, o nonzero: over
-        a packed A/(m) one ``block_add`` of the two blocks aligned by val,
-        otherwise coefficient by coefficient."""
         lo = min(self.val, o.val)
         if type(o.block) is bytes:
             return TruncSeries(self.ring, lo, block_add(
-                self.ring, self.block, o.block, o.val - self.val, negate), prec)
+                self.ring, self.block, o.block, o.val - self.val, True), prec)
         hi = min(prec, max(self.val + len(self.coeffs), o.val + len(o.coeffs)))
-        if negate:
-            out = [self.coeff(k) - o.coeff(k) for k in range(lo, hi)]
-        else:
-            out = [self.coeff(k) + o.coeff(k) for k in range(lo, hi)]
+        out = [self.coeff(k) - o.coeff(k) for k in range(lo, hi)]
         return TruncSeries(self.ring, lo, out, prec)
 
     def __mul__(self, other):

@@ -35,6 +35,21 @@ Conventions shared by the whole package:
   inline.  No other module reads the rows or the indices.  Timings
   before and after rows: ``BENCH_26.json``; of the slot rule and the
   column valuation: ``BENCH_27.json``; of series blocks: ``BENCH_28.json``.
+* A residue field F_(q^d) = A/(wp), or an extension of it, built by
+  ``residue_field_with_theta`` or ``extension_with_embedding`` (memoised
+  per process, and the only ``ResidueRing`` constructors that prove
+  irreducibility) is marked as a field.  If its order is at most ``_MAX_LOG_ORDER`` it gets
+  discrete-log tables from a primitive element g on its first
+  multiplicative operation (Zech/discrete-log tables, Lidl & Niederreiter,
+  *Finite Fields*, ch. 9): the log of each nonzero row and the interned
+  powers g^i.  ``AResidue`` ``*``, ``inv`` and ``pth_power`` (so ``frob``)
+  are then one or two lookups, and ``ResidueRing.dot`` (so
+  ``sheaves.mat_mul``) sums the looked-up product rows as integers and
+  reads them back once.  Rows are bytes over F_p and ``FqElem`` tuples
+  over F_(p^e); both are hashable, so one path serves every q.  Larger
+  fields, views A/(wp^n) and rings built directly with ``ResidueRing``
+  keep the general paths.  Timings and the cut-over sweep:
+  ``BENCH_29.json``.
 * The degree of the zero polynomial is the sentinel ``NEG_INF``, never an
   integer, so division loops can compare degrees without off-by-one traps.
 * Ring handles (Fq, PolyRing, ResidueRing) are lightweight objects exposing
@@ -60,11 +75,12 @@ _MAX_TABLE_Q = 128
 
 # A residue field of order at most this gets discrete-log tables
 # (``ResidueRing._tables``), built on its first multiplicative operation:
-# a lookup replaces each product, inverse and Frobenius.  The build takes
-# about 1 us an element over F_p and 3 us over F_(p^e); at this order the
-# slowest build measured (q = 4 and 32) is about 3 ms, 2% of a CLI
-# process, and the next power of two doubles that (sweep across p and q
-# in BENCH_29.json).  Larger fields keep the general paths.
+# a lookup replaces each product, inverse and Frobenius.  A build costs
+# 1-13 us an element, the search for a primitive element included, so a
+# light command pays it whole: in the sweep across p = 2, 3, 5, 7 and
+# q = 4, 8, 9, 16, 25, 27, 32 (BENCH_29.json) the slowest build at or
+# below 2^11 took 4.4 ms (F_(7^3)), and from 2^11 to 2^12 15 ms (F_(5^5)).
+# Larger fields keep the general paths.
 _MAX_LOG_ORDER = 2 ** 11
 
 # Phi^C_a has tau^i coefficients of t-degree about q^i, so the work on an
@@ -1199,6 +1215,17 @@ class ResidueRing:
     the class of t, which is then a root of the modulus.  An extension field
     built around a root of some other prime (``extension_with_embedding``)
     resets theta to that root, and ``structure`` evaluates A at it.
+
+    The field constructors (``residue_field_with_theta``,
+    ``extension_with_embedding``) mark the rings they prove to be fields
+    (``_mark_field``).  A marked field of order at most ``_MAX_LOG_ORDER``
+    builds discrete-log tables on its first product, inverse, p-th power or
+    dot (``_tables``), and those operations then read them: x y is
+    ``_exp[log x + log y]``, x^-1 is ``_exp[n - log x]`` and x^(p^k) is
+    ``_exp[log x p^k mod n]``, with n = order - 1.  Above the cut-over a
+    light command would pay more for the build than for its whole run, so
+    those fields, like every unmarked ring, keep the general paths:
+    Kronecker products reduced mod m, ``_half_xgcd`` and ``_pth_images``.
     """
 
     def __init__(self, modulus):

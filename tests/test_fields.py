@@ -1048,11 +1048,13 @@ class TestLogTables:
     def fields_pair(data):
         """(K, R): a table field, wp of degree 1-4 (or its degree-2
         extension, whose theta is not the class of t), and the plain ring
-        of its modulus."""
-        q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
-        ext = data.draw(st.sampled_from([1, 2]))
-        d = data.draw(st.sampled_from([d for d in range(1, 5) if
-                                       q ** (d * ext) <= fields._MAX_LOG_ORDER]))
+        of its modulus.  At p = 31 and 127 a dot of a few terms passes a
+        byte's room and is reduced on the way."""
+        cut = fields._MAX_LOG_ORDER
+        q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 31, 127]))
+        ext = data.draw(st.sampled_from([e for e in (1, 2) if q ** e <= cut]))
+        d = data.draw(st.sampled_from([d for d in range(1, 5)
+                                       if q ** (d * ext) <= cut]))
         polys = list(polyring(fq(q)).monic_polys(d))
         start = data.draw(st.integers(0, len(polys) - 1))
         wp = next(f for f in polys[start:] + polys[:start] if is_irreducible(f))
@@ -1083,6 +1085,19 @@ class TestLogTables:
         assert got.row == want.row and got.ring is K
         K.one * K.one
         assert K._log and R._log is None  # K has tables, R none
+
+    @pytest.mark.parametrize("p,d", [(31, 2), (127, 1)])
+    def test_dot_reduces_before_a_byte_overflows(self, p, d):
+        """Product rows whose every byte is p - 1, summed past a byte's
+        room of 255 // (p - 1) terms."""
+        A = polyring(fq(p))
+        wp = next(f for f in A.monic_polys(d) if is_irreducible(f))
+        K, R = residue_field_with_theta(wp), ResidueRing(wp)
+        full = [K.field.from_int(-1)] * d
+        x, X = AResidue(K, full), AResidue(R, full)
+        for n in (1, 2, 3, 8, 9, 10, 40):
+            assert K.dot([x] * n, [K.one] * n).row == \
+                R.dot([X] * n, [R.one] * n).row
 
     @pytest.mark.parametrize("q,wp", [(2, "t^2+t+1"), (7, "t^2+1"),
                                       (4, "t^2+t+(u)")])
@@ -1126,8 +1141,7 @@ class TestLogTables:
             assert x * x == R.reduce(R.lift(x) * R.lift(x))
             assert x.pth_power(2) == x ** (R.p ** 2)
             assert R.dot([x, x], [x, R.one]) == x * x + x
-            if R in above:
-                assert (x.inv() * x) == R.one
+            assert x.inv() * x == R.one
         assert all(R.order > fields._MAX_LOG_ORDER for R in above)
 
 
